@@ -25,13 +25,13 @@ print(f"== tier-1 cold run: {cold:.1f}s, warm run: {warm:.1f}s")
 # the first pass tops up whatever tier-1 already stored (tests verify
 # some of these modules under nondefault configs, which key separately);
 # the measured second pass must answer everything without solving.
+from repro.api import Session
 from repro.systems.ironkv.delegation_map import build_default_module
 from repro.systems.ironkv.marshal_verified import build_u64_roundtrip_module
 from repro.systems.mimalloc.verified import (build_bit_tricks_module,
                                              build_disjointness_module)
 from repro.systems.pagetable.entry_verified import build_entry_module
 from repro.smt.solver import Stats
-from repro.vc.scheduler import Scheduler
 from repro.vc.wp import VcGen
 
 builders = (build_default_module, build_u64_roundtrip_module,
@@ -41,7 +41,7 @@ total = Stats()
 for passno in range(2):
     total = Stats()
     for build in builders:
-        sched = Scheduler()  # env-configured: picks up REPRO_CACHE_DIR
+        sched = Session().scheduler()  # env-configured: REPRO_CACHE_DIR
         res = VcGen(build()).verify_module(sched)
         assert res.ok, f"{res.name} failed verification"
         total.merge(sched.stats.snapshot())

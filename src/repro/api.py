@@ -304,6 +304,11 @@ class VerifyConfig:
         return "on" if self.automation_profile.default_triage else "off"
 
 
+def default_jobs() -> int:
+    """Worker count from ``$REPRO_JOBS`` (1 = serial, the default)."""
+    return VerifyConfig.from_env().jobs
+
+
 class Session:
     """One verification session: a config plus shared cache/stats state.
 
@@ -389,34 +394,19 @@ class Session:
                 self._tuner = ProfileTuner.for_cache_dir(self.config.cache_dir)
         return self._tuner
 
-    def scheduler(self, journal=None):
-        """A fresh :class:`~repro.vc.scheduler.Scheduler` wired to this
-        session's config and shared cache.
+    def scheduler(self, journal=None, config: Optional[VerifyConfig] = None):
+        """A fresh :class:`~repro.vc.scheduler.Scheduler` built from this
+        session's config (or ``config``) and wired to its shared cache,
+        warm pool and tuner.
 
         ``journal`` overrides the config's ``journal_dir`` — a journal
         file/directory path or an open ``RunJournal`` (used by
         :meth:`verify_module`'s ``resume=`` argument).
         """
         from .vc.scheduler import Scheduler
-        cfg = self.config
-        cache = self.cache
-        return Scheduler(jobs=cfg.jobs,
-                         cache=cache if cache is not None else False,
-                         timeout=cfg.job_timeout,
-                         diagnostics=cfg.diagnostics,
-                         incremental=cfg.effective_incremental,
-                         delta=cfg.delta,
-                         analyze=cfg.analyze,
-                         retries=cfg.effective_retries,
-                         max_steps=cfg.effective_max_steps,
-                         fault_plan=cfg.fault_plan,
-                         journal=journal if journal is not None
-                         else cfg.journal_dir,
-                         solver_pool=self.warm_pool,
-                         profile=cfg.profile,
-                         portfolio=cfg.portfolio,
-                         tuner=self.tuner,
-                         triage=cfg.effective_triage)
+        return Scheduler(config or self.config, cache=self.cache,
+                         journal=journal, solver_pool=self.warm_pool,
+                         tuner=self.tuner)
 
     # ------------------------------------------------------------- verbs
 
@@ -444,9 +434,8 @@ class Session:
     def diagnose(self, mod, vc_config=None):
         """Verify with diagnostics forced on; never raises."""
         from .vc.wp import VcGen
-        scheduler = self.scheduler()
-        scheduler.diagnostics = True
-        return VcGen(mod, vc_config).verify_module(scheduler)
+        return VcGen(mod, vc_config).verify_module(
+            self.scheduler(config=self.config.replace(diagnostics=True)))
 
     def analyze(self, mod, vc_config=None):
         """Run the static-analysis passes only; no solver is constructed.

@@ -12,13 +12,12 @@ from .replica import (CacheReplica, ReplicaClient, ReplicaStore,
                       entry_is_sound, seal_entry, unseal_entry)
 from .store import (CACHE_DIR_ENV, DEFAULT_DIRNAME, ProofCache,
                     entry_checksum, make_entry, validate_entry)
-from .tiers import TieredProofCache, cache_from_env, parse_tiers
+from .tiers import TieredProofCache, parse_tiers
 
 __all__ = [
     "CACHE_DIR_ENV", "DEFAULT_DIRNAME",
     "CacheReplica", "CircuitBreaker", "MerkleIndex", "ProofCache",
     "ReplicaClient", "ReplicaStore", "TieredProofCache",
-    "cache_from_env", "diff_shards", "entry_checksum", "entry_is_sound",
-    "make_entry", "parse_tiers", "seal_entry", "unseal_entry",
-    "validate_entry",
+    "diff_shards", "entry_checksum", "entry_is_sound", "make_entry",
+    "parse_tiers", "seal_entry", "unseal_entry", "validate_entry",
 ]

@@ -94,19 +94,6 @@ class ProofCache:
         self.stores = 0
         self.corrupt = 0
 
-    @classmethod
-    def from_env(cls) -> Optional["ProofCache"]:
-        """The cache named by ``$REPRO_CACHE_DIR``, or None if unset.
-
-        Environment parsing is centralized in
-        :meth:`repro.api.VerifyConfig.from_env`; this shim just asks it.
-        (Tier selection lives in :func:`repro.cache.tiers.cache_from_env`;
-        this classmethod always builds the bare disk tier.)
-        """
-        from ..api import VerifyConfig
-        root = VerifyConfig.from_env().cache_dir
-        return cls(root) if root else None
-
     def _path(self, digest: str) -> str:
         return os.path.join(self.root, digest[:2], f"{digest}.json")
 

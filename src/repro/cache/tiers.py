@@ -307,20 +307,3 @@ class TieredProofCache:
                 f"{self.hits} hits ({self.mem_hits}m/{self.disk_hits}d/"
                 f"{self.net_hits}n), {self.misses} misses, "
                 f"breaker={self.breaker.state}>")
-
-
-def cache_from_env():
-    """The cache the environment asks for: tiered when
-    ``$REPRO_CACHE_TIERS`` is set, the flat disk store otherwise, None
-    without a cache directory.  (The network tier starts unattached —
-    inert, indistinguishable from absent — until a host like the daemon
-    wires a fabric in via :meth:`TieredProofCache.attach_network`.)"""
-    from ..api import VerifyConfig
-    cfg = VerifyConfig.from_env()
-    if not cfg.cache_dir:
-        return None
-    if cfg.cache_tiers:
-        return TieredProofCache(cfg.cache_dir, tiers=cfg.cache_tiers,
-                                mem_budget=cfg.cache_mem_budget,
-                                net_timeout=cfg.cache_net_timeout)
-    return ProofCache(cfg.cache_dir)

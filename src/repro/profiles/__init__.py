@@ -1,9 +1,11 @@
 """Tunable automation profiles, portfolio racing, and the auto-tuner.
 
 The public surface of the automation *dial* (see ``registry.py`` for
-the detents, ``portfolio.py`` for the race semantics, ``tuner.py`` for
-the learned per-obligation winners, and ``corpus.py`` for the seeded
-stubborn-obligation fixtures).  Typical use goes through
+the detents and the race lineup, ``tuner.py`` for the learned
+per-obligation winners, and ``corpus.py`` for the seeded
+stubborn-obligation fixtures; the race itself runs as part of the
+scheduler's attempt plan, ``Scheduler._plan_attempts`` in
+:mod:`repro.vc.scheduler`).  Typical use goes through
 :class:`repro.api.Session`::
 
     Session(profile="aggressive")            # one fixed detent

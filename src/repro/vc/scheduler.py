@@ -33,32 +33,34 @@ Two further strategies stack on top (both off by default):
 Resilience (this layer is where the paper's "practical foundation"
 claim meets real fleet failures):
 
-* **Retry escalation ladder** (``retries=N`` / ``REPRO_RETRIES``) — a
-  failed, ``RESOURCE_OUT``, or crashed obligation is retried with
-  exponential backoff through progressively heavier strategies:
-  warm-incremental → fresh context with escalated budgets →
-  per-conjunct split (:mod:`repro.diag.split`) → fully serial.  Every
-  escalation is recorded in :class:`~repro.smt.solver.Stats` and the
+* **Escalation** (``portfolio=N`` / ``retries=N``) — after the main
+  pass, each stubborn obligation (failed, ``RESOURCE_OUT``, or crashed)
+  gets one ordered *attempt plan*, run by one executor: portfolio race
+  candidates first (alternative automation profiles, every one
+  attempted), then retry-ladder rungs with exponential backoff
+  (warm-incremental → fresh context with escalated budgets →
+  per-conjunct split → serial, stopping at the first proof).  Every
+  attempt solves under its own config and the run's timeout, stores its
+  verdict under its own digest, and the lowest-index PROVED attempt
+  wins.  The race record and the escalation trail land in the
   obligation's stats/diag payload.
 
-* **Fault injection** (``fault_plan=`` / ``REPRO_FAULT_PLAN``) — the
+* **Fault injection** (``fault_plan`` / ``REPRO_FAULT_PLAN``) — the
   scheduler installs a :class:`repro.resilience.FaultPlan` around each
   ``run_module`` so chaos runs reproduce from the plan string alone.
   Worker-process faults are decided *in the parent* at submit time
   (workers never arm their own counters).
 
-* **Run journal** (``journal=`` / ``REPRO_JOURNAL_DIR``) — completed
+* **Run journal** (``journal_dir`` / ``REPRO_JOURNAL_DIR``) — completed
   obligation digests are appended to a per-module
   :class:`repro.resilience.RunJournal`; a killed run resumed through
   ``Session.verify_module(resume=...)`` replays them and re-solves only
   the rest.
 
-Run-level knobs (``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
-``REPRO_JOB_TIMEOUT``, ``REPRO_DIAG``, ``REPRO_INCREMENTAL``,
-``REPRO_DELTA``, ``REPRO_RETRIES``, ``REPRO_MAX_STEPS``,
-``REPRO_FAULT_PLAN``, ``REPRO_JOURNAL_DIR``) are parsed exclusively by
-:meth:`repro.api.VerifyConfig.from_env`; the ``default_*`` helpers here
-are thin compatibility shims over it.
+A :class:`Scheduler` is built from a resolved
+:class:`repro.api.VerifyConfig` (``Session.scheduler()`` is the usual
+builder); the ``REPRO_*`` environment knobs are parsed exclusively by
+:mod:`repro.api`, never here.
 
 :func:`run_builder_jobs` is the coarse-grained companion used by the
 Fig 9 macrobenchmark: whole-module verification jobs named by dotted
@@ -75,8 +77,10 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
-from ..api import DIAG_ENV, JOB_TIMEOUT_ENV, JOBS_ENV, VerifyConfig
-from ..profiles import escalate_config, get_profile, tuner_fingerprint
+from ..api import DIAG_ENV, JOB_TIMEOUT_ENV, JOBS_ENV, VerifyConfig, \
+    default_jobs
+from ..profiles import (escalate_config, get_profile, portfolio_candidates,
+                        tuner_fingerprint)
 from ..resilience import faults as _faults
 from ..resilience.faults import FaultPlan, InjectedCrash
 from ..resilience.journal import RunJournal
@@ -89,22 +93,46 @@ from .errors import (FAILED, PROVED, RESOURCE_OUT, STATIC_PROVED, TIMEOUT,
                      ModuleResult, status_from_solver)
 
 __all__ = ["Scheduler", "ObligationJob", "default_jobs",
-           "default_diagnostics", "run_builder_job", "run_builder_jobs",
+           "run_builder_job", "run_builder_jobs",
            "JOBS_ENV", "JOB_TIMEOUT_ENV", "DIAG_ENV"]
 
-
-def default_jobs() -> int:
-    """Worker count from ``$REPRO_JOBS`` (1 = serial, the default)."""
-    return VerifyConfig.from_env().jobs
-
-
-def default_diagnostics() -> bool:
-    """Diagnostics default from ``$REPRO_DIAG`` (off unless truthy)."""
-    return VerifyConfig.from_env().diagnostics
+#: Base delay (seconds) of the retry ladder's exponential backoff; each
+#: rung doubles it (capped at 1 s) plus seeded jitter.
+RETRY_BACKOFF = 0.01
 
 
-def _default_timeout() -> Optional[float]:
-    return VerifyConfig.from_env().job_timeout
+def _classify(solver: SmtSolver, verdict: str, stats: dict) -> str:
+    """Map one ``check()`` verdict to an obligation status, flagging the
+    wall-clock (``deadline_exceeded``) and budget (``resource_out``)
+    artefacts in ``stats``.  A deadline verdict is machine-dependent and
+    is reported as TIMEOUT, never stored."""
+    if solver.last_deadline_exceeded:
+        stats["deadline_exceeded"] = 1
+        return TIMEOUT
+    status = status_from_solver(verdict, solver)
+    if status == RESOURCE_OUT:
+        stats["resource_out"] = 1
+    return status
+
+
+def _fresh_solve(config: SolverConfig, assertions, timeout: Optional[float],
+                 incremental: bool = False) -> tuple:
+    """Discharge ``assertions`` in one fresh solver under ``config`` and
+    the soft ``timeout``; ``(status, stats, query_bytes, seconds)``.
+
+    Serial runs cannot kill a worker process, so the deadline is
+    enforced *inside* the solver: the CDCL loop checks wall clock
+    between conflict batches and gives up cleanly.
+    """
+    t0 = time.perf_counter()
+    solver = SmtSolver(config, incremental=incremental)
+    for a in assertions:
+        solver.add(a)
+    verdict = solver.check(timeout=timeout)
+    stats = solver.stats.snapshot()
+    status = _classify(solver, verdict, stats)
+    return (status, stats, solver.stats.query_bytes,
+            time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +184,8 @@ class ObligationJob:
             return (RESOURCE_OUT, stats, solver.stats.query_bytes,
                     time.perf_counter() - t0)
         verdict = solver.check()
-        status = status_from_solver(verdict, solver)
         stats = solver.stats.snapshot()
-        if status == RESOURCE_OUT:
-            stats["resource_out"] = 1
+        status = _classify(solver, verdict, stats)
         return (status, stats, solver.stats.query_bytes,
                 time.perf_counter() - t0)
 
@@ -206,6 +232,43 @@ class _Task:
         self.static_claim = False
 
 
+class _Attempt:
+    """One entry of a stubborn obligation's escalation plan.
+
+    ``config`` is the solver config (None: the pipeline's own discharge
+    strategy, for pipelines that override ``VcGen._solve_obligation``).
+    ``isolation`` says how the solver is built: ``warm`` (incremental),
+    ``fresh``, ``split`` (one fresh solver per goal conjunct) or
+    ``serial`` (a plain fresh solver).  ``digest`` is where the verdict
+    is stored — and first looked up, when ``replay`` is set.
+    ``backoff`` is the base delay before solving.  A ``must_run``
+    attempt runs even after an earlier one has PROVED.  ``profile``
+    names a race candidate's automation profile.
+    """
+
+    __slots__ = ("config", "isolation", "digest", "backoff", "must_run",
+                 "replay", "profile", "status", "stats", "qbytes",
+                 "seconds", "hit")
+
+    def __init__(self, config: Optional[SolverConfig], isolation: str,
+                 digest: Optional[str], backoff: float = 0.0,
+                 must_run: bool = False, replay: bool = False,
+                 profile: Optional[str] = None):
+        self.config = config
+        self.isolation = isolation
+        self.digest = digest
+        self.backoff = backoff
+        self.must_run = must_run
+        self.replay = replay
+        self.profile = profile
+        self.status: Optional[str] = None
+        self.stats: dict = {}
+        self.qbytes = 0
+        self.seconds = 0.0
+        # "cache_hit"/"journal_hit" when the verdict was replayed.
+        self.hit: Optional[str] = None
+
+
 # ---------------------------------------------------------------------------
 # The scheduler
 # ---------------------------------------------------------------------------
@@ -213,150 +276,72 @@ class _Task:
 class Scheduler:
     """Discharges emitted obligations through cache + executor.
 
-    ``jobs``: worker processes (default ``$REPRO_JOBS`` or 1 = serial).
-    ``cache``: a :class:`ProofCache`, a directory path, ``False`` to
-    disable even if ``$REPRO_CACHE_DIR`` is set, or ``None`` for the
-    env default.  ``timeout``: per-job seconds for parallel execution.
-    ``diagnostics``: run the :mod:`repro.diag` engine on every failed
-    obligation (default ``$REPRO_DIAG`` or off).  Diagnosis happens
-    post hoc in the parent process — each failure is re-solved with a
-    fresh solver over the same assertions — so the diagnostic output is
-    identical whether the verdict came from a worker process, the
-    serial path, or a warm cache entry.
+    ``config`` is a resolved :class:`~repro.api.VerifyConfig`: its
+    tri-state fields are read through the ``effective_*`` properties
+    once, here, and the environment is never consulted.  The remaining
+    arguments are live objects the caller owns:
 
-    ``incremental``: warm-context mode — each function's unsolved
-    obligations are discharged in one pooled incremental solver under
-    push/pop scopes instead of a fresh solver per goal (default
-    ``$REPRO_INCREMENTAL`` or off).  ``delta``: skip planning functions
-    whose dependency fingerprint is unchanged since a fully verified run
-    (default ``$REPRO_DELTA`` or off; needs the cache for storage).
-
-    ``analyze``: run the :mod:`repro.analysis` static passes before
-    planning; a module with any error-severity finding is **rejected**
-    without constructing a single solver (default ``$REPRO_ANALYZE`` or
-    off).
-
-    ``retries``: max escalation-ladder attempts per failed/resource-out
-    /crashed obligation (default ``$REPRO_RETRIES`` or 0 = off — the
-    ladder re-solves, so the default keeps fault-free runs
-    byte-identical to earlier releases).  ``max_steps``: per-check
-    solver step budget producing ``resource-out`` verdicts (default
-    ``$REPRO_MAX_STEPS`` or unbounded).  ``fault_plan``: a
-    :class:`~repro.resilience.FaultPlan` or plan string installed
-    around each ``run_module`` (default ``$REPRO_FAULT_PLAN``).
-    ``journal``: a :class:`~repro.resilience.RunJournal`, a
-    ``*.journal`` file path, a journal directory, or ``False`` to
-    disable even if ``$REPRO_JOURNAL_DIR`` is set.
-
-    ``profile``: the primary automation profile — a name or an
-    :class:`~repro.profiles.AutomationProfile` (default
-    ``$REPRO_PROFILE`` or ``default``); its solver knobs layer onto
-    every discharge config and its run-level defaults fill
-    ``incremental``/``retries``/``max_steps`` left unset.
-    ``portfolio``: race width for stubborn obligations — after the main
-    pass, each failed/unknown/resource-out obligation is re-discharged
-    under that many alternative profiles and a PROVED verdict from any
-    of them is adopted (default ``$REPRO_PORTFOLIO`` or 0 = off).
+    ``cache``: a :class:`ProofCache` (or tiered cache), or None for no
+    caching.  ``journal``: a :class:`~repro.resilience.RunJournal`, a
+    ``*.journal`` file path, or a journal directory; None falls back to
+    ``config.journal_dir``.  ``solver_pool``: a warm solver-context
+    registry (:class:`repro.server.warm.SolverPool`) that lets warm
+    groups reuse a scope-0 context built by an earlier ``run_module``.
     ``tuner``: a :class:`~repro.profiles.ProfileTuner` recording race
-    winners; when present, obligations with a learned winner are
-    redirected straight to it *before* digests are computed, so a
-    tuner-warm + cache-warm run replays races with zero solver
-    constructions.
+    winners; obligations with a learned winner are redirected straight
+    to it *before* digests are computed, so a tuner-warm + cache-warm
+    run replays races with zero solver constructions.
+
+    Run-level behaviour follows the config: ``jobs`` worker processes;
+    ``job_timeout`` soft per-obligation deadline; ``diagnostics`` re-solves
+    every failure post hoc in the parent process, so the diagnostic
+    output is identical whether the verdict came from a worker, the
+    serial path, or a warm cache entry; ``incremental`` warm contexts;
+    ``delta`` fingerprint skips (needs the cache); ``analyze`` rejects a
+    module with error findings before any solver exists; the automation
+    ``profile`` layers its solver knobs onto every discharge config.
+
+    Stubborn obligations get one ordered attempt plan (see
+    :meth:`_plan_attempts`): ``portfolio`` race candidates, then up to
+    ``retries`` ladder rungs, run by one executor (:meth:`_escalate`).
     """
 
     #: Escalation order of the retry ladder: cheapest recovery first,
     #: heaviest (and most isolated) last.
     LADDER = ("warm", "fresh", "split", "serial")
 
-    def __init__(self, jobs: Optional[int] = None, cache=None,
-                 timeout: Optional[float] = None,
-                 diagnostics: Optional[bool] = None,
-                 incremental: Optional[bool] = None,
-                 delta: Optional[bool] = None,
-                 analyze: Optional[bool] = None,
-                 retries: Optional[int] = None,
-                 max_steps: Optional[int] = None,
-                 fault_plan=None,
-                 journal=None,
-                 retry_backoff: float = 0.01,
-                 solver_pool=None,
-                 profile=None,
-                 portfolio: Optional[int] = None,
-                 tuner=None,
-                 triage: Optional[str] = None):
-        env = VerifyConfig.from_env()
-        self.jobs = max(1, int(jobs)) if jobs is not None else env.jobs
-        if cache is None:
-            # Env default: tiered when $REPRO_CACHE_TIERS asks for it.
-            from ..cache.tiers import cache_from_env
-            cache = cache_from_env()
-        elif cache is False:
-            cache = None
-        elif isinstance(cache, str):
-            cache = ProofCache(cache)
+    def __init__(self, config: VerifyConfig, cache=None, journal=None,
+                 solver_pool=None, tuner=None):
+        self.config = config
+        self.jobs = max(1, config.jobs)
         self.cache: Optional[ProofCache] = cache
-        # Primary automation profile + portfolio/tuner wiring.  The
-        # tri-state run-level knobs resolve explicit arg -> env ->
-        # profile default (exactly VerifyConfig.effective_*, inlined so
-        # direct Scheduler construction behaves like Session).
-        self.profile = get_profile(profile if profile is not None
-                                   else env.profile)
-        self.portfolio = (max(0, int(portfolio)) if portfolio is not None
-                          else env.portfolio)
+        self.profile = config.automation_profile
+        self.portfolio = max(0, config.portfolio)
         self.tuner = tuner
-        self.timeout = timeout if timeout is not None else env.job_timeout
-        self.diagnostics = (diagnostics if diagnostics is not None
-                            else env.diagnostics)
-        if incremental is None:
-            incremental = (env.incremental if env.incremental is not None
-                           else self.profile.default_incremental)
-        self.incremental = incremental
-        self.delta = delta if delta is not None else env.delta
-        self.analyze = analyze if analyze is not None else env.analyze
-        if retries is None:
-            retries = (env.retries if env.retries is not None
-                       else self.profile.default_retries)
-        self.retries = max(0, int(retries))
-        if max_steps is None:
-            max_steps = (env.max_steps if env.max_steps is not None
-                         else self.profile.max_steps)
-        self.max_steps = max_steps
-        plan = fault_plan if fault_plan is not None else env.fault_plan
-        if isinstance(plan, str):
-            plan = FaultPlan.from_string(plan)
-        self.fault_plan: Optional[FaultPlan] = plan
-        if journal is None:
-            journal = env.journal_dir
-        elif journal is False:
-            journal = None
-        self._journal_spec = journal
+        self.timeout = config.job_timeout
+        self.diagnostics = config.diagnostics
+        self.incremental = config.effective_incremental
+        self.delta = config.delta
+        self.analyze = config.analyze
+        self.retries = max(0, config.effective_retries)
+        self.max_steps = config.effective_max_steps
+        # Static proving tier (repro.analysis.absint): "on" discharges
+        # entailed obligations with no solver; "shadow" runs tier AND
+        # solver and fails loudly on disagreement; "off" skips it.
+        self.triage_mode = config.effective_triage
+        plan = config.fault_plan
+        self.fault_plan: Optional[FaultPlan] = (
+            FaultPlan.from_string(plan) if isinstance(plan, str) else plan)
+        self._journal_spec = (journal if journal is not None
+                              else config.journal_dir)
         self._journal: Optional[RunJournal] = None
-        # Base delay of the escalation ladder's exponential backoff; the
-        # jitter RNG is seeded so chaos runs stay reproducible.
-        self.retry_backoff = retry_backoff
+        # Seeded backoff jitter keeps chaos runs reproducible.
         self._retry_rng = random.Random(0x5EED)
         self._delta_cache = None
         if self.delta and self.cache is not None:
             from .delta import DeltaCache
             self._delta_cache = DeltaCache(self.cache.root)
-        # Warm solver-context registry (repro.server.warm.SolverPool, or
-        # anything with group_key/acquire/release): lets warm groups
-        # reuse a scope-0 context built by a *previous* run_module with
-        # the same prefix.  None (the default) keeps batch behavior.
         self.solver_pool = solver_pool
-        # Static proving tier (repro.analysis.absint): tri-state mode
-        # resolved explicit arg -> env -> profile default, like the other
-        # run-level knobs.  "on" discharges entailed obligations with no
-        # solver; "shadow" runs tier AND solver and fails loudly on
-        # disagreement; "off" skips the tier entirely.
-        if triage is None:
-            triage = (env.triage if env.triage is not None
-                      else ("on" if self.profile.default_triage else "off"))
-        from ..analysis.absint import TRIAGE_MODES
-        if triage not in TRIAGE_MODES:
-            raise ValueError(f"triage mode must be one of {TRIAGE_MODES}, "
-                             f"got {triage!r}")
-        self.triage_mode = triage
         self._module_name: Optional[str] = None
         self.stats = Stats()
 
@@ -436,10 +421,8 @@ class Scheduler:
                     result.functions.append(plan.result)
                     tasks.extend(self._plan_tasks(gen, plan))
             self._run_tasks(gen, tasks)
-            if self.portfolio > 0:
-                self._portfolio_pass(gen, tasks)
-            if self.retries > 0:
-                self._retry_pass(gen, tasks)
+            if self.portfolio > 0 or self.retries > 0:
+                self._escalate(gen, tasks)
             if self.triage_mode == "shadow":
                 # Shadow triage: the static tier ran alongside the
                 # solver; a claimed obligation the solver *refuted* is
@@ -533,7 +516,7 @@ class Scheduler:
 
     def _race_base(self, gen) -> SolverConfig:
         """The *unprofiled* discharge config race candidates layer their
-        knobs onto — shared by the tuner redirect and _portfolio_pass so
+        knobs onto — shared by the tuner redirect and the attempt plan so
         a redirected task's digest is exactly the digest the winning
         race attempt stored its verdict under."""
         return gen.config.make_solver_config()
@@ -618,52 +601,20 @@ class Scheduler:
                     and task.assertions is not None):
                 task.digest = obligation_digest(
                     task.assertions, solver_config_key(task.config), strategy)
-            if self._journal is not None and task.digest is not None:
-                entry = self._journal.lookup(task.digest)
-                if (entry is not None
-                        and entry.get("kind") == STATIC_PROVED
-                        and self.triage_mode != "on"):
-                    # A static-tier verdict journaled by a triage-on
-                    # run: the tier is not trusted here, so re-solve —
-                    # the same gate the proof cache applies.
-                    self._journal.skips -= 1
-                    entry = None
-                if entry is not None:
-                    # A goal this (possibly killed) run already finished:
-                    # replay the journaled verdict, solve nothing.
-                    stats = dict(entry.get("stats") or {})
-                    stats["journal_hit"] = True
-                    self._apply(task, entry["status"], stats,
-                                entry.get("query_bytes", 0), 0.0)
+            if task.digest is not None:
+                hit = self._lookup(task.digest)
+                if hit is not None:
+                    # A goal this (possibly killed) run already finished,
+                    # or a cached verdict: replay it, solve nothing.
+                    entry, source = hit
+                    if self.diagnostics and entry.get("diag"):
+                        from ..diag import Diagnostic
+                        task.item.obligation.diag = \
+                            Diagnostic.from_dict(entry["diag"])
+                    self._apply(task, entry["status"],
+                                dict(entry.get("stats") or {}),
+                                entry.get("query_bytes", 0), 0.0, hit=source)
                     continue
-            if self.cache is not None and task.digest is not None:
-                entry = self.cache.lookup(task.digest)
-                if entry is not None:
-                    if (entry.get("kind") == STATIC_PROVED
-                            and self.triage_mode != "on"):
-                        # A static-tier verdict, but the tier is not
-                        # trusted this run (off, or shadow — which must
-                        # actually solve to compare): treat as a miss;
-                        # the fresh solver verdict overwrites the entry.
-                        self.cache.hits -= 1
-                        self.cache.misses += 1
-                    elif (self.diagnostics and entry["status"] != PROVED
-                            and entry.get("diag") is None):
-                        # A pre-diagnostics entry for a failure: the
-                        # verdict alone is not what the user asked for,
-                        # so re-solve (and re-store with the payload).
-                        self.cache.hits -= 1
-                        self.cache.misses += 1
-                    else:
-                        stats = dict(entry.get("stats") or {})
-                        if self.diagnostics and entry.get("diag"):
-                            from ..diag import Diagnostic
-                            task.item.obligation.diag = \
-                                Diagnostic.from_dict(entry["diag"])
-                        self._apply(task, entry["status"], stats,
-                                    entry.get("query_bytes", 0), 0.0,
-                                    from_cache=True)
-                        continue
             if triage is not None:
                 t0 = time.perf_counter()
                 claimed, passes = triage.check(task.item)
@@ -730,28 +681,9 @@ class Scheduler:
 
     def _run_fresh(self, task: _Task) -> None:
         """One fresh-solver discharge from the planned assertion list,
-        honoring the soft per-obligation deadline when one is set.
-
-        Serial runs cannot kill a worker process, so the deadline is
-        enforced *inside* the solver: the CDCL loop checks wall clock
-        between conflict batches and gives up cleanly.  A deadline
-        verdict is wall-clock-dependent and is therefore never cached.
-        """
-        t0 = time.perf_counter()
-        solver = SmtSolver(task.config)
-        for a in task.assertions:
-            solver.add(a)
-        verdict = solver.check(timeout=self.timeout)
-        status = status_from_solver(verdict, solver)
-        stats = solver.stats.snapshot()
-        qbytes = solver.stats.query_bytes
-        seconds = time.perf_counter() - t0
-        if solver.last_deadline_exceeded:
-            stats["deadline_exceeded"] = 1
-            self._apply(task, TIMEOUT, stats, qbytes, seconds)
-            return
-        if status == RESOURCE_OUT:
-            stats["resource_out"] = 1
+        honoring the soft per-obligation deadline when one is set."""
+        status, stats, qbytes, seconds = _fresh_solve(
+            task.config, task.assertions, self.timeout)
         self._apply(task, status, stats, qbytes, seconds)
         self._store(task, status, stats, qbytes)
 
@@ -815,20 +747,13 @@ class Scheduler:
                 for a in task.assertions[prefix:]:
                     solver.add(a)
                 verdict = solver.check(timeout=self.timeout)
-                status = status_from_solver(verdict, solver)
                 stats = Stats.diff(before, solver.stats.snapshot())
                 qbytes = base_qbytes + stats.get("query_bytes", 0)
                 stats["query_bytes"] = qbytes
+                status = _classify(solver, verdict, stats)
                 seconds = time.perf_counter() - t0
-                deadline = solver.last_deadline_exceeded
-                if deadline:
-                    stats["deadline_exceeded"] = 1
-                    status = TIMEOUT
-                elif status == RESOURCE_OUT:
-                    stats["resource_out"] = 1
                 self._apply(task, status, stats, qbytes, seconds)
-                if not deadline:
-                    self._store(task, status, stats, qbytes)
+                self._store(task, status, stats, qbytes)
                 solver.pop()
         except BaseException:
             key = None  # scope state unknown: never repool a damaged solver
@@ -906,230 +831,193 @@ class Scheduler:
             self.stats.pool_failures += 1
         task.crash = f"{type(exc).__name__}: {exc}"[:300]
 
-    # ------------------------------------------------ portfolio racing
+    # ---------------------------------------------------------- escalation
 
-    def _portfolio_pass(self, gen, tasks: list[_Task]) -> None:
-        """Race alternative profiles on every stubborn obligation.
+    def _escalate(self, gen, tasks: list[_Task]) -> None:
+        """Run each stubborn obligation's attempt plan, then adopt.
 
-        A *stubborn* obligation is one the primary profile left
-        FAILED/unknown/resource-out.  Each race candidate
-        (:func:`~repro.profiles.portfolio.plan_attempts`) is attempted
-        — every one, always, so serial/parallel/cache-warm runs leave
-        byte-identical proof-cache state — with its verdict stored
-        under the *attempt's own* digest (never the primary's: the
-        primary entry keeps recording what the primary profile actually
-        concluded).  The lowest-index PROVED attempt wins and its
-        verdict is adopted; the tuner (when present) records the winner
-        so later runs redirect this obligation before fan-out.
-
-        Runs in the parent process after the main pass and before the
-        retry ladder: a race rescue flips the obligation to PROVED, so
-        the ladder never sees it.
+        Runs in the parent process after the main pass.  One election
+        rule: the lowest-index PROVED attempt wins.  One store rule:
+        every solved attempt's verdict is stored under the attempt's own
+        digest unless it is a wall-clock artefact (:meth:`_store`).
         """
-        if not self._offloadable(gen):
-            return
-        from ..profiles.portfolio import (elect_winner, plan_attempts,
-                                          race_summary, solve_attempt)
         strategy = type(gen).__qualname__
-        base_cfg = None
         for task in tasks:
-            if (not task.done or task.assertions is None
-                    or task.item.direct_result is not None):
-                continue        # crashes belong to the retry ladder
-            ob = task.item.obligation
-            if ob.status not in (FAILED, TIMEOUT, RESOURCE_OUT):
+            plan = self._plan_attempts(gen, task, strategy)
+            ran: list[_Attempt] = []
+            winner = None
+            for attempt in plan:
+                if winner is not None and not attempt.must_run:
+                    break
+                self._run_attempt(gen, task, attempt)
+                ran.append(attempt)
+                if winner is None and attempt.status == PROVED:
+                    winner = attempt
+            if ran:
+                self._adopt(task, plan, ran, winner, strategy)
+
+    def _plan_attempts(self, gen, task: _Task,
+                       strategy: str) -> list[_Attempt]:
+        """The ordered attempt plan for one obligation; empty unless it
+        is stubborn.
+
+        **Race candidates** come first, for an obligation left FAILED,
+        TIMEOUT or RESOURCE_OUT (a killed worker is not a solver
+        verdict, so it does not race): each alternative profile
+        (:func:`~repro.profiles.portfolio_candidates`) layered on the
+        unprofiled race base, stored under the digest a session running
+        that profile as primary would compute — the digest the tuner's
+        redirect replays.  Every candidate runs (so serial, ``jobs=N``
+        and cache-warm runs leave byte-identical cache state), and a
+        stored verdict replays instead of solving.
+
+        **Ladder rungs** follow, for an obligation that crashed or ended
+        FAILED/RESOURCE_OUT from a fresh solve (a replay is not a
+        transient fault): warm → fresh with escalated budgets →
+        per-conjunct split (unless the profile vetoes splitting or the
+        goal does not split) → serial, at most ``retries`` of them, each
+        after an exponential backoff.  Rungs always solve, stop at the
+        first proof, and store under the obligation's own digest.
+        Pipelines that override the discharge strategy only get the
+        serial rung, which then runs their own strategy.
+        """
+        ob = task.item.obligation
+        offload = task.assertions is not None and self._offloadable(gen)
+        plan: list[_Attempt] = []
+        if (self.portfolio and offload and task.done
+                and ob.status in (FAILED, TIMEOUT, RESOURCE_OUT)
+                and not ob.stats.get("job_timeouts")):
+            base = self._race_base(gen)
+            for name in portfolio_candidates(task.profile or self.profile.name,
+                                             self.portfolio):
+                cfg = get_profile(name).apply_solver(base)
+                digest = obligation_digest(task.assertions,
+                                           solver_config_key(cfg), strategy)
+                plan.append(_Attempt(cfg, "fresh", digest, must_run=True,
+                                     replay=True, profile=name))
+        if task.done:
+            stubborn = (ob.status in (FAILED, RESOURCE_OUT)
+                        and not ob.stats.get("cache_hit")
+                        and not ob.stats.get("journal_hit"))
+        else:
+            stubborn = task.crash is not None
+        if not (self.retries and stubborn):
+            return plan
+        rungs: list[_Attempt] = []
+        for isolation in self.LADDER if offload else ("serial",):
+            if len(rungs) == self.retries:
+                break
+            if isolation == "split" and (self.profile.split_strategy == "off"
+                                         or not self._splittable(task)):
                 continue
-            if ob.stats.get("job_timeouts"):
-                continue        # a killed worker, not a solver verdict
-            if base_cfg is None:
-                base_cfg = self._race_base(gen)
-            primary = task.profile or self.profile.name
-            attempts = plan_attempts(primary, self.portfolio, base_cfg,
-                                     task.assertions, strategy)
-            if not attempts:
-                continue
-            self.stats.portfolio_races += 1
-            for attempt in attempts:
-                entry = (self.cache.lookup(attempt.digest)
-                         if self.cache is not None else None)
-                if entry is not None:
-                    stats = dict(entry.get("stats") or {})
-                    attempt.record(entry["status"], stats,
-                                   entry.get("query_bytes", 0), 0.0,
-                                   from_cache=True)
-                    continue
-                solve_attempt(attempt, task.assertions,
-                              timeout=self.timeout)
-                self.stats.portfolio_attempts += 1
-                self.stats.merge(attempt.stats)
-                if not attempt.stats.get("deadline_exceeded") \
-                        and attempt.status != RESOURCE_OUT:
-                    if self.cache is not None:
-                        self.cache.store(attempt.digest, attempt.status,
-                                         attempt.stats, attempt.qbytes,
-                                         label=ob.label)
-            winner = elect_winner(attempts)
-            recorded = False
-            if winner is not None and self.tuner is not None:
+            cfg = None
+            if offload:
+                cfg = (escalate_config(task.config)
+                       if isolation in ("fresh", "split") else task.config)
+            rungs.append(_Attempt(
+                cfg, isolation, task.digest,
+                backoff=min(RETRY_BACKOFF * 2 ** len(rungs), 1.0)))
+        return plan + rungs
+
+    def _run_attempt(self, gen, task: _Task, attempt: _Attempt) -> None:
+        """Replay or solve one attempt, recording its outcome on it."""
+        if attempt.replay:
+            hit = self._lookup(attempt.digest, reported=False)
+            if hit is not None:
+                entry, attempt.hit = hit
+                attempt.status = entry["status"]
+                attempt.stats = dict(entry.get("stats") or {})
+                attempt.qbytes = entry.get("query_bytes", 0)
+                return
+        if attempt.backoff > 0:
+            time.sleep(attempt.backoff * (1.0 + self._retry_rng.random()))
+        if attempt.isolation == "split":
+            outcome = self._solve_split(task, attempt.config)
+        elif attempt.config is None:
+            t0 = time.perf_counter()
+            status, stats, qbytes = gen._solve_obligation(
+                task.item, task.plan.encoder, task.plan.spec_axioms)
+            outcome = (status, stats, qbytes, time.perf_counter() - t0)
+        else:
+            outcome = _fresh_solve(attempt.config, task.assertions,
+                                   self.timeout,
+                                   incremental=attempt.isolation == "warm")
+        attempt.status, attempt.stats, attempt.qbytes, attempt.seconds = \
+            outcome
+        self.stats.merge(attempt.stats)
+        self._store(task, attempt.status, attempt.stats, attempt.qbytes,
+                    digest=attempt.digest)
+
+    def _adopt(self, task: _Task, plan: list[_Attempt], ran: list[_Attempt],
+               winner: Optional[_Attempt], strategy: str) -> None:
+        """Fold a finished plan into the obligation.
+
+        The winner's verdict is adopted; with no winner, the last ladder
+        rung's verdict replaces the failed one, and a race alone leaves
+        the obligation's verdict as it was (non-PROVED race outcomes are
+        never adopted: a countermodel under another profile's quantifier
+        knobs may be spurious).  The race record (``portfolio``) and the
+        escalation trail (``retries``/``escalation``) both land in the
+        obligation's stats; every solve the plan paid for counts towards
+        the module's query bytes.
+        """
+        ob = task.item.obligation
+        raced = [a for a in plan if a.profile is not None]
+        rungs = [a for a in ran if a.profile is None]
+        solved = [a for a in ran if a.hit is None]
+        adopted = winner or (rungs[-1] if rungs else None)
+        stats = dict(adopted.stats if adopted is not None else ob.stats)
+        if raced:
+            recorded = (winner is not None and winner.profile is not None
+                        and self.tuner is not None)
+            if recorded:
                 self.tuner.record_win(
                     tuner_fingerprint(task.assertions, strategy),
                     winner.profile, status=winner.status)
-                recorded = True
-            summary = race_summary(attempts, winner, recorded)
-            race_seconds = sum(a.seconds for a in attempts)
-            ob.seconds += race_seconds
-            self.stats.obligation_seconds += race_seconds
-            live_qbytes = sum(a.qbytes for a in attempts
-                              if not a.from_cache)
-            task.plan.result.query_bytes += live_qbytes
-            if winner is None:
-                stats = dict(ob.stats)
-                stats["portfolio"] = summary
-                ob.stats = stats
-                continue
-            self.stats.portfolio_wins += 1
-            adopted = dict(winner.stats)
-            adopted["profile"] = winner.profile
-            adopted["portfolio"] = summary
-            if winner.from_cache:
-                adopted["cache_hit"] = True
-            ob.status = winner.status
-            ob.stats = adopted
-            task.qbytes += winner.qbytes
-            if self._journal is not None:
-                # Journaled under the winner's digest: a resumed run
-                # with a warm tuner redirects to exactly that digest.
-                self._journal.record(winner.digest, winner.status,
-                                     adopted, winner.qbytes,
-                                     label=ob.label)
-
-    # ------------------------------------------------ retry escalation
-
-    def _retry_pass(self, gen, tasks: list[_Task]) -> None:
-        """Give failed/resource-out/crashed obligations the escalation
-        ladder ("degrading automation in controlled steps"): retries are
-        transient-fault recovery, so replayed verdicts (cache/journal
-        hits) and wall-clock kills are exempt."""
-        for task in tasks:
-            if task.item.direct_result is not None:
-                continue        # idiom verdicts are deterministic
-            ob = task.item.obligation
-            if not task.done:
-                if task.crash is not None:
-                    self._retry_ladder(gen, task)
-                continue
-            if ob.status not in (FAILED, RESOURCE_OUT):
-                continue
-            if ob.stats.get("cache_hit") or ob.stats.get("journal_hit"):
-                continue        # a replay, not a fresh solver outcome
-            self._retry_ladder(gen, task)
-
-    def _retry_ladder(self, gen, task: _Task) -> None:
-        """Retry one obligation up the ladder: warm-incremental → fresh
-        context with escalated budgets → per-conjunct split → serial.
-
-        Each rung waits out an exponential backoff (seeded jitter), so
-        transient environmental faults get time to clear; ``retries``
-        caps the total attempts.  The final rung's verdict replaces the
-        failed one, with the whole escalation trail recorded in the
-        obligation's stats (and later surfaced in its diag payload).
-        """
-        ob = task.item.obligation
-        offload = self._offloadable(gen) and task.assertions is not None
-        rungs = [r for r in self.LADDER if offload or r == "serial"]
-        escalation: list[str] = []
-        final = None
-        attempts = 0
-        for rung in rungs:
-            if attempts >= self.retries:
-                break
-            if rung == "split" and (self.profile.split_strategy == "off"
-                                    or not self._splittable(task)):
-                # The profile may veto conjunct splitting outright
-                # (frugal runs should not quietly multiply queries).
-                continue
-            attempts += 1
-            self._backoff(attempts)
-            outcome = self._run_rung(gen, task, rung)
-            escalation.append(rung)
-            status = outcome[0]
-            self.stats.merge(outcome[1])
-            final = outcome
-            if status == PROVED:
-                break
-        self.stats.retries += attempts
-        if final is None:
-            # retries == 0 for this task (can't happen via _retry_pass)
-            # or no applicable rung: fall back to the legacy serial path
-            # so a crashed task still gets a verdict.
-            if not task.done:
-                self._run_serial(gen, task)
-            return
-        status, stats, qbytes, seconds = final
-        stats = dict(stats)
-        stats["retries"] = attempts
-        stats["escalation"] = list(escalation)
-        if "portfolio" in ob.stats:
-            # Keep the race record visible even after the ladder
-            # replaces the verdict it raced for.
-            stats["portfolio"] = ob.stats["portfolio"]
+            self.stats.portfolio_races += 1
+            self.stats.portfolio_attempts += sum(a.profile is not None
+                                                 for a in solved)
+            stats["portfolio"] = {
+                "raced": [a.profile for a in raced],
+                "outcomes": {a.profile: a.status for a in raced},
+                "winner": winner.profile if winner is not None else None,
+                "tuner_recorded": recorded}
+        if rungs:
+            self.stats.retries += len(rungs)
+            stats["retries"] = len(rungs)
+            stats["escalation"] = [a.isolation for a in rungs]
+        if winner is not None:
+            if winner.profile is not None:
+                self.stats.portfolio_wins += 1
+                stats["profile"] = winner.profile
+            else:
+                self.stats.retry_recoveries += 1
+        if adopted is not None:
+            if adopted.hit is not None:
+                stats[adopted.hit] = True
+            ob.status = adopted.status
+            task.qbytes = adopted.qbytes
+            if adopted.status == RESOURCE_OUT:
+                self.stats.resource_outs += 1
         if task.crash is not None:
             stats["pool_failure"] = task.crash
+        ob.stats = stats
+        seconds = sum(a.seconds for a in ran)
         if task.done:
             ob.seconds += seconds
         else:
             ob.seconds = seconds
             self.stats.obligations += 1
             task.done = True
-        ob.status = status
-        ob.stats = stats
-        task.plan.result.query_bytes += qbytes
-        task.qbytes = qbytes
         self.stats.obligation_seconds += seconds
-        if status == PROVED:
-            self.stats.retry_recoveries += 1
-        elif status == RESOURCE_OUT:
-            self.stats.resource_outs += 1
-        if not stats.get("deadline_exceeded"):
-            # Overwrites any stale FAILED entry from the faulted attempt;
-            # the cache/journal themselves filter transient statuses.
-            self._store(task, status, stats, qbytes)
+        task.plan.result.query_bytes += sum(a.qbytes for a in solved)
 
     def _splittable(self, task: _Task) -> bool:
         from ..diag.split import split_goal
         return (task.item.goal is not None
                 and len(split_goal(task.item.goal)) > 1)
 
-    def _backoff(self, attempt: int) -> None:
-        if self.retry_backoff <= 0:
-            return
-        delay = min(self.retry_backoff * (2 ** (attempt - 1)), 1.0)
-        time.sleep(delay * (1.0 + self._retry_rng.random()))
-
-    def _run_rung(self, gen, task: _Task, rung: str) -> tuple:
-        """One ladder attempt; ``(status, stats, qbytes, seconds)``."""
-        t0 = time.perf_counter()
-        if rung == "serial":
-            status, stats, qbytes = gen._solve_obligation(
-                task.item, task.plan.encoder, task.plan.spec_axioms)
-            return status, stats, qbytes, time.perf_counter() - t0
-        if rung == "split":
-            return self._run_split(task)
-        cfg = task.config if rung == "warm" else escalate_config(task.config)
-        solver = SmtSolver(cfg, incremental=(rung == "warm"))
-        for a in task.assertions:
-            solver.add(a)
-        verdict = solver.check(timeout=self.timeout)
-        status = status_from_solver(verdict, solver)
-        stats = solver.stats.snapshot()
-        if solver.last_deadline_exceeded:
-            stats["deadline_exceeded"] = 1
-        elif status == RESOURCE_OUT:
-            stats["resource_out"] = 1
-        return status, stats, solver.stats.query_bytes, \
-            time.perf_counter() - t0
-
-    def _run_split(self, task: _Task) -> tuple:
+    def _solve_split(self, task: _Task, config: SolverConfig) -> tuple:
         """The split rung: prove each conjunct of the goal on its own.
 
         A conjunctive goal that blows a budget as a whole often
@@ -1139,24 +1027,19 @@ class Scheduler:
         is a countermodel for the conjunction, hence FAILED.
         """
         from ..diag.split import split_goal
-        t0 = time.perf_counter()
         conjuncts = split_goal(task.item.goal)
         base = task.assertions[:-1]     # everything but the negated goal
-        cfg = escalate_config(task.config)
         agg = Stats()
-        qbytes = 0
-        status = PROVED
-        deadline = False
+        status, qbytes, seconds, deadline = PROVED, 0, 0.0, False
         for conjunct in conjuncts:
-            solver = SmtSolver(cfg)
-            for a in base:
-                solver.add(a)
-            solver.add(T.Not(conjunct))
-            verdict = solver.check(timeout=self.timeout)
-            st = status_from_solver(verdict, solver)
-            deadline = deadline or solver.last_deadline_exceeded
-            agg.merge(solver.stats.snapshot())
-            qbytes += solver.stats.query_bytes
+            st, stats, qb, secs = _fresh_solve(
+                config, base + [T.Not(conjunct)], self.timeout)
+            if stats.pop("deadline_exceeded", 0):
+                deadline = True
+            stats.pop("resource_out", None)
+            agg.merge(stats)
+            qbytes += qb
+            seconds += secs
             if st == FAILED:
                 status = FAILED
             elif st != PROVED and status == PROVED:
@@ -1168,7 +1051,7 @@ class Scheduler:
             stats["deadline_exceeded"] = 1
         elif status == RESOURCE_OUT:
             stats["resource_out"] = 1
-        return status, stats, qbytes, time.perf_counter() - t0
+        return status, stats, qbytes, seconds
 
     # --------------------------------------------------------- diagnosis
 
@@ -1248,22 +1131,58 @@ class Scheduler:
 
     # -------------------------------------------------------- bookkeeping
 
+    def _admissible(self, entry: dict, reported: bool) -> bool:
+        """Whether a stored verdict may replay in this run.
+
+        A static-tier verdict replays only while the tier is on (off,
+        or shadow — which must actually solve to compare — re-solve and
+        overwrite it).  A failure reported under diagnostics must carry
+        its diag payload: the verdict alone is not what was asked for.
+        """
+        if entry.get("kind") == STATIC_PROVED and self.triage_mode != "on":
+            return False
+        return not (reported and self.diagnostics
+                    and entry["status"] != PROVED
+                    and entry.get("diag") is None)
+
+    def _lookup(self, digest: str, reported: bool = True):
+        """The admissible stored verdict for ``digest`` as ``(entry,
+        hit)``, or None: the run journal first (``hit`` is
+        ``"journal_hit"``), then the proof cache (``"cache_hit"``).  An
+        inadmissible entry is re-counted as a miss.  ``reported`` is
+        False where only a PROVED replay can become the obligation's
+        verdict (race candidates)."""
+        if self._journal is not None:
+            entry = self._journal.lookup(digest)
+            if entry is not None:
+                if self._admissible(entry, reported):
+                    return entry, "journal_hit"
+                self._journal.skips -= 1
+        if self.cache is not None:
+            entry = self.cache.lookup(digest)
+            if entry is not None:
+                if self._admissible(entry, reported):
+                    return entry, "cache_hit"
+                self.cache.hits -= 1
+                self.cache.misses += 1
+        return None
+
     def _apply(self, task: _Task, status: str, stats: dict, qbytes: int,
-               seconds: float, from_cache: bool = False) -> None:
+               seconds: float, hit: Optional[str] = None) -> None:
         ob = task.item.obligation
         ob.status = status
         ob.seconds = seconds
         if task.pruned_axioms and not stats.get("pruned_axioms"):
             # Discharges from a planned assertion list (fresh/warm/pool)
             # never saw the pruning happen; serial in-process solves (and
-            # cache replays of either) already carry the counts.
+            # replays of either) already carry the counts.
             stats = dict(stats)
             stats["pruned_axioms"] = task.pruned_axioms
             stats["query_bytes_saved"] = task.pruned_bytes
         self.stats.merge(stats)
-        if from_cache:
+        if hit is not None:
             stats = dict(stats)
-            stats["cache_hit"] = True
+            stats[hit] = True
         if task.crash is not None and "pool_failure" not in stats:
             stats = dict(stats)
             stats["pool_failure"] = task.crash
@@ -1281,16 +1200,21 @@ class Scheduler:
         task.done = True
         task.qbytes = qbytes
 
-    def _store(self, task: _Task, status: str, stats: dict,
-               qbytes: int, kind: Optional[str] = None) -> None:
-        if task.digest is None:
+    def _store(self, task: _Task, status: str, stats: dict, qbytes: int,
+               kind: Optional[str] = None,
+               digest: Optional[str] = None) -> None:
+        """Store a verdict under ``digest`` (default: the task's) in the
+        proof cache and the run journal, unless it is a wall-clock
+        artefact.  Both stores drop statuses they cannot replay."""
+        digest = digest or task.digest
+        if digest is None or stats.get("deadline_exceeded"):
             return
+        label = task.item.obligation.label
         if self.cache is not None:
-            self.cache.store(task.digest, status, stats, qbytes,
-                             label=task.item.obligation.label, kind=kind)
+            self.cache.store(digest, status, stats, qbytes, label=label,
+                             kind=kind)
         if self._journal is not None:
-            self._journal.record(task.digest, status, stats, qbytes,
-                                 label=task.item.obligation.label,
+            self._journal.record(digest, status, stats, qbytes, label=label,
                                  kind=kind)
 
 

@@ -127,13 +127,16 @@ class VcGen:
     def verify_module(self, scheduler=None) -> ModuleResult:
         """Verify every exec/proof function via the obligation scheduler.
 
-        With no ``scheduler`` argument, the env-configured default is
-        used: serial in-process discharge (byte-identical to eager
-        verification) unless ``REPRO_JOBS``/``REPRO_CACHE_DIR`` request
-        parallelism or proof caching.
+        With no ``scheduler`` argument, the env-configured default
+        ``Session().scheduler()`` is used: serial in-process discharge
+        (byte-identical to eager verification) unless
+        ``REPRO_JOBS``/``REPRO_CACHE_DIR`` request parallelism or proof
+        caching.
         """
-        from .scheduler import Scheduler
-        return (scheduler or Scheduler()).run_module(self)
+        if scheduler is None:
+            from ..api import Session
+            scheduler = Session().scheduler()
+        return scheduler.run_module(self)
 
     CTX_CLS: type  # set below; baseline pipelines substitute their own
 

@@ -475,6 +475,22 @@ def test_delta_replay_drops_static_provenance_when_triage_off(tmp_path):
                for f in on.functions for o in f.obligations)
 
 
+def test_race_does_not_replay_static_entries_when_triage_off(tmp_path):
+    cache = str(tmp_path / "pv_cache")
+    # A triage-on aggressive run stores static-tier entries under the
+    # digests the default profile's race candidate ("aggressive") uses.
+    cold = _verify(_case_module, profile="aggressive", triage="on",
+                   cache_dir=cache)
+    assert cold.stats["static_proved"] >= 1
+    # max_steps=1 leaves the primary discharges stubborn, so they race;
+    # with triage off the race must re-solve, never adopt a static entry.
+    off = _verify(_case_module, triage="off", max_steps=1, portfolio=1,
+                  cache_dir=cache)
+    assert off.stats.get("portfolio_races", 0) >= 1
+    assert not any(o.stats.get("tier") == STATIC_PROVED
+                   for f in off.functions for o in f.obligations)
+
+
 def test_shadow_mode_runs_solver_and_agrees():
     before = total_solver_constructions()
     off = _verify(_case_module, triage="off")

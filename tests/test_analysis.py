@@ -202,7 +202,7 @@ class TestSchedulerGate:
                                          _matching_loop_module])
     def test_rejects_without_smt_query(self, builder, monkeypatch):
         monkeypatch.setattr(SmtSolver, "__init__", _NoSolver.__init__)
-        sched = Scheduler(cache=False, analyze=True)
+        sched = Scheduler(VerifyConfig.from_env(analyze=True))
         result = VcGen(builder()).verify_module(sched)
         assert result.rejected
         assert not result.ok
@@ -218,26 +218,25 @@ class TestSchedulerGate:
                 ensures=[var("r", INT).eq(x)], body=[ret(x)])
         # Triage off: the trivial obligation must reach the solver so
         # query_bytes actually witnesses a solve.
-        result = VcGen(mod).verify_module(Scheduler(cache=False,
-                                                    analyze=True,
-                                                    triage="off"))
+        result = VcGen(mod).verify_module(Scheduler(
+            VerifyConfig.from_env(analyze=True, triage="off")))
         assert result.ok and not result.rejected
         assert result.analysis is not None
         assert result.query_bytes > 0          # it really verified
 
     def test_gate_off_by_default(self):
         result = VcGen(_no_decreases_module()).verify_module(
-            Scheduler(cache=False))
+            Scheduler(VerifyConfig.from_env()))
         assert not result.rejected
         assert result.analysis is None
 
     def test_env_knob_read_once_in_from_env(self, monkeypatch):
         monkeypatch.setenv(ANALYZE_ENV, "1")
         assert VerifyConfig.from_env().analyze is True
-        assert Scheduler(cache=False).analyze is True
+        assert Session().scheduler().analyze is True
         monkeypatch.setenv(ANALYZE_ENV, "0")
         assert VerifyConfig.from_env().analyze is False
-        assert Scheduler(cache=False).analyze is False
+        assert Session().scheduler().analyze is False
 
     def test_session_analyze_verb(self):
         report = Session().analyze(_dead_spec_module())
@@ -329,7 +328,7 @@ class TestRendering:
         assert finding["span"] is not None
 
     def test_module_json_carries_analysis(self, monkeypatch):
-        sched = Scheduler(cache=False, analyze=True)
+        sched = Scheduler(VerifyConfig.from_env(analyze=True))
         result = VcGen(_no_decreases_module()).verify_module(sched)
         js = result.to_json()
         assert js["rejected"] is True and js["ok"] is False

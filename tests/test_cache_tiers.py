@@ -541,8 +541,7 @@ class TestWiring:
         assert cfg.cache_tiers == "mem,disk,net"
         assert cfg.cache_mem_budget == 1024
         assert cfg.cache_net_timeout == 0.25
-        from repro.cache.tiers import cache_from_env
-        cache = cache_from_env()
+        cache = Session().cache
         assert isinstance(cache, TieredProofCache)
         assert cache.mem_budget == 1024
         assert cache.client is None              # inert until attached
@@ -550,8 +549,7 @@ class TestWiring:
     def test_env_without_tiers_stays_flat(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "pc"))
         monkeypatch.delenv("REPRO_CACHE_TIERS", raising=False)
-        from repro.cache.tiers import cache_from_env
-        cache = cache_from_env()
+        cache = Session().cache
         assert isinstance(cache, ProofCache)
         assert not isinstance(cache, TieredProofCache)
 

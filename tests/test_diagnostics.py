@@ -23,7 +23,7 @@ from repro.smt import terms as T
 from repro.vc.ast import Span
 from repro.vc.errors import (FAILED, PROVED, TIMEOUT, FunctionResult,
                              ModuleResult, Obligation)
-from repro.vc.scheduler import Scheduler
+from repro.api import Session
 from repro.vc.wp import VcGen
 
 
@@ -418,11 +418,11 @@ class TestErrorsModule:
 class TestSchedulerIntegration:
     def test_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_DIAG", "1")
-        assert Scheduler(cache=False).diagnostics
+        assert Session().scheduler().diagnostics
         monkeypatch.setenv("REPRO_DIAG", "0")
-        assert not Scheduler(cache=False).diagnostics
+        assert not Session().scheduler().diagnostics
         monkeypatch.delenv("REPRO_DIAG")
-        assert not Scheduler(cache=False).diagnostics
+        assert not Session().scheduler().diagnostics
 
     def test_diagnostics_off_attaches_nothing(self):
         res = verify_module(_broken_postcond(), cache=False)

@@ -277,6 +277,36 @@ class TestPortfolioDeterminism:
                 _strip_race_fields(expected)
 
 
+class TestRaceThenLadder:
+    """One attempt plan per stubborn obligation: race candidates first,
+    then retry-ladder rungs."""
+
+    def test_genuine_failure_keeps_race_record_and_trail(self):
+        from tests.test_resilience import _mk_failing_module
+        cfg = VerifyConfig(portfolio=1, retries=1, triage="off")
+        result = Session(cfg).verify_module(_mk_failing_module())
+        assert not result.ok
+        failed = [o for fn in result.functions for o in fn.obligations
+                  if not o.ok]
+        assert failed
+        for ob in failed:
+            assert ob.stats["portfolio"]["raced"] == ["aggressive"]
+            assert ob.stats["portfolio"]["winner"] is None
+            assert ob.stats["escalation"] == ["warm"]
+            assert ob.stats["retries"] == 1
+
+    def test_race_win_skips_the_ladder(self):
+        cfg = VerifyConfig(portfolio=2, retries=2)
+        result = Session(cfg).verify_module(build_stubborn_pair_module())
+        assert result.ok
+        raced = _raced_obligations(result)
+        assert raced
+        for ob in raced:
+            assert ob.stats["portfolio"]["winner"] == "epr"
+            assert "escalation" not in ob.stats
+        assert result.stats.get("retries", 0) == 0
+
+
 # ---------------------------------------------------------------------------
 # Tuner
 

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, VerifyConfig
 from repro.lang import *
 from repro.resilience.faults import (FAULT_POINTS, FaultPlan, InjectedCrash,
                                      active, install, maybe_fault, uninstall)
@@ -157,7 +157,7 @@ class TestFaultPlan:
 
 class TestResourceGuards:
     def test_max_steps_yields_resource_out(self):
-        sched = Scheduler(max_steps=1)
+        sched = Scheduler(VerifyConfig.from_env(max_steps=1))
         res = VcGen(_mk_module()).verify_module(sched)
         statuses = {o.status for f in res.functions for o in f.obligations}
         assert RESOURCE_OUT in statuses
@@ -173,7 +173,8 @@ class TestResourceGuards:
         assert (classify("", "", RESOURCE_OUT)
                 is VerusErrorType.RESOURCE_OUT)
         # The diagnostics pass tags budget-exhausted jobs explicitly.
-        sched = Scheduler(max_steps=1, diagnostics=True)
+        sched = Scheduler(
+            VerifyConfig.from_env(max_steps=1, diagnostics=True))
         res = VcGen(_mk_module()).verify_module(sched)
         ro = [o for f in res.functions for o in f.obligations
               if o.status == RESOURCE_OUT]
@@ -181,7 +182,8 @@ class TestResourceGuards:
 
     def test_resource_out_never_cached(self, tmp_path):
         cachedir = str(tmp_path / "pc")
-        sched = Scheduler(cache=cachedir, max_steps=1)
+        sched = Scheduler(VerifyConfig.from_env(max_steps=1),
+                          cache=ProofCache(cachedir))
         res = VcGen(_mk_module()).verify_module(sched)
         n_ro = sum(o.status == RESOURCE_OUT
                    for f in res.functions for o in f.obligations)
@@ -189,15 +191,16 @@ class TestResourceGuards:
         for path in glob.glob(str(tmp_path / "pc" / "*" / "*.json")):
             assert json.load(open(path))["status"] != RESOURCE_OUT
         # A second identical run must re-solve (and re-exhaust) them.
-        sched2 = Scheduler(cache=cachedir, max_steps=1)
+        sched2 = Scheduler(VerifyConfig.from_env(max_steps=1),
+                           cache=ProofCache(cachedir))
         res2 = VcGen(_mk_module()).verify_module(sched2)
         assert res2.stats["resource_outs"] == n_ro
         assert _signature(res) == _signature(res2)
 
     def test_ample_budget_changes_nothing(self):
-        clean = VcGen(_mk_module()).verify_module(Scheduler())
+        clean = VcGen(_mk_module()).verify_module()
         budgeted = VcGen(_mk_module()).verify_module(
-            Scheduler(max_steps=10_000_000))
+            Scheduler(VerifyConfig.from_env(max_steps=10_000_000)))
         assert clean.ok and budgeted.ok
         assert _signature(clean) == _signature(budgeted)
 
@@ -208,8 +211,9 @@ class TestResourceGuards:
 
 class TestInjection:
     def test_solver_check_resource_out(self):
-        clean = VcGen(_mk_module()).verify_module(Scheduler())
-        sched = Scheduler(fault_plan="solver.check:resource_out@1")
+        clean = VcGen(_mk_module()).verify_module()
+        sched = Scheduler(
+            VerifyConfig.from_env(fault_plan="solver.check:resource_out@1"))
         res = VcGen(_mk_module()).verify_module(sched)
         assert res.stats["faults_injected"] == 1
         assert res.stats["resource_outs"] == 1
@@ -222,37 +226,43 @@ class TestInjection:
         # Serial runs have no worker boundary to absorb the crash: it
         # takes the whole run down, exactly like a SIGKILL (this is what
         # the journal-resume path recovers from).
-        sched = Scheduler(jobs=1, fault_plan="solver.check:crash@1")
+        sched = Scheduler(
+            VerifyConfig.from_env(jobs=1, fault_plan="solver.check:crash@1"))
         with pytest.raises(InjectedCrash):
             VcGen(_mk_module()).verify_module(sched)
         assert active() is None        # plan uninstalled despite the crash
 
     def test_cache_lookup_io_quarantines(self, tmp_path):
         cachedir = str(tmp_path / "pc")
-        r1 = VcGen(_mk_module()).verify_module(Scheduler(cache=cachedir))
-        sched = Scheduler(cache=cachedir,
-                          fault_plan="cache.lookup:io@1; cache.lookup:corrupt@2")
+        r1 = Session(cache_dir=cachedir).verify_module(_mk_module())
+        sched = Scheduler(
+            VerifyConfig.from_env(
+                fault_plan="cache.lookup:io@1; cache.lookup:corrupt@2"),
+            cache=ProofCache(cachedir))
         r2 = VcGen(_mk_module()).verify_module(sched)
         assert r2.ok and _signature(r1) == _signature(r2)
         assert sched.cache.corrupt == 2     # both injected lookups
         assert sched.cache.stores == 2      # quarantined entries rewritten
-        r3 = VcGen(_mk_module()).verify_module(Scheduler(cache=cachedir))
+        r3 = Session(cache_dir=cachedir).verify_module(_mk_module())
         assert r3.stats["cache_misses"] == 0
 
     def test_cache_store_io_skips_entry(self, tmp_path):
         cachedir = str(tmp_path / "pc")
-        sched = Scheduler(cache=cachedir, fault_plan="cache.store:io@1")
+        sched = Scheduler(VerifyConfig.from_env(fault_plan="cache.store:io@1"),
+                          cache=ProofCache(cachedir))
         r1 = VcGen(_mk_module()).verify_module(sched)
         assert r1.ok
         assert sched.cache.stores == sched.cache.misses - 1
-        sched2 = Scheduler(cache=cachedir)
+        sched2 = Scheduler(VerifyConfig.from_env(), cache=ProofCache(cachedir))
         r2 = VcGen(_mk_module()).verify_module(sched2)
         assert r2.ok and _signature(r1) == _signature(r2)
         assert sched2.cache.misses == 1     # only the skipped entry
 
     def test_worker_crash_cause_recorded(self):
-        clean = VcGen(_mk_module()).verify_module(Scheduler())
-        sched = Scheduler(jobs=2, fault_plan="pool.worker:crash@1")
+        clean = VcGen(_mk_module()).verify_module()
+        sched = Scheduler(
+            VerifyConfig.from_env(jobs=2, incremental=False,
+                                  fault_plan="pool.worker:crash@1"))
         res = VcGen(_mk_module()).verify_module(sched)
         assert res.ok and _signature(clean) == _signature(res)
         assert res.stats["pool_failures"] == 1
@@ -286,9 +296,9 @@ class TestRetryLadder:
         assert Scheduler.LADDER == ("warm", "fresh", "split", "serial")
 
     def test_resource_out_recovered(self):
-        clean = VcGen(_mk_module()).verify_module(Scheduler())
-        sched = Scheduler(fault_plan="solver.check:resource_out@1",
-                          retries=3, retry_backoff=0.001)
+        clean = VcGen(_mk_module()).verify_module()
+        sched = Scheduler(VerifyConfig.from_env(
+            fault_plan="solver.check:resource_out@1", retries=3))
         res = VcGen(_mk_module()).verify_module(sched)
         assert res.ok and _signature(clean) == _signature(res)
         assert res.stats["retries"] == 1
@@ -299,16 +309,17 @@ class TestRetryLadder:
         assert trails == [["warm"]]
 
     def test_worker_crash_recovered_by_ladder(self):
-        clean = VcGen(_mk_module()).verify_module(Scheduler())
-        sched = Scheduler(jobs=2, retries=2, retry_backoff=0.001,
-                          fault_plan="pool.worker:crash@1")
+        clean = VcGen(_mk_module()).verify_module()
+        sched = Scheduler(VerifyConfig.from_env(
+            jobs=2, incremental=False, retries=2,
+            fault_plan="pool.worker:crash@1"))
         res = VcGen(_mk_module()).verify_module(sched)
         assert res.ok and _signature(clean) == _signature(res)
         assert res.stats["retry_recoveries"] == 1
         assert res.stats["pool_failures"] == 1
 
     def test_genuine_failure_stays_failed(self):
-        sched = Scheduler(retries=1, retry_backoff=0.001)
+        sched = Scheduler(VerifyConfig.from_env(retries=1))
         res = VcGen(_mk_failing_module()).verify_module(sched)
         assert not res.ok
         assert res.stats["retry_recoveries"] == 0
@@ -317,8 +328,30 @@ class TestRetryLadder:
                   if o.status == FAILED]
         assert failed and failed[0].stats.get("escalation") == ["warm"]
 
+    def test_every_rung_honours_the_run_budgets(self, monkeypatch):
+        """Every rung, serial included, solves under a step-budgeted
+        config and the run's soft deadline."""
+        checks = []
+        real_check = SmtSolver.check
+
+        def spy(solver, timeout=None):
+            checks.append((solver.config.max_steps, timeout))
+            return real_check(solver, timeout=timeout)
+
+        monkeypatch.setattr(SmtSolver, "check", spy)
+        cfg = VerifyConfig(profile="frugal", max_steps=7, job_timeout=0.5,
+                           retries=4, triage="off")
+        res = Session(cfg).verify_module(_mk_failing_module())
+        assert not res.ok
+        trails = [o.stats.get("escalation")
+                  for f in res.functions for o in f.obligations]
+        assert ["warm", "fresh", "serial"] in trails
+        assert checks
+        assert all(steps is not None and timeout == 0.5
+                   for steps, timeout in checks)
+
     def test_retries_off_by_default(self):
-        assert Scheduler().retries == 0
+        assert Session().scheduler().retries == 0
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +440,8 @@ class TestJournalResume:
         # "Kill" the run at the 4th solver check: the injected crash
         # escapes verify_module exactly like a SIGKILL would, leaving
         # the journal with the 3 already-discharged goals.
-        chaos = Session(jobs=1, fault_plan="solver.check:crash@4",
-                        journal_dir=jdir)
+        chaos = Session(jobs=1, incremental=False,
+                        fault_plan="solver.check:crash@4", journal_dir=jdir)
         with pytest.raises(RuntimeError):
             chaos.verify_module(build_default_module())
         journals = glob.glob(os.path.join(jdir, "*.journal"))
@@ -417,8 +450,8 @@ class TestJournalResume:
         assert len(recorded._entries) == 3
 
         counts = _count_solver_builds(monkeypatch)
-        resumed = Session(jobs=1).verify_module(build_default_module(),
-                                                resume=jdir)
+        resumed = Session(jobs=1, incremental=False).verify_module(
+            build_default_module(), resume=jdir)
         assert resumed.ok
         assert _signature(resumed) == _signature(clean)
         assert resumed.stats["journal_skips"] == 3
@@ -427,8 +460,8 @@ class TestJournalResume:
         # The resumed run appended what it solved: a third pass over the
         # same journal replays everything and builds no solver at all.
         counts["n"] = 0
-        replayed = Session(jobs=1).verify_module(build_default_module(),
-                                                 resume=jdir)
+        replayed = Session(jobs=1, incremental=False).verify_module(
+            build_default_module(), resume=jdir)
         assert replayed.ok and _signature(replayed) == _signature(clean)
         assert replayed.stats["journal_skips"] == total
         assert counts["n"] == 0
@@ -480,8 +513,8 @@ class TestChaosAcceptance:
         clean = Session(jobs=1).verify_module(build_default_module())
         plan = ("seed=5; pool.worker:crash@1; cache.store:io@1; "
                 "solver.check:resource_out@2")
-        chaos = Session(jobs=2, retries=3, fault_plan=plan,
-                        cache_dir=str(tmp_path / "pc"))
+        chaos = Session(jobs=2, incremental=False, retries=3,
+                        fault_plan=plan, cache_dir=str(tmp_path / "pc"))
         res = chaos.verify_module(build_default_module())
         assert res.ok and _signature(res) == _signature(clean)
         assert res.stats["pool_failures"] == 1

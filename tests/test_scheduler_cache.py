@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.api import Session, VerifyConfig
 from repro.lang import *
 from repro.smt import terms as T
 from repro.smt.fingerprint import (deserialize_terms, idiom_digest,
@@ -155,7 +156,8 @@ class TestProofCache:
         for path in entries:
             with open(path, "w") as fh:
                 fh.write("{not json")
-        sched = Scheduler(cache=str(cachedir))
+        sched = Scheduler(VerifyConfig.from_env(),
+                          cache=ProofCache(str(cachedir)))
         r2 = VcGen(_mk_module()).verify_module(sched)
         assert r2.ok and _signature(r1) == _signature(r2)
         assert sched.cache.corrupt == len(entries)
@@ -174,10 +176,10 @@ class TestProofCache:
 
     def test_env_default_and_explicit_disable(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "envpc"))
-        assert Scheduler().cache is not None
-        assert Scheduler(cache=False).cache is None
+        assert Session().scheduler().cache is not None
+        assert Scheduler(VerifyConfig.from_env()).cache is None
         monkeypatch.delenv(CACHE_DIR_ENV)
-        assert Scheduler().cache is None
+        assert Session().scheduler().cache is None
 
     def test_lookup_rejects_digest_mismatch(self, tmp_path):
         cache = ProofCache(str(tmp_path / "pc"))
@@ -201,7 +203,8 @@ class TestCacheQuarantine:
         return entries
 
     def _assert_recovers(self, cachedir, entries, r1):
-        sched = Scheduler(cache=str(cachedir))
+        sched = Scheduler(VerifyConfig.from_env(),
+                          cache=ProofCache(str(cachedir)))
         r2 = VcGen(_mk_module()).verify_module(sched)
         assert r2.ok and _signature(r1) == _signature(r2)
         assert sched.cache.hits == 0
@@ -282,7 +285,7 @@ class TestTieredCacheQuarantine:
             with open(path, "wb") as fh:
                 fh.write(data[: len(data) // 2])
         tc = TieredProofCache(str(cachedir))
-        sched = Scheduler(cache=tc)
+        sched = Scheduler(VerifyConfig.from_env(), cache=tc)
         r2 = VcGen(_mk_module()).verify_module(sched)
         assert r2.ok and _signature(r1) == _signature(r2)
         assert tc.hits == 0
@@ -301,7 +304,8 @@ class TestTieredCacheQuarantine:
             tc1 = TieredProofCache(str(tmp_path / "a"),
                                    tiers="mem,disk,net", network=net,
                                    net_timeout=0.05, client_name="sched-a")
-            r1 = VcGen(_mk_module()).verify_module(Scheduler(cache=tc1))
+            r1 = VcGen(_mk_module()).verify_module(
+                Scheduler(VerifyConfig.from_env(), cache=tc1))
             digests = rep.store.digests()
             assert digests                          # write-through landed
             for d in digests:
@@ -312,7 +316,8 @@ class TestTieredCacheQuarantine:
             tc2 = TieredProofCache(str(tmp_path / "b"),
                                    tiers="mem,disk,net", network=net,
                                    net_timeout=0.05, client_name="sched-b")
-            r2 = VcGen(_mk_module()).verify_module(Scheduler(cache=tc2))
+            r2 = VcGen(_mk_module()).verify_module(
+                Scheduler(VerifyConfig.from_env(), cache=tc2))
             assert r2.ok and _signature(r1) == _signature(r2)
             assert tc2.net_hits == 0
             assert tc2.mem_hits == 0 and tc2.disk_hits == 0
@@ -378,9 +383,9 @@ class TestIdiomCache:
 class TestDeterminism:
     def _compare(self, build):
         serial = VcGen(build()).verify_module(
-            Scheduler(jobs=1, cache=False))
+            Scheduler(VerifyConfig.from_env(jobs=1)))
         parallel = VcGen(build()).verify_module(
-            Scheduler(jobs=4, cache=False))
+            Scheduler(VerifyConfig.from_env(jobs=4)))
         assert _signature(serial) == _signature(parallel)
         assert serial.ok == parallel.ok
         return serial, parallel
