@@ -281,9 +281,10 @@ class SmtSolver:
         self._lemmas_seen: dict = {}   # lemma key -> assertion scope
         self._divmod_done: set = set()
         self._ite_cache: dict[T.Term, T.Term] = {}
+        # Int term -> its linear form (see _TheoryModel._linearize).
+        self._linear: dict[T.Term, LinExpr] = {}
         self._last_model: Optional[_TheoryModel] = None
         self._label_cache: dict = {}
-        self._ground_terms: set[T.Term] = set()
         self._probed_none: dict[T.Term, tuple] = {}
         self._max_ground_size = 8
         self._guard_limit = 200
@@ -344,7 +345,6 @@ class SmtSolver:
             "fired": dict(self._fired),
             "lemmas": dict(self._lemmas_seen),
             "divmod": set(self._divmod_done),
-            "ground": set(self._ground_terms),
             "probed": dict(self._probed_none),
             "max_ground": self._max_ground_size,
             "fed": set(self._root._fed_vars),
@@ -381,7 +381,6 @@ class SmtSolver:
                 lemmas[k] = s
         self._lemmas_seen = lemmas
         self._divmod_done = frame["divmod"]
-        self._ground_terms = frame["ground"]
         self._probed_none = frame["probed"]
         self._max_ground_size = frame["max_ground"]
         for v in [v for v in self._var_atom if v >= kept_vars]:
@@ -561,33 +560,41 @@ class SmtSolver:
         """Lift ground non-bool ITEs to fresh vars; add div/mod axioms.
 
         Quantifier bodies are left alone — instances get lifted when created.
+        Shared subterms are lifted once per call: within a call a revisit
+        is idempotent (``_ite_cache``, ``_divmod_done``), so the memo only
+        drops repeated work, and lift variables keep first-visit order.
         """
-        if t.is_quant():
-            return t
-        if t.kind == T.ITE and t.sort is not BOOL:
-            cached = self._ite_cache.get(t)
-            if cached is not None:
-                return cached
-            c = self._lift_ground(t.args[0])
-            a = self._lift_ground(t.args[1])
-            b = self._lift_ground(t.args[2])
-            v = T.Var(T.fresh_name("ite"), t.sort)
-            self._ite_cache[t] = v
-            self._sat.add_clause([self._tseitin(
-                T.And(T.Implies(c, T.Eq(v, a)), T.Implies(T.Not(c), T.Eq(v, b))))])
-            return v
-        if t.kind in (T.IDIV, T.IMOD):
-            a = self._lift_ground(t.args[0])
-            b = self._lift_ground(t.args[1])
-            t2 = T.Div(a, b) if t.kind == T.IDIV else T.Mod(a, b)
-            self._add_divmod_axioms(a, b)
-            return t2
-        if not t.args:
-            return t
-        new_args = tuple(self._lift_ground(a) for a in t.args)
-        if new_args == t.args:
-            return t
-        return T._rebuild(t, new_args)
+        memo: dict[T.Term, T.Term] = {}
+
+        def lift(t: T.Term) -> T.Term:
+            done = memo.get(t)
+            if done is not None:
+                return done
+            if t.is_quant() or not t.args:
+                out = t
+            elif t.kind == T.ITE and t.sort is not BOOL:
+                out = self._ite_cache.get(t)
+                if out is None:
+                    c = lift(t.args[0])
+                    a = lift(t.args[1])
+                    b = lift(t.args[2])
+                    out = T.Var(T.fresh_name("ite"), t.sort)
+                    self._ite_cache[t] = out
+                    self._sat.add_clause([self._tseitin(
+                        T.And(T.Implies(c, T.Eq(out, a)),
+                              T.Implies(T.Not(c), T.Eq(out, b))))])
+            elif t.kind in (T.IDIV, T.IMOD):
+                a = lift(t.args[0])
+                b = lift(t.args[1])
+                out = T.Div(a, b) if t.kind == T.IDIV else T.Mod(a, b)
+                self._add_divmod_axioms(a, b)
+            else:
+                new_args = tuple(lift(a) for a in t.args)
+                out = t if new_args == t.args else T._rebuild(t, new_args)
+            memo[t] = out
+            return out
+
+        return lift(t)
 
     def _add_divmod_axioms(self, a: T.Term, b: T.Term) -> None:
         key = (a, b)
@@ -682,9 +689,6 @@ class SmtSolver:
         return v
 
     def _register_ground(self, t: T.Term) -> None:
-        for sub in t.subterms():
-            if not sub.is_quant():
-                self._ground_terms.add(sub)
         size = t.size()
         if size > self._max_ground_size:
             self._max_ground_size = size
@@ -1442,27 +1446,37 @@ class _TheoryModel:
             self._splits_added = True
 
     def _linearize(self, t: T.Term) -> LinExpr:
+        """The linear form of an int term, memoized per solver.
+
+        Cached forms are shared across calls and theory models: callers
+        build new expressions from them (``+``, ``-``, ``scale``) and must
+        never mutate one in place.
+        """
+        memo = self.solver._linear
+        out = memo.get(t)
+        if out is not None:
+            return out
         k = t.kind
         if k == T.INT_CONST:
-            return LinExpr.constant(t.payload)
-        if k == T.ADD:
+            out = LinExpr.constant(t.payload)
+        elif k == T.ADD:
             out = LinExpr()
             for a in t.args:
                 out = out + self._linearize(a)
-            return out
-        if k == T.SUB:
-            return self._linearize(t.args[0]) - self._linearize(t.args[1])
-        if k == T.NEG:
-            return self._linearize(t.args[0]).scale(-1)
-        if k == T.MUL:
-            a, b = t.args
-            if a.kind == T.INT_CONST:
-                return self._linearize(b).scale(a.payload)
-            if b.kind == T.INT_CONST:
-                return self._linearize(a).scale(b.payload)
-            return LinExpr.var(t)  # nonlinear: opaque
-        # VAR / APP / IDIV / IMOD / ITE leftovers: opaque LIA variable.
-        return LinExpr.var(t)
+        elif k == T.SUB:
+            out = self._linearize(t.args[0]) - self._linearize(t.args[1])
+        elif k == T.NEG:
+            out = self._linearize(t.args[0]).scale(-1)
+        elif k == T.MUL and t.args[0].kind == T.INT_CONST:
+            out = self._linearize(t.args[1]).scale(t.args[0].payload)
+        elif k == T.MUL and t.args[1].kind == T.INT_CONST:
+            out = self._linearize(t.args[0]).scale(t.args[1].payload)
+        else:
+            # VAR / APP / IDIV / IMOD / ITE leftovers and nonlinear
+            # products: an opaque LIA variable.
+            out = LinExpr.var(t)
+        memo[t] = out
+        return out
 
     def _interface_split(self) -> bool:
         """Model-based theory combination.

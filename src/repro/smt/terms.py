@@ -149,7 +149,8 @@ class Term:
             and ``(bound_vars, triggers)`` for quantifiers.
     """
 
-    __slots__ = ("kind", "sort", "args", "payload", "_hash", "_free")
+    __slots__ = ("kind", "sort", "args", "payload", "_hash", "_free",
+                 "_size", "_quant")
     _interned: dict[tuple, "Term"] = {}
 
     def __new__(cls, kind: str, sort: Sort, args: tuple = (), payload=None):
@@ -166,6 +167,8 @@ class Term:
                              *(a._hash for a in args),
                              _payload_hash(payload))
         obj._free = None
+        obj._size = None
+        obj._quant = None
         # Atomic under the GIL; losers of a racy double-construct are dropped.
         return cls._interned.setdefault(key, obj)
 
@@ -246,9 +249,21 @@ class Term:
             yield t
             stack.extend(t.args)
 
+    def has_quant(self) -> bool:
+        """Does any subterm (self included) bind variables?  Cached."""
+        if self._quant is None:
+            self._quant = self.is_quant() or any(a.has_quant()
+                                                 for a in self.args)
+        return self._quant
+
     def size(self) -> int:
-        """Number of distinct subterms (DAG size)."""
-        return sum(1 for _ in self.subterms())
+        """Number of distinct subterms (DAG size), computed once and cached.
+
+        Interned terms share subterms, so this is not derivable from the
+        children's sizes; the first call walks the DAG."""
+        if self._size is None:
+            self._size = sum(1 for _ in self.subterms())
+        return self._size
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +621,10 @@ def fresh_name(prefix: str = "k") -> str:
     return f"{prefix}!{_fresh_counter[0]}"
 
 
+def _scope_key(live: dict) -> tuple:
+    return tuple(sorted(live.items(), key=lambda kv: kv[0]._hash))
+
+
 def substitute(term: Term, mapping: dict) -> Term:
     """Capture-avoiding simultaneous substitution of free variables.
 
@@ -615,10 +634,15 @@ def substitute(term: Term, mapping: dict) -> Term:
         return term
     cache: dict[tuple, Term] = {}
 
-    def walk(t: Term, live: dict) -> Term:
+    def walk(t: Term, live: dict, live_key: tuple) -> Term:
         if not live:
             return t
-        key = (t, tuple(sorted(live.items(), key=lambda kv: kv[0]._hash)))
+        # A subterm none of whose free variables is substituted comes back
+        # unchanged -- unless it holds a quantifier: binder renames draw
+        # global fresh names, so those are always walked.
+        if t.free_vars().isdisjoint(live) and not t.has_quant():
+            return t
+        key = (t, live_key)
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -636,20 +660,16 @@ def substitute(term: Term, mapping: dict) -> Term:
                     nv = Var(fresh_name(bv_.payload), bv_.sort)
                     renames[bv_] = nv
                     bound[i] = nv
-            body = t.args[0]
-            if renames:
-                body = walk(body, renames)
-            body2 = walk(body, inner) if inner else body
+            renames_key, inner_key = _scope_key(renames), _scope_key(inner)
+            body2 = walk(walk(t.args[0], renames, renames_key),
+                         inner, inner_key)
             trig2 = tuple(
-                tuple(walk(walk(p, renames) if renames else p, inner) if inner
-                      else (walk(p, renames) if renames else p)
+                tuple(walk(walk(p, renames, renames_key), inner, inner_key)
                       for p in grp)
                 for grp in t.payload[1])
             result = _quant(t.kind, tuple(bound), body2, trig2)
-        elif not t.args:
-            result = t
         else:
-            new_args = tuple(walk(a, live) for a in t.args)
+            new_args = tuple(walk(a, live, live_key) for a in t.args)
             if new_args == t.args:
                 result = t
             else:
@@ -657,7 +677,7 @@ def substitute(term: Term, mapping: dict) -> Term:
         cache[key] = result
         return result
 
-    return walk(term, dict(mapping))
+    return walk(term, mapping, _scope_key(mapping))
 
 
 _REBUILDERS = {}
