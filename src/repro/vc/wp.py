@@ -507,7 +507,9 @@ class _FnCtx:
         return out
 
     def _havoc(self, state: _State, names: set[str]) -> None:
-        for name in names:
+        # Sorted, not set order: the fresh-name suffixes end up in the
+        # query text, which must not depend on the string-hash seed.
+        for name in sorted(names):
             if name not in state.env:
                 continue
             old = state.env[name]

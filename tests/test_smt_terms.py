@@ -1,11 +1,12 @@
 """Tests for hash-consed terms, smart constructors, and substitution."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.smt import terms as T
 from repro.smt.printer import query_size_bytes, query_to_smtlib, term_to_str
 from repro.smt.sorts import BOOL, INT, bv, uninterpreted
+from tests import dag_terms as dag
 
 x, y, z = (T.Var(n, INT) for n in "xyz")
 I = T.IntVal
@@ -170,3 +171,97 @@ def test_euclidean_divmod_invariant(a, b):
     r = T.Mod(I(a), I(b)).payload
     assert a == b * q + r
     assert 0 <= r < b
+
+
+# -- memoized traversals vs. reference tree walks -----------------------------
+#
+# Term.size() and substitute() skip work that a tree walk of the hash-consed
+# DAG would repeat.  Each is compared here with a plain reference walk.
+
+
+def _ref_size(t, seen=None):
+    """Distinct subterms, counted by a fresh recursive walk."""
+    seen = set() if seen is None else seen
+    if t not in seen:
+        seen.add(t)
+        for a in t.args:
+            _ref_size(a, seen)
+    return len(seen)
+
+
+def _ref_substitute(term, mapping):
+    """Capture-avoiding substitution that walks every subterm."""
+    cache = {}
+
+    def walk(t, live):
+        if not live:
+            return t
+        key = (t, tuple(sorted(live.items(), key=lambda kv: kv[0]._hash)))
+        if key in cache:
+            return cache[key]
+        if t.kind == T.VAR:
+            result = live.get(t, t)
+        elif t.is_quant():
+            inner = {v: r for v, r in live.items() if v not in t.payload[0]}
+            frees = frozenset().union(*(r.free_vars() for r in inner.values()))
+            bound, renames = list(t.payload[0]), {}
+            for i, bv_ in enumerate(bound):
+                if bv_ in frees:
+                    renames[bv_] = bound[i] = T.Var(T.fresh_name(bv_.payload),
+                                                    bv_.sort)
+            body = walk(walk(t.args[0], renames), inner)
+            trig = tuple(tuple(walk(walk(p, renames), inner) for p in grp)
+                         for grp in t.payload[1])
+            result = T._quant(t.kind, tuple(bound), body, trig)
+        else:
+            new_args = tuple(walk(a, live) for a in t.args)
+            result = t if new_args == t.args else T._rebuild(t, new_args)
+        cache[key] = result
+        return result
+
+    return walk(term, dict(mapping))
+
+
+def _same_substitution(term, mapping):
+    """Run the reference and the real substitute from one fresh-name
+    counter value; both must return the same interned term and draw the
+    same number of fresh names."""
+    start = T._fresh_counter[0]
+    expected = _ref_substitute(term, mapping)
+    drawn = T._fresh_counter[0] - start
+    T._fresh_counter[0] = start
+    got = T.substitute(term, mapping)
+    assert got is expected
+    assert T._fresh_counter[0] - start == drawn
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(dag.STEPS)
+def test_size_matches_fresh_dag_count(steps):
+    ints, bools = dag.build(steps)
+    for t in ints + bools:
+        expected = _ref_size(t)
+        assert t.size() == expected
+        assert t.size() == expected  # cached
+
+
+@settings(max_examples=80, deadline=None)
+@given(dag.STEPS, st.integers(0, 63), st.integers(0, 63))
+def test_pruned_substitute_matches_tree_walk(steps, i, j):
+    ints, bools = dag.build(steps)
+    # Replacements may mention x, y and w, so binders over them capture.
+    mapping = {dag.X: ints[i % len(ints)], dag.Y: ints[j % len(ints)]}
+    for t in ints[-4:] + bools[-4:]:
+        _same_substitution(t, mapping)
+
+
+def test_substitute_renames_binders_under_unsubstituted_terms():
+    # The Or mentions no substituted variable, but its quantifier's binder
+    # would capture the replacement's x: it is still walked and renamed.
+    q = T.ForAll([x], T.Lt(x, I(1)))
+    t = T.And(T.Lt(y, z), T.Or(T.Lt(z, I(0)), q))
+    out = _same_substitution(t, {y: x})
+    renamed = [s for s in out.subterms() if s.is_quant()]
+    assert len(renamed) == 1 and renamed[0] is not q
+    assert renamed[0].bound_vars[0] is not x

@@ -23,6 +23,8 @@ Three guarantees, each with its own section:
 
 import json
 
+from hypothesis import given, settings
+
 from repro.api import Session, VerifyConfig
 from repro.lang import (BOOL, INT, U64, Module, assert_, call, exec_fn,
                         lit, ret, spec_fn, var)
@@ -31,13 +33,15 @@ from repro.millibench.lists import (build_doubly_linked_module,
 from repro.smt import terms as T
 from repro.smt.euf import EufSolver
 from repro.smt.quant import EMatcher
-from repro.smt.solver import SolverConfig
+from repro.smt.lia import LinExpr
+from repro.smt.solver import SmtSolver, SolverConfig, _TheoryModel
 from repro.systems.ironkv.delegation_map import build_default_module
 from repro.systems.ironkv.marshal_verified import build_u64_roundtrip_module
 from repro.systems.mimalloc.verified import build_bit_tricks_module
 from repro.vc.errors import PROVED
 from repro.vc.prune import axiom_decl, bytes_saved, prune_axioms
 from repro.vc.wp import VcConfig
+from tests import dag_terms as dag
 
 CASE_STUDIES = [
     ("fig7a_single", build_singly_linked_module),
@@ -247,3 +251,112 @@ class TestPruning:
         assert result.ok
         assert result.stats.get("pruned_axioms", 0) > 0
         assert result.stats.get("query_bytes_saved", 0) > 0
+
+
+# -- memoized traversals vs. reference tree walks -----------------------------
+
+
+def _ref_lift(solver, t):
+    """SmtSolver._lift_ground as a plain recursive walk: revisits of a
+    shared subterm are recomputed (idempotently) instead of memoized."""
+    if t.is_quant():
+        return t
+    if t.kind == T.ITE and t.sort is not T.BOOL:
+        cached = solver._ite_cache.get(t)
+        if cached is not None:
+            return cached
+        c, a, b = (_ref_lift(solver, arg) for arg in t.args)
+        v = T.Var(T.fresh_name("ite"), t.sort)
+        solver._ite_cache[t] = v
+        solver._sat.add_clause([solver._tseitin(
+            T.And(T.Implies(c, T.Eq(v, a)), T.Implies(T.Not(c), T.Eq(v, b))))])
+        return v
+    if t.kind in (T.IDIV, T.IMOD):
+        a, b = (_ref_lift(solver, arg) for arg in t.args)
+        solver._add_divmod_axioms(a, b)
+        return T.Div(a, b) if t.kind == T.IDIV else T.Mod(a, b)
+    new_args = tuple(_ref_lift(solver, a) for a in t.args)
+    return t if new_args == t.args else T._rebuild(t, new_args)
+
+
+def _ref_linearize(t):
+    """_TheoryModel._linearize without the memo."""
+    if t.kind == T.INT_CONST:
+        return LinExpr.constant(t.payload)
+    if t.kind == T.ADD:
+        out = LinExpr()
+        for a in t.args:
+            out = out + _ref_linearize(a)
+        return out
+    if t.kind == T.SUB:
+        return _ref_linearize(t.args[0]) - _ref_linearize(t.args[1])
+    if t.kind == T.NEG:
+        return _ref_linearize(t.args[0]).scale(-1)
+    if t.kind == T.MUL:
+        a, b = t.args
+        if a.kind == T.INT_CONST:
+            return _ref_linearize(b).scale(a.payload)
+        if b.kind == T.INT_CONST:
+            return _ref_linearize(a).scale(b.payload)
+    return LinExpr.var(t)
+
+
+def _lift_trace(lift, formula, start):
+    """Lift ``formula`` on a fresh solver from fresh-name counter
+    ``start``: the result, every SAT clause added, the atoms registered
+    and how many fresh names were drawn."""
+    solver = SmtSolver()
+    clauses = []
+    add_clause = solver._sat.add_clause
+
+    def recording(lits, *args, **kwargs):
+        clauses.append(list(lits))
+        return add_clause(lits, *args, **kwargs)
+
+    solver._sat.add_clause = recording
+    T._fresh_counter[0] = start
+    out = lift(solver, formula)
+    return (out, clauses, dict(solver._atom_var),
+            T._fresh_counter[0] - start)
+
+
+def _lin_key(e):
+    return dict(e.coeffs), e.const
+
+
+class TestMemoizedTraversals:
+    @settings(max_examples=60, deadline=None)
+    @given(dag.STEPS)
+    def test_lift_ground_matches_tree_walk(self, steps):
+        ints, bools = dag.build(steps)
+        # Shared ITE / div / mod nodes appear under several atoms.
+        formula = T.And(*bools[-3:], T.Le(ints[-1], ints[-2]),
+                        T.Eq(ints[-1], T.Add(ints[-2], ints[-3])))
+        start = T._fresh_counter[0]
+        expected = _lift_trace(_ref_lift, formula, start)
+        got = _lift_trace(lambda s, f: s._lift_ground(f), formula, start)
+        assert got[0] is expected[0]
+        assert got[1] == expected[1]
+        assert got[2] == expected[2]
+        assert got[3] == expected[3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(dag.STEPS)
+    def test_linearize_matches_tree_walk(self, steps):
+        ints, _ = dag.build(steps, quantifiers=False)
+        model = _TheoryModel(SmtSolver(), None, set())
+        for t in ints:
+            first = model._linearize(t)
+            assert _lin_key(first) == _lin_key(_ref_linearize(t))
+            assert model._linearize(t) is first
+
+    @settings(max_examples=25, deadline=None)
+    @given(dag.STEPS)
+    def test_check_never_mutates_cached_linear_forms(self, steps):
+        ints, bools = dag.build(steps, quantifiers=False)
+        solver = SmtSolver()
+        solver.add(T.And(*bools[-3:], T.Le(ints[-1], ints[-2])))
+        solver.add(T.Or(T.Lt(ints[-2], ints[-3]), T.Eq(ints[-1], ints[0])))
+        solver.check(timeout=5)
+        for t, e in solver._linear.items():
+            assert _lin_key(e) == _lin_key(_ref_linearize(t))

@@ -437,3 +437,61 @@ class TestPruning:
         gen = VcGen(mod)
         names = {f.name for f in gen.reachable_spec_fns(fn)}
         assert names == {"outer", "inner"}
+
+
+# Plans both Fig. 7a list modules and prints every obligation's digest.
+_DIGEST_SCRIPT = """
+import json
+from repro.millibench.lists import (build_doubly_linked_module,
+                                    build_singly_linked_module)
+from repro.smt import terms as T
+from repro.smt.fingerprint import obligation_digest
+from repro.vc import ast as A
+from repro.vc.wp import VcGen
+
+out = []
+for build in (build_singly_linked_module, build_doubly_linked_module):
+    gen = VcGen(build())
+    for fn in gen.module.functions.values():
+        if fn.mode not in (A.EXEC, A.PROOF) or fn.body is None:
+            continue
+        plan = gen.plan_function(fn)
+        for item in plan.pending:
+            if item.direct_result is not None:
+                continue
+            kept, _ = gen.obligation_context(item, plan.encoder,
+                                             plan.spec_axioms)
+            out.append(obligation_digest(
+                kept + list(item.assumptions) + [T.Not(item.goal)], {}))
+print(json.dumps(out))
+"""
+
+
+class TestHashSeedStability:
+    """Obligation text (and so every proof-cache digest) must not depend
+    on the per-process string-hash seed: a cache warmed by one process
+    has to serve the next."""
+
+    @staticmethod
+    def _digests(hashseed: str) -> list:
+        import json
+        import os
+        import subprocess
+        import sys
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONHASHSEED"] = hashseed
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              cwd=root, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_loop_havoc_names_do_not_depend_on_hash_seed(self):
+        # Seeds 1 and 2 order the loop-modified variables of the list
+        # modules differently when the havoc loop follows set order.
+        first = self._digests("1")
+        assert len(first) > 30
+        assert self._digests("2") == first
