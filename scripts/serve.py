@@ -8,7 +8,7 @@ overrides, never by re-reading the environment.  Flags beat env.
 
 Run:  PYTHONPATH=src python scripts/serve.py
       PYTHONPATH=src python scripts/serve.py --port 0 --workers 4 \\
-          --cache-dir .pv_cache --journal-dir .pv_journal --quota 200000
+          --cache-dir .pv_cache --quota 200000
 """
 
 import argparse
@@ -33,8 +33,6 @@ def main(argv=None) -> int:
                     help="per-client solver-step quota (0 = unlimited)")
     ap.add_argument("--cache-dir", default=None,
                     help="proof-cache root (enables the delta fast path)")
-    ap.add_argument("--journal-dir", default=None,
-                    help="run-journal directory (crash-resumable requests)")
     ap.add_argument("--max-steps", type=int, default=None,
                     help="default per-check solver step budget")
     args = ap.parse_args(argv)
@@ -44,8 +42,7 @@ def main(argv=None) -> int:
         queue_depth=args.queue_depth, warm_budget=args.warm_budget,
         client_quota=args.quota)
     verify_cfg = VerifyConfig.from_env(
-        cache_dir=args.cache_dir, journal_dir=args.journal_dir,
-        max_steps=args.max_steps)
+        cache_dir=args.cache_dir, max_steps=args.max_steps)
     server = VerifyServer(server_cfg, verify_cfg)
 
     import asyncio

@@ -4,7 +4,7 @@
 Exercises the shipped entry points end to end, the way CI does:
 
 1. start ``scripts/serve.py`` as a subprocess (ephemeral port, proof
-   cache + journals in a temp dir, a small per-client step quota),
+   cache in a temp dir, a small per-client step quota),
 2. drive ``scripts/client.py`` through: cold verify → re-verify
    (must report the delta fast path, zero solvers built) → edit one
    function and re-verify (must re-solve *only* the edited function:
@@ -110,7 +110,6 @@ def main() -> int:
         [sys.executable, os.path.join(ROOT, "scripts", "serve.py"),
          "--port", "0", "--workers", "2",
          "--cache-dir", os.path.join(tmp, "cache"),
-         "--journal-dir", os.path.join(tmp, "journal"),
          "--quota", "40"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env)

@@ -17,7 +17,7 @@ Typical usage::
     session.verify(mod)                     # raises VerificationFailure
     report = session.diagnose(mod)          # diagnostics forced on
 
-A ``Session`` owns one :class:`~repro.vc.cache.ProofCache` instance and
+A ``Session`` owns one :class:`~repro.cache.store.ProofCache` instance and
 one aggregate :class:`~repro.smt.solver.Stats`, so verifying several
 modules through the same session shares cache-hit bookkeeping the way a
 single CLI invocation of Verus would.
@@ -57,9 +57,6 @@ Environment knobs (all optional, read only by :meth:`from_env`):
 * ``REPRO_FAULT_PLAN`` — a :mod:`repro.resilience.faults` plan string;
   the scheduler installs it around each ``run_module`` for
   seed-reproducible chaos testing.
-* ``REPRO_JOURNAL_DIR`` — directory for crash-resumable run journals
-  (one per module); killed runs resume via
-  ``Session.verify_module(resume=...)``.
 * ``REPRO_TRIAGE`` — static proving tier (:mod:`repro.analysis.absint`):
   ``on`` discharges statically-entailed obligations with no solver,
   ``off`` disables the tier, ``shadow`` runs tier *and* solver and
@@ -95,7 +92,6 @@ ANALYZE_ENV = "REPRO_ANALYZE"
 RETRIES_ENV = "REPRO_RETRIES"
 MAX_STEPS_ENV = "REPRO_MAX_STEPS"
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
 TRIAGE_ENV = "REPRO_TRIAGE"
 CACHE_TIERS_ENV = "REPRO_CACHE_TIERS"
 CACHE_MEM_BUDGET_ENV = "REPRO_CACHE_MEM_BUDGET"
@@ -171,7 +167,6 @@ class VerifyConfig:
                         (None = profile default).
     ``fault_plan``      a deterministic fault-injection plan string
                         (see :mod:`repro.resilience.faults`).
-    ``journal_dir``     directory for crash-resumable run journals.
     ``triage``          static proving tier mode: ``"on"``/``"off"``/
                         ``"shadow"``; None = profile default.
     ``cache_tiers``     proof-cache tier spec (``"mem,disk,net"``); None
@@ -197,7 +192,6 @@ class VerifyConfig:
     retries: Optional[int] = None
     max_steps: Optional[int] = None
     fault_plan: Optional[str] = None
-    journal_dir: Optional[str] = None
     triage: Optional[str] = None
     cache_tiers: Optional[str] = None
     cache_mem_budget: Optional[int] = None
@@ -254,7 +248,6 @@ class VerifyConfig:
                   retries=retries,
                   max_steps=max_steps,
                   fault_plan=os.environ.get(FAULT_PLAN_ENV) or None,
-                  journal_dir=os.environ.get(JOURNAL_DIR_ENV) or None,
                   triage=_parse_triage(os.environ.get(TRIAGE_ENV)),
                   cache_tiers=os.environ.get(CACHE_TIERS_ENV) or None,
                   cache_mem_budget=mem_budget,
@@ -384,44 +377,35 @@ class Session:
     def tuner(self):
         """The session's :class:`~repro.profiles.ProfileTuner` (or None).
 
-        Lazily opened under the proof-cache directory when portfolio
+        Lazily opened over the proof-cache directory when portfolio
         racing is enabled; sessions without a cache dir race statelessly.
         """
         if not self._tuner_opened:
             self._tuner_opened = True
             if self.config.portfolio > 0 and self.config.cache_dir:
                 from .profiles import ProfileTuner
-                self._tuner = ProfileTuner.for_cache_dir(self.config.cache_dir)
+                self._tuner = ProfileTuner(self.config.cache_dir)
         return self._tuner
 
-    def scheduler(self, journal=None, config: Optional[VerifyConfig] = None):
+    def scheduler(self, config: Optional[VerifyConfig] = None):
         """A fresh :class:`~repro.vc.scheduler.Scheduler` built from this
         session's config (or ``config``) and wired to its shared cache,
-        warm pool and tuner.
-
-        ``journal`` overrides the config's ``journal_dir`` — a journal
-        file/directory path or an open ``RunJournal`` (used by
-        :meth:`verify_module`'s ``resume=`` argument).
-        """
+        warm pool and tuner."""
         from .vc.scheduler import Scheduler
         return Scheduler(config or self.config, cache=self.cache,
-                         journal=journal, solver_pool=self.warm_pool,
-                         tuner=self.tuner)
+                         solver_pool=self.warm_pool, tuner=self.tuner)
 
     # ------------------------------------------------------------- verbs
 
-    def verify_module(self, mod, vc_config=None, resume=None):
+    def verify_module(self, mod, vc_config=None):
         """Verify a module, returning the detailed ``ModuleResult``.
 
-        ``resume`` names a run journal (a ``*.journal`` file or a
-        journal directory) from a previous — possibly killed — run of
-        the same module: obligations whose digests it records are
-        replayed instead of re-solved, and newly discharged goals are
-        appended so the run stays resumable if killed again.
+        A run killed halfway loses nothing it finished when the proof
+        cache is on: verifying the module again with the same
+        ``cache_dir`` replays those verdicts and solves only the rest.
         """
         from .vc.wp import VcGen
-        return VcGen(mod, vc_config).verify_module(
-            self.scheduler(journal=resume))
+        return VcGen(mod, vc_config).verify_module(self.scheduler())
 
     def verify(self, mod, vc_config=None):
         """Verify a module; raise ``VerificationFailure`` on failure."""

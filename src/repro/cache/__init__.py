@@ -1,6 +1,6 @@
 """Tiered, fault-tolerant proof cache (memory → disk → network).
 
-``store`` is the flat on-disk tier (the original ``vc/cache.py``, now
+``store`` is the flat on-disk tier (the original proof cache, now
 shared infrastructure), ``tiers`` layers memory and network tiers over
 it, ``replica`` is the networked side with Merkle anti-entropy
 (``merkle``), and ``breaker`` is the per-replica circuit breaker.

@@ -12,7 +12,23 @@ Writes are atomic (temp file + ``os.replace``) so parallel workers can
 share one cache directory without torn entries; corrupt or truncated
 entries are detected at lookup, dropped, and rewritten after re-solving.
 
-This module also owns the *entry shape* every other tier speaks:
+The directory is the one store for every replay channel.  Each entry
+says which kind it is:
+
+* **verdict** entries (no ``kind``, or ``static-proved`` for absint
+  triage verdicts) answer :meth:`ProofCache.lookup`;
+* **function** entries are the delta engine's per-function records
+  (:class:`repro.vc.delta.DeltaCache`);
+* **tuner** entries are the auto-tuner's race winners
+  (:class:`repro.profiles.ProfileTuner`).
+
+The function and tuner views share the sharded path, the atomic write
+and the eviction of malformed entries (:meth:`ProofCache.read` /
+:meth:`ProofCache.write`), but never the verdict counters, fault points
+or tiers.  Their digests live in disjoint namespaces, and a read of
+one kind treats an entry of another kind as a plain miss.
+
+This module also owns the *verdict entry shape* every other tier speaks:
 :func:`make_entry` builds it, :func:`validate_entry` is the structural
 check applied at every tier boundary, and :func:`entry_checksum` is the
 content digest network payloads carry (and Merkle leaves commit to) so
@@ -25,18 +41,32 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from ..api import CACHE_DIR_ENV  # noqa: F401  (re-exported for callers)
 from ..resilience import faults as _faults
-from ..resilience.faults import InjectedCorruption, InjectedIOError
-from ..vc.errors import FAILED, PROVED, TIMEOUT
+from ..vc.errors import FAILED, PROVED, STATIC_PROVED, TIMEOUT
 
 DEFAULT_DIRNAME = ".pv_cache"
 
 # RESOURCE_OUT (and anything else transient) is deliberately absent: a
 # budget-exhausted verdict must never be replayed from the cache.
 _VALID_STATUS = (PROVED, FAILED, TIMEOUT)
+
+#: Entry kinds (see the module docstring).
+VERDICT = "verdict"
+FUNCTION = "function"
+TUNER = "tuner"
+_KINDS = (VERDICT, FUNCTION, TUNER)
+# The ``kind`` values a verdict entry may carry.
+_VERDICT_KINDS = (None, STATIC_PROVED)
+
+
+def _entry_kind(entry: dict) -> str:
+    """The kind of a stored entry: :data:`VERDICT` for an unkinded or
+    static-proved verdict, else the entry's own ``kind``."""
+    kind = entry.get("kind")
+    return VERDICT if kind in _VERDICT_KINDS else kind
 
 
 def make_entry(digest: str, status: str, stats: Optional[dict] = None,
@@ -58,9 +88,11 @@ def make_entry(digest: str, status: str, stats: Optional[dict] = None,
 
 def validate_entry(entry, digest: str) -> bool:
     """The structural check every tier boundary applies before trusting
-    an entry: right shape, right identity, replayable status."""
+    an entry: a verdict kind, right shape, right identity, replayable
+    status."""
     return (isinstance(entry, dict)
             and entry.get("digest") == digest
+            and entry.get("kind") in _VERDICT_KINDS
             and entry.get("status") in _VALID_STATUS
             and isinstance(entry.get("query_bytes", 0), int)
             and isinstance(entry.get("stats", {}), dict)
@@ -97,34 +129,57 @@ class ProofCache:
     def _path(self, digest: str) -> str:
         return os.path.join(self.root, digest[:2], f"{digest}.json")
 
-    def lookup(self, digest: str) -> Optional[dict]:
-        """Return the stored entry for ``digest``, or None on miss.
+    def read(self, digest: str, kind: str = VERDICT,
+             valid: Callable[[dict, str], bool] = validate_entry
+             ) -> Optional[dict]:
+        """The ``kind`` entry stored under ``digest``, or None.
 
-        A malformed entry (truncated write, wrong digest, bogus status)
-        counts as a miss: it is deleted so the fresh verdict can be
-        rewritten cleanly.
+        A missing file, or a well-formed entry of another kind, is a
+        plain miss.  A malformed entry (truncated write, wrong digest,
+        one that fails ``valid(entry, digest)``) is evicted and counted
+        in ``corrupt``, so the next write replaces it cleanly.  No hit
+        or miss counter moves: those belong to the caller.
         """
-        path = self._path(digest)
         try:
-            spec = _faults.maybe_fault("cache.lookup")
-            if spec is not None:
-                if spec.kind == "io":
-                    raise InjectedIOError("cache.lookup")
-                raise InjectedCorruption("cache.lookup")
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self._path(digest), "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
-            if not validate_entry(entry, digest):
+            if not isinstance(entry, dict) or entry.get("digest") != digest:
                 raise ValueError("malformed cache entry")
+            found = _entry_kind(entry)
+            if found != kind and found in _KINDS:
+                return None
+            if not valid(entry, digest):
+                raise ValueError(f"malformed {kind} entry")
         except FileNotFoundError:
-            self.misses += 1
             return None
         except (ValueError, OSError, UnicodeDecodeError):
-            self.corrupt += 1
+            self._evict(digest)
+            return None
+        return entry
+
+    def _evict(self, digest: str) -> None:
+        self.corrupt += 1
+        try:
+            os.remove(self._path(digest))
+        except OSError:
+            pass
+
+    def lookup(self, digest: str,
+               admit: Optional[Callable[[dict], bool]] = None
+               ) -> Optional[dict]:
+        """Return the stored verdict for ``digest``, or None on miss.
+
+        ``admit`` is the caller's replay policy: an entry it rejects
+        counts as a miss and stays on disk for runs that admit it.  A
+        malformed entry counts as a miss and is evicted (:meth:`read`).
+        """
+        if _faults.maybe_fault("cache.lookup") is not None:
+            self._evict(digest)         # an injected fault reads as torn
+            entry = None
+        else:
+            entry = self.read(digest)
+        if entry is None or (admit is not None and not admit(entry)):
             self.misses += 1
-            try:
-                os.remove(path)
-            except OSError:
-                pass
             return None
         self.hits += 1
         return entry
@@ -149,12 +204,19 @@ class ProofCache:
         self.store_entry(entry)
 
     def store_entry(self, entry: dict) -> bool:
-        """Write one already-built entry atomically; True on success."""
+        """Write one already-built verdict entry; True on success."""
+        if _faults.maybe_fault("cache.store") is not None:
+            return False
+        if not self.write(entry):
+            return False
+        self.stores += 1
+        return True
+
+    def write(self, entry: dict) -> bool:
+        """Atomically write an entry of any kind under its digest
+        (temp file + ``os.replace``); best-effort, True on success."""
         path = self._path(entry["digest"])
         try:
-            spec = _faults.maybe_fault("cache.store")
-            if spec is not None:
-                raise InjectedIOError("cache.store")
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                        suffix=".tmp")
@@ -170,12 +232,13 @@ class ProofCache:
                 raise
         except OSError:
             return False
-        self.stores += 1
         return True
 
-    def iter_entries(self) -> Iterator[dict]:
-        """Yield every *valid* entry under the root (invalid files are
-        skipped, not deleted — this is a read-only scan used to seed
+    def iter_entries(self, kind: str = VERDICT,
+                     valid: Callable[[dict, str], bool] = validate_entry
+                     ) -> Iterator[dict]:
+        """Yield every valid ``kind`` entry under the root (invalid files
+        are skipped, not deleted — this is a read-only scan used to seed
         replicas and Merkle indexes, not a lookup path)."""
         if not os.path.isdir(self.root):
             return
@@ -193,7 +256,8 @@ class ProofCache:
                         entry = json.load(fh)
                 except (ValueError, OSError, UnicodeDecodeError):
                     continue
-                if validate_entry(entry, digest):
+                if (isinstance(entry, dict) and _entry_kind(entry) == kind
+                        and valid(entry, digest)):
                     yield entry
 
     @property

@@ -30,7 +30,7 @@ byte-identical whether the replica set is healthy, flaky, or gone.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .breaker import CircuitBreaker
 from .replica import (DEFAULT_RETRIES, DEFAULT_TIMEOUT, ReplicaClient,
@@ -215,21 +215,29 @@ class TieredProofCache:
 
     # ------------------------------------------------------- cache surface
 
-    def lookup(self, digest: str) -> Optional[dict]:
-        """First validated hit walking mem → disk → net; else a miss."""
+    def lookup(self, digest: str,
+               admit: Optional[Callable[[dict], bool]] = None
+               ) -> Optional[dict]:
+        """First validated hit walking mem → disk → net; else a miss.
+
+        ``admit`` is the caller's replay policy (see
+        :meth:`ProofCache.lookup`): a tier whose entry it rejects counts
+        no hit, promotes nothing, and the walk falls through.
+        """
         entry = self._mem_get(digest)
         if entry is not None:
-            if validate_entry(entry, digest):
+            if not validate_entry(entry, digest):
+                # A memory entry that stopped validating (in-process
+                # tampering) is quarantined and the walk falls through.
+                self._mem_drop(digest)
+                self.quarantined += 1
+                self.corrupt += 1
+            elif admit is None or admit(entry):
                 self.mem_hits += 1
                 self.hits += 1
                 return entry
-            # A memory entry that stopped validating (in-process
-            # tampering) is quarantined and the walk falls through.
-            self._mem_drop(digest)
-            self.quarantined += 1
-            self.corrupt += 1
         corrupt0 = self.disk.corrupt
-        entry = self.disk.lookup(digest)
+        entry = self.disk.lookup(digest, admit)
         disk_corrupt = self.disk.corrupt - corrupt0
         self.corrupt += disk_corrupt
         self.quarantined += disk_corrupt
@@ -239,7 +247,7 @@ class TieredProofCache:
             self._mem_put(digest, entry)
             return entry
         entry = self._net_lookup(digest)
-        if entry is not None:
+        if entry is not None and (admit is None or admit(entry)):
             self.net_hits += 1
             self.hits += 1
             self.disk.store_entry(entry)     # promote for next time

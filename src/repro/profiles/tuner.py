@@ -12,32 +12,24 @@ digest is exactly the digest the winning race attempt stored its
 verdict under, so a tuner-warm + cache-warm run replays the whole race
 outcome with zero solver constructions and zero portfolio fan-out.
 
-Storage mirrors :class:`~repro.vc.cache.ProofCache`: one JSON file per
-fingerprint under ``root/<fp[:2]>/<fp>.json``, written atomically
-(temp file + ``os.replace``) so parallel runs can share a tuner
-directory; malformed entries are evicted at lookup.  The default
-location is ``<proof-cache-dir>/profile_tuner`` (see
-``Session.tuner``), but any directory works — tuner warmth and
-proof-cache warmth are deliberately separable for benchmarking.
+Records are *tuner entries* in the proof-cache directory: the tuner is
+a typed view over :class:`~repro.cache.store.ProofCache`, which supplies
+the sharded ``root/<fp[:2]>/<fp>.json`` path, the atomic write and the
+eviction of malformed entries.  The namespaced fingerprint keeps tuner
+entries apart from verdicts in the same directory.  ``Session.tuner``
+opens the proof-cache directory itself, but any directory works —
+tuner warmth and proof-cache warmth stay separable for benchmarking.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from typing import Optional, Sequence
 
+from ..cache.store import TUNER, ProofCache
 from ..smt.fingerprint import obligation_digest
 from .registry import PROFILES
 
 __all__ = ["ProfileTuner", "tuner_fingerprint"]
-
-#: Subdirectory of the proof-cache root used when no explicit tuner
-#: directory is given.
-DEFAULT_SUBDIR = "profile_tuner"
-
-_SCHEMA = 1
 
 
 def tuner_fingerprint(assertions: Sequence, strategy: str) -> str:
@@ -52,125 +44,65 @@ def tuner_fingerprint(assertions: Sequence, strategy: str) -> str:
     return obligation_digest(assertions, {}, f"profile-tuner:{strategy}")
 
 
+def _valid_tuner(entry: dict, digest: str) -> bool:
+    # The registry is the source of truth: a record naming a profile
+    # this build no longer ships is malformed.
+    return (entry.get("profile") in PROFILES
+            and isinstance(entry.get("wins"), int))
+
+
 class ProfileTuner:
     """Per-fingerprint winner records plus hit/miss/record counters."""
 
     def __init__(self, root: str):
-        self.root = os.path.abspath(root)
+        self._store = ProofCache(root)
+        self.root = self._store.root
         self.hits = 0
         self.misses = 0
         self.records = 0
-        self.evictions = 0
 
-    @classmethod
-    def for_cache_dir(cls, cache_dir: str) -> "ProfileTuner":
-        return cls(os.path.join(cache_dir, DEFAULT_SUBDIR))
+    @property
+    def evictions(self) -> int:
+        return self._store.corrupt
 
     def _path(self, fingerprint: str) -> str:
-        return os.path.join(self.root, fingerprint[:2],
-                            f"{fingerprint}.json")
+        return self._store._path(fingerprint)
 
     def lookup(self, fingerprint: str) -> Optional[str]:
-        """The recorded winning profile name, or None.
-
-        A record naming a profile this build no longer ships is evicted
-        (the registry is the source of truth), as is any malformed or
-        torn entry.
-        """
-        path = self._path(fingerprint)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            profile = (entry.get("profile")
-                       if isinstance(entry, dict) else None)
-            if (entry.get("fingerprint") != fingerprint
-                    or profile not in PROFILES):
-                raise ValueError("malformed tuner entry")
-        except FileNotFoundError:
+        """The recorded winning profile name, or None (a malformed or
+        retired-profile record is evicted)."""
+        entry = self._store.read(fingerprint, TUNER, _valid_tuner)
+        if entry is None:
             self.misses += 1
-            return None
-        except (ValueError, OSError, UnicodeDecodeError, AttributeError):
-            self.evictions += 1
-            self.misses += 1
-            try:
-                os.remove(path)
-            except OSError:
-                pass
             return None
         self.hits += 1
-        return profile
+        return entry["profile"]
 
     def record_win(self, fingerprint: str, profile: str,
                    status: str = "", wins: int = 1) -> None:
         """Persist (atomically, best-effort) that ``profile`` won the
         race for ``fingerprint``; an existing record for the same
         winner accumulates its win count."""
-        path = self._path(fingerprint)
-        prior = 0
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            if (isinstance(entry, dict)
-                    and entry.get("profile") == profile):
-                prior = int(entry.get("wins", 0))
-        except (OSError, ValueError, UnicodeDecodeError, TypeError):
-            prior = 0
-        entry = {"schema": _SCHEMA, "fingerprint": fingerprint,
-                 "profile": profile, "status": status,
-                 "wins": prior + max(1, int(wins))}
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(entry, fh)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        self.records += 1
+        prior = self._store.read(fingerprint, TUNER, _valid_tuner)
+        total = max(1, int(wins))
+        if prior is not None and prior["profile"] == profile:
+            total += prior["wins"]
+        entry = {"digest": fingerprint, "kind": TUNER, "profile": profile,
+                 "status": status, "wins": total}
+        if self._store.write(entry):
+            self.records += 1
 
     # ------------------------------------------------------------ reporting
 
-    def entries(self) -> list[dict]:
-        """All readable records (sorted by fingerprint; diagnostics and
-        the server's ``profiles`` verb — not a hot path)."""
-        out = []
-        if not os.path.isdir(self.root):
-            return out
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(".json"):
-                    continue
-                try:
-                    with open(os.path.join(shard_dir, name), "r",
-                              encoding="utf-8") as fh:
-                        entry = json.load(fh)
-                except (OSError, ValueError, UnicodeDecodeError):
-                    continue
-                if isinstance(entry, dict):
-                    out.append(entry)
-        return out
-
     def stats(self) -> dict:
-        """Counters plus per-profile win totals (JSON-able)."""
+        """Counters plus per-profile win totals (JSON-able; diagnostics
+        and the server's ``profiles`` verb — not a hot path)."""
         by_profile: dict[str, int] = {}
         count = 0
-        for entry in self.entries():
-            profile = entry.get("profile")
-            if isinstance(profile, str):
-                count += 1
-                by_profile[profile] = (by_profile.get(profile, 0)
-                                       + int(entry.get("wins", 1) or 1))
+        for entry in self._store.iter_entries(TUNER, _valid_tuner):
+            count += 1
+            profile = entry["profile"]
+            by_profile[profile] = by_profile.get(profile, 0) + entry["wins"]
         return {"root": self.root, "tuner_hits": self.hits,
                 "tuner_misses": self.misses, "records": self.records,
                 "evictions": self.evictions,

@@ -19,9 +19,9 @@ point                     kinds
 ``pool.worker``           ``crash`` (raise inside the worker),
                           ``exit`` (``os._exit`` — a hard worker death that
                           surfaces as ``BrokenProcessPool``)
-``cache.lookup``          ``io`` (:class:`InjectedIOError`),
-                          ``corrupt`` (:class:`InjectedCorruption`)
-``cache.store``           ``io``
+``cache.lookup``          ``io``, ``corrupt`` (the entry reads as torn: it
+                          is evicted and the lookup misses)
+``cache.store``           ``io`` (the write is dropped)
 ``net.send``              ``drop`` (datagram silently discarded)
 ``cache.net``             ``drop`` (cache request datagram discarded —
                           the client waits out its deadline),
@@ -79,16 +79,6 @@ class InjectedCrash(InjectedFault, RuntimeError):
     """An injected process/solver crash (a ``RuntimeError``, so the
     parallel scheduler's crashed-worker path handles it like any real
     worker death)."""
-
-
-class InjectedIOError(InjectedFault, OSError):
-    """An injected I/O failure (an ``OSError``, so best-effort cache
-    paths treat it like a real disk error)."""
-
-
-class InjectedCorruption(InjectedFault, ValueError):
-    """An injected malformed-payload error (a ``ValueError``, so cache
-    validation quarantines the entry like real corruption)."""
 
 
 class FaultSpec:

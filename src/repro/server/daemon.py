@@ -24,17 +24,15 @@ shared infrastructure.  The term interner is thread-safe
 are per-instance, and fault plans are never installed by the daemon —
 the three facts that make in-process threading sound here.
 
-Resilience: when the base config has a ``journal_dir``, every request
-appends to a per-module run journal; a daemon killed mid-request
-resumes on re-submission (the journal replays finished goals before
-any solving), and ``status`` lists the journals found at startup.
+Resilience: every verdict a request finishes is stored atomically in
+the shared proof cache, so a daemon killed mid-request and restarted
+over the same ``cache_dir`` replays that work on re-submission.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +51,6 @@ PATH_COLD = "cold"
 PATH_CACHE = "cache"
 PATH_WARM = "warm"
 PATH_DELTA = "delta"
-PATH_JOURNAL = "journal"
 
 
 class _Pending:
@@ -98,7 +95,7 @@ class VerifyServer:
         self.tuner = None
         if base.cache_dir:
             from ..profiles import ProfileTuner
-            self.tuner = ProfileTuner.for_cache_dir(base.cache_dir)
+            self.tuner = ProfileTuner(base.cache_dir)
         self.ledger = QuotaLedger(self.config.client_quota)
         self.queue: Optional[FairQueue] = None     # built on start()
         self.executor = ThreadPoolExecutor(
@@ -116,7 +113,7 @@ class VerifyServer:
         self._requests: dict[str, int] = {}        # verb -> count
         self._paths: dict[str, int] = {p: 0 for p in
                                        (PATH_COLD, PATH_CACHE, PATH_WARM,
-                                        PATH_DELTA, PATH_JOURNAL)}
+                                        PATH_DELTA)}
         self._busy = 0
         self._errors = 0
         self._cache_hits = 0
@@ -146,18 +143,8 @@ class VerifyServer:
             # (simulated) wire instead of re-solving.
             from ..cache.store import ProofCache
             self.replica.seed(ProofCache(base.cache_dir).iter_entries())
-        self._resumable = self._scan_journals()
 
     # -------------------------------------------------------------- startup
-
-    def _scan_journals(self) -> list[str]:
-        """Journals left by a previous (possibly killed) daemon run."""
-        root = self.base.journal_dir
-        if not root or not os.path.isdir(root):
-            return []
-        return sorted(name[:-len(".journal")]
-                      for name in os.listdir(root)
-                      if name.endswith(".journal"))
 
     async def start(self) -> None:
         """Bind and start serving; resolves ``self.port``."""
@@ -455,8 +442,6 @@ class VerifyServer:
             return PATH_DELTA
         if stats.get("warm_pool_hits"):
             return PATH_WARM
-        if stats.get("journal_skips") and solvers_built == 0:
-            return PATH_JOURNAL
         if stats.get("cache_hits") and solvers_built == 0:
             return PATH_CACHE
         return PATH_COLD
@@ -517,5 +502,4 @@ class VerifyServer:
             "triage": {"mode": self.base.effective_triage,
                        "static_proved": static_proved,
                        "solver_constructions_avoided": solvers_avoided},
-            "resumable": self._resumable,
         }

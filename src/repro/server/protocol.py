@@ -30,7 +30,7 @@ Every request is one JSON object terminated by ``\\n``::
 
 * ``config`` — per-request :class:`~repro.api.VerifyConfig` overrides,
   restricted to :data:`ALLOWED_OVERRIDES` (budget/strategy knobs);
-  infrastructure fields (cache dir, jobs, fault plans, journals) are
+  infrastructure fields (cache dir, jobs, fault plans) are
   server-owned and rejected.
 
 Replies
@@ -67,7 +67,7 @@ BUSY = "busy"
 ERROR = "error"
 
 #: VerifyConfig fields a client may override per request.  Everything
-#: else (cache_dir, jobs, fault_plan, journal_dir) is infrastructure the
+#: else (cache_dir, jobs, fault_plan, cache tiers) is infrastructure the
 #: daemon owns; letting clients touch it would corrupt shared state.
 #: ``profile``/``portfolio`` are per-request automation choices: an
 #: unknown profile name passes validation here and becomes a structured

@@ -11,7 +11,7 @@ Two services for the verification scheduler (:mod:`repro.vc.scheduler`):
 
 2. **Fingerprints** — ``sha256(canonical SMT-LIB2 query text + solver
    knobs + discharge strategy)``, the content address used by the
-   on-disk proof cache (:mod:`repro.vc.cache`).  All hashing inputs are
+   on-disk proof cache (:mod:`repro.cache.store`).  All hashing inputs are
    deterministic: term hashes use :func:`repro.smt.sorts._dhash` and the
    printer emits declarations in sorted order.
 """

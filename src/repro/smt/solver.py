@@ -137,7 +137,6 @@ class Stats:
         self.pool_failures = 0        # worker deaths / pool breakage
         self.retries = 0              # escalation-ladder attempts
         self.retry_recoveries = 0     # obligations rescued by the ladder
-        self.journal_skips = 0        # goals replayed from a run journal
         self.faults_injected = 0      # FaultPlan firings during the run
         # Warm solver-context pool (repro.server.warm / the scheduler's
         # solver_pool hook): groups served from a resident pre-warmed

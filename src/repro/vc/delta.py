@@ -1,6 +1,6 @@
 """Function-level delta re-verification (dependency fingerprints).
 
-The obligation-level proof cache (:mod:`repro.vc.cache`) already skips
+The obligation-level proof cache (:mod:`repro.cache`) already skips
 the *solver* on unchanged queries, but planning a function — symbolic
 execution, axiom generation, idiom engines — still runs every time.
 This module skips planning too: each function gets a **dependency
@@ -20,17 +20,13 @@ cannot see (a custom ``VcGen`` subclass hook, say) is covered by the
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from typing import Optional
 
+from ..cache.store import FUNCTION, ProofCache
 from ..smt.fingerprint import function_fingerprint, solver_config_key
 from . import ast as A
 from . import types as VT
 from .errors import PROVED, STATIC_PROVED, FunctionResult, Obligation
-
-DELTA_DIRNAME = "fn"
 
 
 # ---------------------------------------------------------------------------
@@ -178,44 +174,34 @@ def function_dependency_digest(gen, fn: A.Function,
 
 
 # ---------------------------------------------------------------------------
-# The on-disk function cache
+# Function entries in the proof-cache directory
 # ---------------------------------------------------------------------------
 
-class DeltaCache:
-    """Per-function verdict store under ``<proof cache root>/fn/``.
+def _valid_function(entry: dict, digest: str) -> bool:
+    return isinstance(entry.get("obligations"), list)
 
-    Entries record the per-obligation metadata of a *fully verified*
-    function (labels, kinds, seqs, spans, query bytes) keyed by its
-    dependency fingerprint; a hit replays the function result without
-    planning or solving.  Writes are atomic like the proof cache's.
+
+class DeltaCache:
+    """Function entries in the proof-cache directory at ``root``.
+
+    A typed view over :class:`~repro.cache.store.ProofCache`: entries
+    record the per-obligation metadata of a *fully verified* function
+    (labels, kinds, seqs, spans, query bytes) keyed by its dependency
+    fingerprint; a hit replays the function result without planning or
+    solving.  The store supplies the path, the atomic write and the
+    eviction of malformed entries; the verdict counters never move.
     """
 
     def __init__(self, root: str):
-        self.root = os.path.join(os.path.abspath(root), DELTA_DIRNAME)
+        self._store = ProofCache(root)
         self.skips = 0
         self.misses = 0
         self.stores = 0
 
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.json")
-
     def lookup(self, digest: str) -> Optional[dict]:
-        try:
-            with open(self._path(digest), "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            if (not isinstance(entry, dict)
-                    or entry.get("digest") != digest
-                    or not isinstance(entry.get("obligations"), list)):
-                raise ValueError("malformed delta entry")
-        except FileNotFoundError:
+        entry = self._store.read(digest, FUNCTION, _valid_function)
+        if entry is None:
             self.misses += 1
-            return None
-        except (ValueError, OSError, UnicodeDecodeError):
-            self.misses += 1
-            try:
-                os.remove(self._path(digest))
-            except OSError:
-                pass
             return None
         self.skips += 1
         return entry
@@ -226,6 +212,7 @@ class DeltaCache:
             return
         entry = {
             "digest": digest,
+            "kind": FUNCTION,
             "function": function,
             "query_bytes": result.query_bytes,
             "obligations": [
@@ -237,22 +224,8 @@ class DeltaCache:
                 for o in result.obligations
             ],
         }
-        try:
-            os.makedirs(self.root, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(entry, fh)
-                os.replace(tmp, self._path(digest))
-            except BaseException:
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        self.stores += 1
+        if self._store.write(entry):
+            self.stores += 1
 
 
 def replay_function(entry: dict, triage_on: bool = True) -> FunctionResult:

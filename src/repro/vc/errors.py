@@ -18,7 +18,7 @@ TIMEOUT = "unknown"
 # Structured budget-exhaustion verdict (matching loop, LIA blowup, or an
 # explicit REPRO_MAX_STEPS budget): distinct from TIMEOUT because it is
 # machine-independent and from FAILED because no countermodel exists.
-# Never cached and never journaled — a retry may well succeed.
+# Never cached — a retry may well succeed.
 RESOURCE_OUT = "resource-out"
 # Marker for obligations discharged by the abstract-interpretation triage
 # tier (repro.analysis.absint) with no solver constructed.  Never a
@@ -32,7 +32,7 @@ def status_from_solver(verdict: str, solver) -> str:
     """Map a solver verdict (+ the solver's budget/deadline flags) to an
     obligation status.  The wall-clock deadline outranks resource
     budgets: a deadline verdict is machine-dependent and the callers
-    that care (cache, journal) already treat TIMEOUT specially."""
+    that care (the cache) already treat TIMEOUT specially."""
     if verdict == "unsat":
         return PROVED
     if verdict == "sat":

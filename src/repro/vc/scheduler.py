@@ -12,9 +12,11 @@ never need re-solving.  This layer supplies both halves:
   obligations with per-job timeouts and a graceful serial fallback.
 
 * Before any solving, each job is looked up in the content-addressed
-  proof cache (:mod:`repro.vc.cache`) keyed on the canonical SMT-LIB2
+  proof cache (:mod:`repro.cache`) keyed on the canonical SMT-LIB2
   query text plus solver knobs, so cache-warm re-verification skips the
-  solver entirely.
+  solver entirely.  Stores are atomic per entry, so a killed run
+  re-run over the same cache directory replays every goal it finished
+  and re-solves only the rest.
 
 Two further strategies stack on top (both off by default):
 
@@ -51,12 +53,6 @@ claim meets real fleet failures):
   Worker-process faults are decided *in the parent* at submit time
   (workers never arm their own counters).
 
-* **Run journal** (``journal_dir`` / ``REPRO_JOURNAL_DIR``) — completed
-  obligation digests are appended to a per-module
-  :class:`repro.resilience.RunJournal`; a killed run resumed through
-  ``Session.verify_module(resume=...)`` replays them and re-solves only
-  the rest.
-
 A :class:`Scheduler` is built from a resolved
 :class:`repro.api.VerifyConfig` (``Session.scheduler()`` is the usual
 builder); the ``REPRO_*`` environment knobs are parsed exclusively by
@@ -79,16 +75,15 @@ from typing import Optional, Sequence
 
 from ..api import DIAG_ENV, JOB_TIMEOUT_ENV, JOBS_ENV, VerifyConfig, \
     default_jobs
+from ..cache.store import ProofCache
 from ..profiles import (escalate_config, get_profile, portfolio_candidates,
                         tuner_fingerprint)
 from ..resilience import faults as _faults
 from ..resilience.faults import FaultPlan, InjectedCrash
-from ..resilience.journal import RunJournal
 from ..smt import terms as T
 from ..smt.fingerprint import (deserialize_terms, obligation_digest,
                                serialize_terms, solver_config_key)
 from ..smt.solver import SmtSolver, SolverConfig, Stats
-from .cache import ProofCache
 from .errors import (FAILED, PROVED, RESOURCE_OUT, STATIC_PROVED, TIMEOUT,
                      ModuleResult, status_from_solver)
 
@@ -248,7 +243,7 @@ class _Attempt:
 
     __slots__ = ("config", "isolation", "digest", "backoff", "must_run",
                  "replay", "profile", "status", "stats", "qbytes",
-                 "seconds", "hit")
+                 "seconds", "replayed")
 
     def __init__(self, config: Optional[SolverConfig], isolation: str,
                  digest: Optional[str], backoff: float = 0.0,
@@ -265,8 +260,8 @@ class _Attempt:
         self.stats: dict = {}
         self.qbytes = 0
         self.seconds = 0.0
-        # "cache_hit"/"journal_hit" when the verdict was replayed.
-        self.hit: Optional[str] = None
+        # True when the verdict was replayed from the proof cache.
+        self.replayed = False
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +277,7 @@ class Scheduler:
     arguments are live objects the caller owns:
 
     ``cache``: a :class:`ProofCache` (or tiered cache), or None for no
-    caching.  ``journal``: a :class:`~repro.resilience.RunJournal`, a
-    ``*.journal`` file path, or a journal directory; None falls back to
-    ``config.journal_dir``.  ``solver_pool``: a warm solver-context
+    caching.  ``solver_pool``: a warm solver-context
     registry (:class:`repro.server.warm.SolverPool`) that lets warm
     groups reuse a scope-0 context built by an earlier ``run_module``.
     ``tuner``: a :class:`~repro.profiles.ProfileTuner` recording race
@@ -310,8 +303,8 @@ class Scheduler:
     #: heaviest (and most isolated) last.
     LADDER = ("warm", "fresh", "split", "serial")
 
-    def __init__(self, config: VerifyConfig, cache=None, journal=None,
-                 solver_pool=None, tuner=None):
+    def __init__(self, config: VerifyConfig, cache=None, solver_pool=None,
+                 tuner=None):
         self.config = config
         self.jobs = max(1, config.jobs)
         self.cache: Optional[ProofCache] = cache
@@ -332,9 +325,6 @@ class Scheduler:
         plan = config.fault_plan
         self.fault_plan: Optional[FaultPlan] = (
             FaultPlan.from_string(plan) if isinstance(plan, str) else plan)
-        self._journal_spec = (journal if journal is not None
-                              else config.journal_dir)
-        self._journal: Optional[RunJournal] = None
         # Seeded backoff jitter keeps chaos runs reproducible.
         self._retry_rng = random.Random(0x5EED)
         self._delta_cache = None
@@ -389,9 +379,6 @@ class Scheduler:
         active_plan = (self.fault_plan if self.fault_plan is not None
                        else _faults.active())
         fired0 = active_plan.total_fired if active_plan is not None else 0
-        journal = self._resolve_journal(gen.module.name)
-        self._journal = journal
-        jskips0 = journal.skips if journal is not None else 0
         # Planning runs the §3.3 idiom engines eagerly; hand them the
         # cache so e.g. bit-blasting verdicts are reused on warm runs.
         gen.proof_cache = self.cache
@@ -440,13 +427,8 @@ class Scheduler:
             gen.proof_cache = None
             if prune_override is not None:
                 gen.config.prune_context = prev_prune
-            self._journal = None
-            if journal is not None and journal is not self._journal_spec:
-                journal.close()
             if self.fault_plan is not None:
                 _faults.install(prev_plan)
-        if journal is not None:
-            self.stats.merge({"journal_skips": journal.skips - jskips0})
         if active_plan is not None:
             self.stats.merge(
                 {"faults_injected": active_plan.total_fired - fired0})
@@ -484,24 +466,6 @@ class Scheduler:
         from .wp import VcGen
         return type(gen)._solve_obligation is VcGen._solve_obligation
 
-    def _resolve_journal(self, module_name: str) -> Optional[RunJournal]:
-        """Open this module's run journal from the configured spec.
-
-        A ``*.journal`` path names the file directly; any other string
-        is a directory holding one ``<module>.journal`` per module.  An
-        already-open :class:`RunJournal` is used as-is (and not closed
-        by ``run_module``).
-        """
-        spec = self._journal_spec
-        if spec is None:
-            return None
-        if isinstance(spec, RunJournal):
-            return spec
-        path = str(spec)
-        if not path.endswith(".journal"):
-            path = os.path.join(path, f"{module_name}.journal")
-        return RunJournal(path, module=module_name)
-
     def _solver_config(self, gen) -> SolverConfig:
         """The discharge config: the primary profile's solver knobs,
         then the scheduler's ``max_steps`` budget, layered on a *copy*
@@ -530,7 +494,6 @@ class Scheduler:
         # for pipelines that override the retry strategy).
         offload = self._offloadable(gen)
         need_assertions = (self.cache is not None
-                           or self._journal is not None
                            or ((self.jobs > 1 or self.incremental
                                 or self.timeout is not None
                                 or self.max_steps is not None
@@ -597,23 +560,21 @@ class Scheduler:
                     # The tuner confirmed the primary profile: no
                     # redirect needed, but it still counts as learned.
                     self.stats.tuner_hits += 1
-            if ((self.cache is not None or self._journal is not None)
-                    and task.assertions is not None):
+            if self.cache is not None and task.assertions is not None:
                 task.digest = obligation_digest(
                     task.assertions, solver_config_key(task.config), strategy)
-            if task.digest is not None:
-                hit = self._lookup(task.digest)
-                if hit is not None:
-                    # A goal this (possibly killed) run already finished,
-                    # or a cached verdict: replay it, solve nothing.
-                    entry, source = hit
+                entry = self._lookup(task.digest)
+                if entry is not None:
+                    # A cached verdict (perhaps from a killed earlier
+                    # run): replay it, solve nothing.
                     if self.diagnostics and entry.get("diag"):
                         from ..diag import Diagnostic
                         task.item.obligation.diag = \
                             Diagnostic.from_dict(entry["diag"])
                     self._apply(task, entry["status"],
                                 dict(entry.get("stats") or {}),
-                                entry.get("query_bytes", 0), 0.0, hit=source)
+                                entry.get("query_bytes", 0), 0.0,
+                                replayed=True)
                     continue
             if triage is not None:
                 t0 = time.perf_counter()
@@ -897,8 +858,7 @@ class Scheduler:
                                      replay=True, profile=name))
         if task.done:
             stubborn = (ob.status in (FAILED, RESOURCE_OUT)
-                        and not ob.stats.get("cache_hit")
-                        and not ob.stats.get("journal_hit"))
+                        and not ob.stats.get("cache_hit"))
         else:
             stubborn = task.crash is not None
         if not (self.retries and stubborn):
@@ -922,9 +882,9 @@ class Scheduler:
     def _run_attempt(self, gen, task: _Task, attempt: _Attempt) -> None:
         """Replay or solve one attempt, recording its outcome on it."""
         if attempt.replay:
-            hit = self._lookup(attempt.digest, reported=False)
-            if hit is not None:
-                entry, attempt.hit = hit
+            entry = self._lookup(attempt.digest, reported=False)
+            if entry is not None:
+                attempt.replayed = True
                 attempt.status = entry["status"]
                 attempt.stats = dict(entry.get("stats") or {})
                 attempt.qbytes = entry.get("query_bytes", 0)
@@ -964,7 +924,7 @@ class Scheduler:
         ob = task.item.obligation
         raced = [a for a in plan if a.profile is not None]
         rungs = [a for a in ran if a.profile is None]
-        solved = [a for a in ran if a.hit is None]
+        solved = [a for a in ran if not a.replayed]
         adopted = winner or (rungs[-1] if rungs else None)
         stats = dict(adopted.stats if adopted is not None else ob.stats)
         if raced:
@@ -993,8 +953,8 @@ class Scheduler:
             else:
                 self.stats.retry_recoveries += 1
         if adopted is not None:
-            if adopted.hit is not None:
-                stats[adopted.hit] = True
+            if adopted.replayed:
+                stats["cache_hit"] = True
             ob.status = adopted.status
             task.qbytes = adopted.qbytes
             if adopted.status == RESOURCE_OUT:
@@ -1146,29 +1106,18 @@ class Scheduler:
                     and entry.get("diag") is None)
 
     def _lookup(self, digest: str, reported: bool = True):
-        """The admissible stored verdict for ``digest`` as ``(entry,
-        hit)``, or None: the run journal first (``hit`` is
-        ``"journal_hit"``), then the proof cache (``"cache_hit"``).  An
-        inadmissible entry is re-counted as a miss.  ``reported`` is
-        False where only a PROVED replay can become the obligation's
-        verdict (race candidates)."""
-        if self._journal is not None:
-            entry = self._journal.lookup(digest)
-            if entry is not None:
-                if self._admissible(entry, reported):
-                    return entry, "journal_hit"
-                self._journal.skips -= 1
-        if self.cache is not None:
-            entry = self.cache.lookup(digest)
-            if entry is not None:
-                if self._admissible(entry, reported):
-                    return entry, "cache_hit"
-                self.cache.hits -= 1
-                self.cache.misses += 1
-        return None
+        """The admissible cached verdict for ``digest``, or None.  The
+        cache applies :meth:`_admissible` as it looks up, so its hit
+        counters (tiers included) count only replayed entries.
+        ``reported`` is False where only a PROVED replay can become the
+        obligation's verdict (race candidates)."""
+        if self.cache is None:
+            return None
+        return self.cache.lookup(
+            digest, admit=lambda entry: self._admissible(entry, reported))
 
     def _apply(self, task: _Task, status: str, stats: dict, qbytes: int,
-               seconds: float, hit: Optional[str] = None) -> None:
+               seconds: float, replayed: bool = False) -> None:
         ob = task.item.obligation
         ob.status = status
         ob.seconds = seconds
@@ -1180,9 +1129,9 @@ class Scheduler:
             stats["pruned_axioms"] = task.pruned_axioms
             stats["query_bytes_saved"] = task.pruned_bytes
         self.stats.merge(stats)
-        if hit is not None:
+        if replayed:
             stats = dict(stats)
-            stats[hit] = True
+            stats["cache_hit"] = True
         if task.crash is not None and "pool_failure" not in stats:
             stats = dict(stats)
             stats["pool_failure"] = task.crash
@@ -1204,18 +1153,14 @@ class Scheduler:
                kind: Optional[str] = None,
                digest: Optional[str] = None) -> None:
         """Store a verdict under ``digest`` (default: the task's) in the
-        proof cache and the run journal, unless it is a wall-clock
-        artefact.  Both stores drop statuses they cannot replay."""
+        proof cache, unless it is a wall-clock artefact.  The cache drops
+        statuses it cannot replay."""
         digest = digest or task.digest
-        if digest is None or stats.get("deadline_exceeded"):
+        if (self.cache is None or digest is None
+                or stats.get("deadline_exceeded")):
             return
-        label = task.item.obligation.label
-        if self.cache is not None:
-            self.cache.store(digest, status, stats, qbytes, label=label,
-                             kind=kind)
-        if self._journal is not None:
-            self._journal.record(digest, status, stats, qbytes, label=label,
-                                 kind=kind)
+        self.cache.store(digest, status, stats, qbytes,
+                         label=task.item.obligation.label, kind=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -437,26 +437,6 @@ def test_static_cache_entry_is_miss_when_triage_off(tmp_path):
     assert _signature(off2) == _signature(cold)
 
 
-def test_static_journal_entry_is_miss_when_triage_off(tmp_path):
-    jdir = str(tmp_path / "journals")
-    cold = _verify(_case_module, triage="on", journal_dir=jdir)
-    n_static = cold.stats["static_proved"]
-    assert n_static >= 1
-    # A triage-off resume must not replay static-kinded journal records
-    # with no solver: they get re-proved (constructions observable).
-    before = total_solver_constructions()
-    off = _verify(_case_module, triage="off", journal_dir=jdir)
-    assert total_solver_constructions() - before >= n_static
-    assert off.stats.get("static_proved", 0) == 0
-    assert _signature(off) == _signature(cold)
-    # The re-proved records overwrote the static ones, so a further
-    # resume replays everything solver-free again.
-    before = total_solver_constructions()
-    replay = _verify(_case_module, triage="off", journal_dir=jdir)
-    assert total_solver_constructions() == before
-    assert _signature(replay) == _signature(cold)
-
-
 def test_delta_replay_drops_static_provenance_when_triage_off(tmp_path):
     cache = str(tmp_path / "pv_cache")
     cold = _verify(_case_module, triage="on", cache_dir=cache, delta=True)

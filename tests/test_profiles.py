@@ -353,7 +353,7 @@ class TestTuner:
                                 cache_dir=str(tmp_path / "cacheA"))
         session = Session(cold_cfg)
         assert session.verify_module(build_stubborn_pair_module()).ok
-        tuner = ProfileTuner.for_cache_dir(cold_cfg.cache_dir)
+        tuner = ProfileTuner(cold_cfg.cache_dir)
         assert tuner.stats()["entries"] >= 1
 
         fresh_cfg = VerifyConfig(portfolio=2,

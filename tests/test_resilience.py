@@ -1,10 +1,11 @@
 """Resilient-pipeline tests: fault injection, resource guards, retry
-escalation, crash-resumable journals, and the chaos acceptance gate.
+escalation, crash resume from the proof cache, and the chaos acceptance
+gate.
 
 The contract under test: with a deterministic seeded FaultPlan injecting
 worker crashes, cache I/O errors, and forced resource-out verdicts, the
 pipeline's recovery machinery (quarantine, escalation ladder, serial
-fallback, journal resume) must converge to verdicts *byte-identical* to
+fallback, cache resume) must converge to verdicts *byte-identical* to
 a fault-free run — faults may cost time, never answers.
 """
 
@@ -19,9 +20,8 @@ from repro.api import Session, VerifyConfig
 from repro.lang import *
 from repro.resilience.faults import (FAULT_POINTS, FaultPlan, InjectedCrash,
                                      active, install, maybe_fault, uninstall)
-from repro.resilience.journal import RunJournal
 from repro.smt.solver import SmtSolver
-from repro.vc.cache import ProofCache
+from repro.cache.store import ProofCache
 from repro.vc.errors import FAILED, PROVED, RESOURCE_OUT
 from repro.vc.scheduler import Scheduler
 from repro.vc.wp import VcGen
@@ -355,66 +355,7 @@ class TestRetryLadder:
 
 
 # ---------------------------------------------------------------------------
-# Run journal
-# ---------------------------------------------------------------------------
-
-class TestRunJournal:
-    def test_record_and_lookup(self, tmp_path):
-        path = str(tmp_path / "m.journal")
-        j = RunJournal(path, module="m")
-        assert j.record("ab" * 32, PROVED, {"rounds": 3}, 120, label="f: e#0")
-        j.close()
-        j2 = RunJournal(path, module="m")
-        entry = j2.lookup("ab" * 32)
-        assert entry["status"] == PROVED
-        assert entry["query_bytes"] == 120
-        assert j2.skips == 1
-
-    def test_header_line(self, tmp_path):
-        path = str(tmp_path / "m.journal")
-        j = RunJournal(path, module="mymod")
-        j.record("cd" * 32, FAILED, {}, 0, label="x")
-        j.close()
-        first = open(path).readline()
-        header = json.loads(first)
-        assert header["journal"] == "mymod"
-        assert header["schema_version"] == 1
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = str(tmp_path / "m.journal")
-        j = RunJournal(path, module="m")
-        j.record("ab" * 32, PROVED, {}, 0, label="a")
-        j.record("cd" * 32, PROVED, {}, 0, label="b")
-        j.close()
-        with open(path, "a") as fh:
-            fh.write('{"digest": "ef", "stat')    # torn mid-write
-        j2 = RunJournal(path, module="m")
-        assert j2.corrupt_lines == 1
-        assert j2.lookup("ab" * 32) and j2.lookup("cd" * 32)
-        # the journal stays appendable after a torn tail
-        assert j2.record("12" * 32, PROVED, {}, 0, label="c")
-        j2.close()
-        assert RunJournal(path).lookup("12" * 32) is not None
-
-    def test_resource_out_never_journaled(self, tmp_path):
-        path = str(tmp_path / "m.journal")
-        j = RunJournal(path, module="m")
-        assert not j.record("ab" * 32, RESOURCE_OUT, {}, 0, label="x")
-        assert not j.record("cd" * 32, "unknown", {}, 0, label="y")
-        assert j.lookup("ab" * 32) is None
-        j.close()
-
-    def test_last_record_wins(self, tmp_path):
-        path = str(tmp_path / "m.journal")
-        j = RunJournal(path, module="m")
-        j.record("ab" * 32, PROVED, {}, 0, label="x")
-        j.record("ab" * 32, FAILED, {}, 0, label="x")
-        j.close()
-        assert RunJournal(path).lookup("ab" * 32)["status"] == FAILED
-
-
-# ---------------------------------------------------------------------------
-# Acceptance: kill mid-run, resume from the journal
+# Acceptance: kill mid-run, resume from the proof cache
 # ---------------------------------------------------------------------------
 
 def _count_solver_builds(monkeypatch):
@@ -432,38 +373,35 @@ class TestJournalResume:
     def test_killed_run_resumes_without_resolving(self, tmp_path,
                                                   monkeypatch):
         from repro.systems.ironkv.delegation_map import build_default_module
-        jdir = str(tmp_path / "journals")
+        cdir = str(tmp_path / "pc")
 
         clean = Session(jobs=1).verify_module(build_default_module())
         total = sum(len(f.obligations) for f in clean.functions)
 
         # "Kill" the run at the 4th solver check: the injected crash
         # escapes verify_module exactly like a SIGKILL would, leaving
-        # the journal with the 3 already-discharged goals.
+        # the cache with the 3 already-discharged goals.
         chaos = Session(jobs=1, incremental=False,
-                        fault_plan="solver.check:crash@4", journal_dir=jdir)
+                        fault_plan="solver.check:crash@4", cache_dir=cdir)
         with pytest.raises(RuntimeError):
             chaos.verify_module(build_default_module())
-        journals = glob.glob(os.path.join(jdir, "*.journal"))
-        assert len(journals) == 1
-        recorded = RunJournal(journals[0])
-        assert len(recorded._entries) == 3
+        assert len(list(ProofCache(cdir).iter_entries())) == 3
 
         counts = _count_solver_builds(monkeypatch)
-        resumed = Session(jobs=1, incremental=False).verify_module(
-            build_default_module(), resume=jdir)
+        resumed = Session(jobs=1, incremental=False,
+                          cache_dir=cdir).verify_module(build_default_module())
         assert resumed.ok
         assert _signature(resumed) == _signature(clean)
-        assert resumed.stats["journal_skips"] == 3
+        assert resumed.stats["cache_hits"] == 3
         assert counts["n"] == total - 3    # only unfinished goals re-solved
 
-        # The resumed run appended what it solved: a third pass over the
-        # same journal replays everything and builds no solver at all.
+        # The resumed run stored what it solved: a third pass over the
+        # same cache replays everything and builds no solver at all.
         counts["n"] = 0
-        replayed = Session(jobs=1, incremental=False).verify_module(
-            build_default_module(), resume=jdir)
+        replayed = Session(jobs=1, incremental=False,
+                           cache_dir=cdir).verify_module(build_default_module())
         assert replayed.ok and _signature(replayed) == _signature(clean)
-        assert replayed.stats["journal_skips"] == total
+        assert replayed.stats["cache_hits"] == total
         assert counts["n"] == 0
 
 

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.api import Session, VerifyConfig
+from repro.cache.store import CACHE_DIR_ENV, ProofCache
 from repro.lang import *
 from repro.smt import terms as T
 from repro.smt.fingerprint import (deserialize_terms, idiom_digest,
@@ -20,7 +21,7 @@ from repro.smt.fingerprint import (deserialize_terms, idiom_digest,
 from repro.smt.solver import SolverConfig, Stats
 from repro.smt.sorts import INT as SINT
 from repro.smt.sorts import bv, uninterpreted
-from repro.vc.cache import CACHE_DIR_ENV, ProofCache
+from repro.vc.errors import PROVED
 from repro.vc.scheduler import JOBS_ENV, Scheduler, default_jobs
 from repro.vc.wp import VcConfig, VcGen
 from tests.helpers import verify_module
@@ -329,6 +330,79 @@ class TestTieredCacheQuarantine:
 # ---------------------------------------------------------------------------
 # Idiom-engine caching (§3.3 by(...) verdicts)
 # ---------------------------------------------------------------------------
+
+class TestEntryKinds:
+    """Verdict, function and tuner entries share one directory and one
+    path scheme; a read of one kind never answers with another."""
+
+    FN = "f1" * 32
+    TUNER = "7e" * 32
+    VERDICT = "ab" * 32
+
+    def _plant(self, root):
+        from repro.profiles import ProfileTuner
+        from repro.vc.delta import DeltaCache
+        from repro.vc.errors import FunctionResult, Obligation
+        result = FunctionResult("f")
+        ob = Obligation("f: ensures#0", "ensures")
+        ob.status = PROVED
+        result.obligations.append(ob)
+        delta, tuner = DeltaCache(root), ProfileTuner(root)
+        delta.store(self.FN, "f", result)
+        tuner.record_win(self.TUNER, "epr", status=PROVED)
+        cache = ProofCache(root)
+        cache.store(self.VERDICT, PROVED, {}, 0, label="x")
+        return cache, delta, tuner
+
+    def test_function_and_tuner_entries_never_answer_verdicts(self,
+                                                              tmp_path):
+        cache, _, _ = self._plant(str(tmp_path))
+        assert cache.lookup(self.FN) is None
+        assert cache.lookup(self.TUNER) is None
+        assert (cache.hits, cache.misses, cache.corrupt) == (0, 2, 0)
+        assert [e["digest"] for e in cache.iter_entries()] == [self.VERDICT]
+        # Another kind's entry is a plain miss, not corruption: kept.
+        assert os.path.exists(cache._path(self.FN))
+        assert os.path.exists(cache._path(self.TUNER))
+
+    def test_verdict_entry_never_answers_views(self, tmp_path):
+        cache, delta, tuner = self._plant(str(tmp_path))
+        assert delta.lookup(self.VERDICT) is None
+        assert tuner.lookup(self.VERDICT) is None
+        assert delta.misses == 1 and tuner.misses == 1
+        assert tuner.evictions == 0
+        assert cache.lookup(self.VERDICT)["status"] == PROVED
+        # The views still read their own entries.
+        assert delta.lookup(self.FN)["function"] == "f"
+        assert tuner.lookup(self.TUNER) == "epr"
+
+    def test_truncated_function_and_tuner_entries_evicted(self, tmp_path):
+        _, delta, tuner = self._plant(str(tmp_path))
+        for digest in (self.FN, self.TUNER):
+            path = tuner._path(digest)
+            data = open(path, "rb").read()
+            with open(path, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+        assert delta.lookup(self.FN) is None
+        assert tuner.lookup(self.TUNER) is None
+        assert delta.misses == 1 and tuner.misses == 1
+        assert not os.path.exists(tuner._path(self.FN))
+        assert not os.path.exists(tuner._path(self.TUNER))
+
+    def test_tier_hits_count_only_admitted_entries(self, tmp_path):
+        """A triage-off run over a triage-on cache rejects the static
+        entries; no tier may count them as hits."""
+        from repro.systems.ironkv.delegation_map import build_default_module
+        cfg = VerifyConfig(cache_dir=str(tmp_path / "pc"),
+                           cache_tiers="mem,disk", triage="on")
+        cold = Session(cfg).verify_module(build_default_module())
+        assert cold.stats["static_proved"] >= 1
+        off = Session(cfg.replace(triage="off")).verify_module(
+            build_default_module())
+        assert off.stats["cache_misses"] >= cold.stats["static_proved"]
+        assert (off.stats["mem_hits"] + off.stats["disk_hits"]
+                == off.stats["cache_hits"])
+
 
 class TestIdiomCache:
     def _bv_module(self):

@@ -26,7 +26,7 @@ import pytest
 from repro.api import Session, VerifyConfig
 from repro.server import ServerClient, ServerConfig, SolverPool, VerifyServer
 from repro.server import protocol
-from repro.server.daemon import PATH_COLD, PATH_DELTA, PATH_JOURNAL
+from repro.server.daemon import PATH_COLD, PATH_DELTA
 from repro.server.queue import FairQueue, FairQueueCore, QueueFull
 from repro.server.quota import QuotaExceeded, QuotaLedger, steps_spent
 from repro.smt import terms as T
@@ -582,23 +582,18 @@ class TestDaemon:
             assert replies["second"]["status"] == "ok"
 
     def test_journal_resume_across_daemon_restarts(self, tmp_path):
-        journal_dir = tmp_path / "journal"
-        cfg = VerifyConfig(journal_dir=str(journal_dir))
+        cfg = VerifyConfig(cache_dir=str(tmp_path / "cache"))
         with _Daemon(verify_cfg=cfg) as d, d.client() as c:
             first = c.verify(source=MODULE_V1, builder="build")
             assert first["result"]["ok"]
             assert first["server"]["path"] == PATH_COLD
-        assert (journal_dir / "served_mod.journal").exists()
 
-        # A new daemon over the same journal directory: the request is
-        # resumable, and re-submission replays every journaled goal
-        # without constructing a single solver.
+        # A new daemon over the same cache directory: re-submission
+        # replays every stored function without constructing a solver.
         with _Daemon(verify_cfg=cfg) as d2, d2.client() as c2:
-            status = c2.status()["result"]
-            assert "served_mod" in status["resumable"]
             replay = c2.verify(source=MODULE_V1, builder="build")
             assert replay["result"]["ok"]
-            assert replay["server"]["path"] == PATH_JOURNAL
+            assert replay["server"]["path"] == PATH_DELTA
             assert replay["server"]["solvers_built"] == 0
             assert _normalize(replay["result"]) == \
                 _normalize(first["result"])
