@@ -116,8 +116,7 @@ def record_cache_tier(label: str, payload: dict) -> None:
     """Record one tiered-cache row for BENCH_cache_tiers.json.
 
     ``payload`` carries whatever the benchmark measured (per-tier
-    warm-hit latency, degraded-mode overhead ratio, breaker counters);
-    rows are written once at session end.
+    warm-hit latency); rows are written once at session end.
     """
     _CACHE_TIERS_ROWS.append({"benchmark": label, **payload})
 
@@ -167,9 +166,7 @@ def pytest_sessionfinish(session, exitstatus):
     if _CACHE_TIERS_ROWS:
         payload = {
             "description": "Tiered proof cache: warm-hit latency per "
-                           "tier (memory / disk / networked replica) "
-                           "and the overhead of degraded breaker-open "
-                           "operation relative to disk-only.",
+                           "tier (memory / disk).",
             "command": "PYTHONPATH=src python -m pytest "
                        "benchmarks/test_cache_tiers_bench.py -q",
             "rows": _CACHE_TIERS_ROWS,

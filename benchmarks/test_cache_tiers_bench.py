@@ -1,23 +1,18 @@
-"""Tiered proof cache bench: warm-hit latency per tier + degradation.
+"""Tiered proof cache bench: warm-hit latency per tier.
 
-Emits ``BENCH_cache_tiers.json`` (repo root) with one row per tier —
-average warm-hit lookup latency for the in-memory LRU, the on-disk
-store, and a networked replica — plus a degraded-mode row measuring
-what breaker-open operation costs relative to disk-only.
+Emits ``BENCH_cache_tiers.json`` (repo root) with one row: average
+warm-hit lookup latency for the in-memory LRU and for the on-disk
+store.
 
-Asserted acceptance (not just reported): the tier latencies are
-ordered (mem < disk < net), degraded breaker-open lookups stay under
-1.1x the disk-only baseline, and once the breaker trips no further
-network requests are constructed.
+Asserted acceptance (not just reported): a memory hit is cheaper than
+a disk hit.
 """
 
 import hashlib
 import time
 
 from conftest import FULL, banner, record_cache_tier, table
-from repro.cache import CacheReplica, TieredProofCache
-from repro.cache.store import make_entry
-from repro.runtime.network import Network
+from repro.cache import TieredProofCache
 from repro.vc.errors import PROVED
 
 N = 200 if FULL else 50          # distinct cached entries
@@ -59,85 +54,12 @@ def test_warm_hit_latency_per_tier(tmp_path):
     disk_us = _avg_lookup_us(tdisk)
     assert tdisk.disk_hits >= LOOKUPS
 
-    # Network tier: entries live only on the replica; every lookup is a
-    # datagram round trip (plus the promotion write it pays for next
-    # time).  One pass over N distinct digests, best-of repeats over
-    # fresh disk roots so promotion never short-circuits the trip.
-    net = Network()
-    rep = CacheReplica("cache0", net, poll=0.001).start()
-    try:
-        rep.seed(make_entry(_digest(i), PROVED, {}, 64, label=f"bench{i}")
-                 for i in range(N))
-        net_us = None
-        for r in range(REPEAT):
-            tnet = TieredProofCache(str(tmp_path / f"netside{r}"),
-                                    tiers="disk,net", network=net,
-                                    net_timeout=1.0,
-                                    client_name=f"bench-net-{r}")
-            t0 = time.perf_counter()
-            for i in range(N):
-                assert tnet.lookup(_digest(i)) is not None
-            per = (time.perf_counter() - t0) / N * 1e6
-            assert tnet.net_hits == N
-            net_us = per if net_us is None else min(net_us, per)
-    finally:
-        rep.stop()
-
     banner("Tiered cache: warm-hit latency per tier")
     table(["tier", "avg lookup (us)"],
           [["mem", f"{mem_us:.1f}"],
-           ["disk", f"{disk_us:.1f}"],
-           ["net", f"{net_us:.1f}"]])
+           ["disk", f"{disk_us:.1f}"]])
     record_cache_tier("warm_hit_latency", {
         "mem_us": round(mem_us, 2),
         "disk_us": round(disk_us, 2),
-        "net_us": round(net_us, 2),
     })
-    assert mem_us < disk_us < net_us
-
-
-def test_degraded_overhead_vs_disk_only(tmp_path):
-    # Disk-only baseline: the exact behavior a fully partitioned
-    # deployment must degrade to.  (No mem tier in either column — at
-    # memory-hit scale, ~1us, the comparison measures timer noise.)
-    base = TieredProofCache(str(tmp_path / "base"), tiers="disk")
-    _store_all(base)
-    base_us = _avg_lookup_us(base)
-
-    # Degraded: a net tier whose replica is dead.  The first store pays
-    # the timeout ladder, trips the breaker (threshold 1), and from then
-    # on the cache must behave like disk-only — queued stores, no
-    # requests, no added latency.
-    net = Network()
-    rep = CacheReplica("cache0", net, poll=0.001).start()
-    rep.crash()
-    try:
-        deg = TieredProofCache(str(tmp_path / "deg"), tiers="disk,net",
-                               network=net, net_timeout=0.005,
-                               breaker_threshold=1,
-                               breaker_cooldown=3600.0,
-                               client_name="bench-degraded")
-        _store_all(deg)
-        assert deg.breaker_trips == 1
-        requests_after_trip = deg.client.requests
-        deg_us = _avg_lookup_us(deg)
-        # Post-trip lookups construct no network requests at all.
-        assert deg.client.requests == requests_after_trip
-        assert deg.pending_stores > 0
-    finally:
-        rep.stop()
-
-    overhead = deg_us / base_us
-    banner("Tiered cache: degraded (breaker-open) vs disk-only")
-    table(["mode", "avg lookup (us)"],
-          [["disk-only", f"{base_us:.1f}"],
-           ["degraded", f"{deg_us:.1f}"],
-           ["overhead", f"{overhead:.3f}x"]])
-    record_cache_tier("degraded_overhead", {
-        "disk_only_us": round(base_us, 2),
-        "degraded_us": round(deg_us, 2),
-        "overhead_ratio": round(overhead, 3),
-        "breaker_trips": deg.breaker_trips,
-        "pending_stores": deg.pending_stores,
-    })
-    assert overhead < 1.1
+    assert mem_us < disk_us

@@ -9,11 +9,12 @@ divergence means a recovery path changed an *answer* instead of just
 costing time, and the script exits 1 so CI fails.
 
 ``--tiered`` runs the gate against the tiered proof cache instead: each
-module is verified clean, then twice through a memory/disk/network
-cache whose replica sits behind a 30%-drop fabric with plan-injected
-reply corruption — and is partitioned (crashed) mid-run, between the
-cold and warm passes, so the warm pass exercises breaker-tripped
-degradation.  The bar is the same: byte-identical verdicts.
+module is verified clean, then cold and warm through a memory/disk
+:class:`~repro.cache.tiers.TieredProofCache` on one root, under a plan
+that tears disk lookups and drops disk writes.  The warm pass starts
+with an empty memory tier, so every replay crosses the faulted disk
+tier.  The bar is the same: byte-identical verdicts, and a plan that
+fires at least once.
 
 Run:  PYTHONPATH=src python scripts/chaos_check.py
       PYTHONPATH=src python scripts/chaos_check.py --jobs 2 \\
@@ -23,11 +24,11 @@ Run:  PYTHONPATH=src python scripts/chaos_check.py
 
 import argparse
 import importlib
-import os
 import sys
 import tempfile
 
 from repro.api import Session
+from repro.cache import TieredProofCache
 
 # The Fig 9 module set: one representative verified module per shipped
 # system.  (mimalloc is idiom-only and plog solver-free, so some fault
@@ -42,6 +43,7 @@ MODULES = [
 
 DEFAULT_PLAN = ("seed=5; pool.worker:crash@1; cache.store:io@1; "
                 "solver.check:resource_out@2")
+TIERED_PLAN = "seed=7; cache.lookup:corrupt%0.25; cache.store:io%0.1"
 
 
 def _build(dotted: str):
@@ -54,66 +56,22 @@ def _signature(result):
             for f in result.functions for o in f.obligations]
 
 
-TIERED_PLAN = "seed=7; cache.net:corrupt%0.25"
-
-
-def run_tiered(jobs: int, plan: str) -> int:
-    """Tiered-cache chaos gate; returns the number of diverged modules."""
-    from repro.cache import CacheReplica, TieredProofCache
-    from repro.runtime.network import Network
-
-    failures = 0
-    for name, dotted in MODULES:
-        clean = Session(jobs=1).verify_module(_build(dotted))
-        with tempfile.TemporaryDirectory(prefix="chaos_tc.") as cachedir:
-            net = Network(drop_rate=0.3, seed=11)
-            replica = CacheReplica("cache0", net, poll=0.01).start()
-            try:
-                signatures = []
-                stats = []
-                # Each phase gets a cold disk root so the net tier is
-                # really on the lookup path: the cold pass pulls through
-                # a lossy, corrupting fabric; the warm pass finds the
-                # replica partitioned and must trip the breaker and
-                # re-solve from scratch.
-                for phase in ("cold", "warm"):
-                    tc = TieredProofCache(os.path.join(cachedir, phase),
-                                          tiers="mem,disk,net",
-                                          network=net, net_timeout=0.02,
-                                          breaker_threshold=2,
-                                          client_name=f"chaos-{name}-{phase}")
-                    session = Session(jobs=jobs, fault_plan=plan, cache=tc)
-                    result = session.verify_module(_build(dotted))
-                    signatures.append(_signature(result))
-                    stats.append(result.stats)
-                    tc.close()
-                    if phase == "cold":
-                        replica.crash()      # partition mid-run
-            finally:
-                replica.stop()
-        cold, warm = stats
-        tallies = (f"{cold.get('net_retries', 0)} cold retries, "
-                   f"{cold.get('quarantined', 0)} quarantined, "
-                   f"{warm.get('net_timeouts', 0)} warm timeouts, "
-                   f"{warm.get('breaker_trips', 0)} breaker trips")
-        if all(sig == _signature(clean) for sig in signatures):
-            print(f"ok   {name}: verdicts identical across clean/cold/"
-                  f"partitioned-warm ({tallies})")
-        else:
-            failures += 1
-            print(f"FAIL {name}: tiered chaos run diverged from clean run")
-            for sig in signatures:
-                for c, f in zip(_signature(clean), sig):
-                    if c != f:
-                        print(f"     clean={c}  chaos={f}")
-    if failures:
-        print(f"{failures}/{len(MODULES)} modules diverged under the "
-              f"tiered cache chaos scenario")
-    else:
-        print(f"all {len(MODULES)} modules byte-identical through the "
-              f"tiered cache under 30% drop + corruption + mid-run "
-              f"partition (plan {plan!r})")
-    return failures
+def _faulted_runs(dotted: str, args) -> list:
+    """The chaos verifications of one module: one run over a fresh cache
+    dir or, with ``--tiered``, a cold then a warm run through a fresh
+    mem,disk tiered cache each, both on one root."""
+    session_kwargs = {"jobs": args.jobs, "retries": args.retries,
+                      "fault_plan": args.plan}
+    with tempfile.TemporaryDirectory(prefix="chaos_pc.") as cachedir:
+        if not args.tiered:
+            session = Session(cache_dir=cachedir, **session_kwargs)
+            return [session.verify_module(_build(dotted))]
+        runs = []
+        for _phase in ("cold", "warm"):
+            tc = TieredProofCache(cachedir, tiers="mem,disk")
+            session = Session(cache=tc, **session_kwargs)
+            runs.append(session.verify_module(_build(dotted)))
+        return runs
 
 
 def main(argv=None) -> int:
@@ -125,37 +83,37 @@ def main(argv=None) -> int:
     ap.add_argument("--retries", type=int, default=3,
                     help="retry-escalation attempts (default 3)")
     ap.add_argument("--tiered", action="store_true",
-                    help="gate the tiered proof cache: 30%% drop fabric, "
-                         "corrupted replies, replica partitioned mid-run")
+                    help="gate the mem,disk tiered proof cache: cold and "
+                         "warm runs under torn lookups and dropped writes")
     args = ap.parse_args(argv)
-
-    if args.tiered:
-        return 1 if run_tiered(args.jobs, args.plan or TIERED_PLAN) else 0
     if args.plan is None:
-        args.plan = DEFAULT_PLAN
+        args.plan = TIERED_PLAN if args.tiered else DEFAULT_PLAN
 
     failures = 0
     total_fired = 0
     for name, dotted in MODULES:
         clean = Session(jobs=1).verify_module(_build(dotted))
-        with tempfile.TemporaryDirectory(prefix="chaos_pc.") as cachedir:
-            chaos = Session(jobs=args.jobs, retries=args.retries,
-                            fault_plan=args.plan, cache_dir=cachedir)
-            faulted = chaos.verify_module(_build(dotted))
-        fired = faulted.stats.get("faults_injected", 0)
+        runs = _faulted_runs(dotted, args)
+        fired = sum(r.stats.get("faults_injected", 0) for r in runs)
         total_fired += fired
-        recovered = faulted.stats.get("retry_recoveries", 0)
-        crashes = faulted.stats.get("pool_failures", 0)
-        if _signature(faulted) == _signature(clean):
-            print(f"ok   {name}: verdicts identical "
-                  f"({fired} faults fired, {crashes} worker failures, "
-                  f"{recovered} ladder recoveries)")
+        if args.tiered:
+            quarantined = sum(r.stats.get("quarantined", 0) for r in runs)
+            tally = (f"across clean/cold/warm ({fired} faults fired, "
+                     f"{quarantined} quarantined)")
+        else:
+            recovered = runs[0].stats.get("retry_recoveries", 0)
+            crashes = runs[0].stats.get("pool_failures", 0)
+            tally = (f"({fired} faults fired, {crashes} worker failures, "
+                     f"{recovered} ladder recoveries)")
+        if all(_signature(r) == _signature(clean) for r in runs):
+            print(f"ok   {name}: verdicts identical {tally}")
         else:
             failures += 1
             print(f"FAIL {name}: chaos run diverged from clean run")
-            for c, f in zip(_signature(clean), _signature(faulted)):
-                if c != f:
-                    print(f"     clean={c}  chaos={f}")
+            for run in runs:
+                for c, f in zip(_signature(clean), _signature(run)):
+                    if c != f:
+                        print(f"     clean={c}  chaos={f}")
 
     if total_fired == 0:
         print("FAIL: the fault plan never fired — the gate tested nothing")

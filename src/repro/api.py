@@ -62,15 +62,12 @@ Environment knobs (all optional, read only by :meth:`from_env`):
   ``off`` disables the tier, ``shadow`` runs tier *and* solver and
   fails loudly on disagreement; unset = profile default.
 * ``REPRO_CACHE_TIERS`` — tier spec for the proof cache
-  (``mem,disk,net``; requires ``REPRO_CACHE_DIR``): unset keeps the
-  flat disk store, otherwise a
-  :class:`~repro.cache.tiers.TieredProofCache` is built.  The network
-  tier stays inert until a host (the daemon, a test harness) attaches a
-  datagram fabric, so the spec is safe to set everywhere.
+  (``mem,disk``; requires ``REPRO_CACHE_DIR``): unset keeps the flat
+  disk store, otherwise a :class:`~repro.cache.tiers.TieredProofCache`
+  is built.  An unknown tier name raises ``ValueError`` in
+  :meth:`VerifyConfig.from_env`.
 * ``REPRO_CACHE_MEM_BUDGET`` — byte budget for the in-memory LRU tier
   (default 4 MiB).
-* ``REPRO_CACHE_NET_TIMEOUT`` — per-request deadline in seconds for the
-  network tier (default 0.05).
 """
 
 from __future__ import annotations
@@ -95,7 +92,6 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 TRIAGE_ENV = "REPRO_TRIAGE"
 CACHE_TIERS_ENV = "REPRO_CACHE_TIERS"
 CACHE_MEM_BUDGET_ENV = "REPRO_CACHE_MEM_BUDGET"
-CACHE_NET_TIMEOUT_ENV = "REPRO_CACHE_NET_TIMEOUT"
 
 _FALSY = ("", "0", "false", "no", "off")
 
@@ -169,10 +165,9 @@ class VerifyConfig:
                         (see :mod:`repro.resilience.faults`).
     ``triage``          static proving tier mode: ``"on"``/``"off"``/
                         ``"shadow"``; None = profile default.
-    ``cache_tiers``     proof-cache tier spec (``"mem,disk,net"``); None
+    ``cache_tiers``     proof-cache tier spec (``"mem,disk"``); None
                         keeps the flat disk store.  Needs ``cache_dir``.
     ``cache_mem_budget``  byte budget for the in-memory LRU tier.
-    ``cache_net_timeout`` per-request network-tier deadline (seconds).
 
     The tri-state fields resolve through the ``effective_*`` properties;
     everything downstream (``Session.scheduler``, the daemon) reads
@@ -195,7 +190,6 @@ class VerifyConfig:
     triage: Optional[str] = None
     cache_tiers: Optional[str] = None
     cache_mem_budget: Optional[int] = None
-    cache_net_timeout: Optional[float] = None
 
     @classmethod
     def from_env(cls, **overrides) -> "VerifyConfig":
@@ -230,12 +224,12 @@ class VerifyConfig:
             mem_budget = max(0, int(raw_budget)) if raw_budget else None
         except ValueError:
             mem_budget = None
-        raw_net_timeout = os.environ.get(CACHE_NET_TIMEOUT_ENV)
-        try:
-            net_timeout = (float(raw_net_timeout) if raw_net_timeout
-                           else None)
-        except ValueError:
-            net_timeout = None
+        cache_tiers = os.environ.get(CACHE_TIERS_ENV) or None
+        if cache_tiers is not None:
+            # Fail when the config is read (e.g. at daemon start), not
+            # on the first request that opens the cache.
+            from .cache.tiers import parse_tiers
+            parse_tiers(cache_tiers)
         cfg = cls(profile=os.environ.get(PROFILE_ENV) or "default",
                   portfolio=_parse_portfolio(os.environ.get(PORTFOLIO_ENV)),
                   jobs=jobs,
@@ -249,9 +243,8 @@ class VerifyConfig:
                   max_steps=max_steps,
                   fault_plan=os.environ.get(FAULT_PLAN_ENV) or None,
                   triage=_parse_triage(os.environ.get(TRIAGE_ENV)),
-                  cache_tiers=os.environ.get(CACHE_TIERS_ENV) or None,
-                  cache_mem_budget=mem_budget,
-                  cache_net_timeout=net_timeout)
+                  cache_tiers=cache_tiers,
+                  cache_mem_budget=mem_budget)
         return cfg.replace(**overrides) if overrides else cfg
 
     def replace(self, **overrides) -> "VerifyConfig":
@@ -354,10 +347,7 @@ class Session:
         """The session's proof cache (or None): a
         :class:`~repro.cache.tiers.TieredProofCache` when
         ``config.cache_tiers`` is set, the flat
-        :class:`~repro.cache.store.ProofCache` otherwise.  A session
-        built without a network fabric leaves the tiered cache's net
-        tier unattached (inert); hosts like the daemon inject a fully
-        wired cache via ``Session(cfg, cache=...)`` instead."""
+        :class:`~repro.cache.store.ProofCache` otherwise."""
         if not self._cache_opened:
             self._cache_opened = True
             if self.config.cache_dir:
@@ -366,8 +356,7 @@ class Session:
                     self._cache = TieredProofCache(
                         self.config.cache_dir,
                         tiers=self.config.cache_tiers,
-                        mem_budget=self.config.cache_mem_budget,
-                        net_timeout=self.config.cache_net_timeout)
+                        mem_budget=self.config.cache_mem_budget)
                 else:
                     from .cache.store import ProofCache
                     self._cache = ProofCache(self.config.cache_dir)

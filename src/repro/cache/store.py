@@ -28,16 +28,13 @@ and the eviction of malformed entries (:meth:`ProofCache.read` /
 or tiers.  Their digests live in disjoint namespaces, and a read of
 one kind treats an entry of another kind as a plain miss.
 
-This module also owns the *verdict entry shape* every other tier speaks:
-:func:`make_entry` builds it, :func:`validate_entry` is the structural
-check applied at every tier boundary, and :func:`entry_checksum` is the
-content digest network payloads carry (and Merkle leaves commit to) so
-a tampered or torn replica payload is detected before it is trusted.
+This module also owns the *verdict entry shape* both tiers share:
+:func:`make_entry` builds it and :func:`validate_entry` is the
+structural check applied at every tier boundary.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -99,20 +96,8 @@ def validate_entry(entry, digest: str) -> bool:
             and isinstance(entry.get("diag") or {}, dict))
 
 
-def entry_checksum(entry: dict) -> str:
-    """Content digest of an entry (canonical JSON, checksum key excluded).
-
-    This is what network payloads carry and what Merkle leaves commit
-    to, so two replicas agree on a shard hash iff they hold
-    byte-equivalent entries — and a tampered payload never matches.
-    """
-    body = {k: v for k, v in entry.items() if k != "sum"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def entry_nbytes(entry: dict) -> int:
-    """Approximate in-memory/wire size of an entry (its JSON length)."""
+    """Approximate in-memory size of an entry (its JSON length)."""
     return len(json.dumps(entry, separators=(",", ":")))
 
 
@@ -238,8 +223,8 @@ class ProofCache:
                      valid: Callable[[dict, str], bool] = validate_entry
                      ) -> Iterator[dict]:
         """Yield every valid ``kind`` entry under the root (invalid files
-        are skipped, not deleted — this is a read-only scan used to seed
-        replicas and Merkle indexes, not a lookup path)."""
+        are skipped, not deleted — this is a read-only scan, not a
+        lookup path)."""
         if not os.path.isdir(self.root):
             return
         for shard in sorted(os.listdir(self.root)):

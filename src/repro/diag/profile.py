@@ -69,10 +69,6 @@ PERF_COUNTERS = (
     ("solver_constructions_avoided", "solvers never built thanks to triage"),
     ("mem_hits", "cache lookups answered by the in-memory LRU tier"),
     ("disk_hits", "cache lookups answered by the on-disk tier"),
-    ("net_hits", "cache lookups answered by a networked replica"),
-    ("net_timeouts", "replica request attempts abandoned at the deadline"),
-    ("net_retries", "replica retry-ladder steps taken"),
-    ("breaker_trips", "circuit-breaker open transitions"),
     ("quarantined", "cache entries rejected at a tier boundary"),
 )
 

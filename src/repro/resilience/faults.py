@@ -23,14 +23,6 @@ point                     kinds
                           is evicted and the lookup misses)
 ``cache.store``           ``io`` (the write is dropped)
 ``net.send``              ``drop`` (datagram silently discarded)
-``cache.net``             ``drop`` (cache request datagram discarded —
-                          the client waits out its deadline),
-                          ``timeout`` (request abandoned immediately, as
-                          if the deadline already expired),
-                          ``corrupt`` (reply payload tampered in flight —
-                          checksum validation must quarantine it)
-``cache.replica``         ``crash`` (the serving replica drops the
-                          request and stops serving until revived)
 ========================  =====================================================
 
 Plan strings are ``;``-separated clauses::
@@ -58,7 +50,7 @@ import random
 from typing import Optional
 
 FAULT_POINTS = ("solver.check", "pool.worker", "cache.lookup",
-                "cache.store", "net.send", "cache.net", "cache.replica")
+                "cache.store", "net.send")
 
 _KINDS_BY_POINT = {
     "solver.check": ("resource_out", "crash"),
@@ -66,8 +58,6 @@ _KINDS_BY_POINT = {
     "cache.lookup": ("io", "corrupt"),
     "cache.store": ("io",),
     "net.send": ("drop",),
-    "cache.net": ("drop", "timeout", "corrupt"),
-    "cache.replica": ("crash",),
 }
 
 

@@ -121,28 +121,10 @@ class VerifyServer:
         # Static proving tier aggregates (repro.analysis.absint).
         self._static_proved = 0
         self._solvers_avoided = 0
-        # Tiered proof cache residency (repro.cache): like the
-        # SolverPool, one network fabric + one CacheReplica outlive
-        # every request; each request gets a fresh TieredProofCache
-        # (clean counters, private client endpoint) over them.
-        self.replica = None
-        self._cache_network = None
-        self._cache_clients = 0
+        # Tiered proof cache (repro.cache) per-tier counters, summed
+        # over requests.
         self._tier_totals = {k: 0 for k in
-                             ("mem_hits", "disk_hits", "net_hits",
-                              "net_timeouts", "net_retries",
-                              "breaker_trips", "quarantined")}
-        if base.cache_dir and base.cache_tiers \
-                and "net" in base.cache_tiers:
-            from ..cache.replica import CacheReplica
-            from ..runtime.network import Network
-            self._cache_network = Network()
-            self.replica = CacheReplica("cache0", self._cache_network)
-            # Warm the replica from whatever the disk tier already
-            # holds, so first requests after a restart hit over the
-            # (simulated) wire instead of re-solving.
-            from ..cache.store import ProofCache
-            self.replica.seed(ProofCache(base.cache_dir).iter_entries())
+                             ("mem_hits", "disk_hits", "quarantined")}
 
     # -------------------------------------------------------------- startup
 
@@ -154,8 +136,6 @@ class VerifyServer:
             self._handle_connection, self.config.host, self.config.port,
             limit=self.config.max_source)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.replica is not None:
-            self.replica.start()
         self._workers = [asyncio.create_task(self._worker())
                          for _ in range(self.config.workers)]
 
@@ -197,8 +177,6 @@ class VerifyServer:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self.executor.shutdown(wait=True)
         self.pool.close()
-        if self.replica is not None:
-            self.replica.stop()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -334,26 +312,6 @@ class VerifyServer:
             cfg = cfg.replace(max_steps=pending.effective_max_steps)
         return cfg
 
-    def _request_cache(self, cfg: VerifyConfig):
-        """A fresh TieredProofCache over the resident replica, or None
-        when the request doesn't want (or the daemon doesn't have) the
-        network tier.  Each request gets its own client endpoint so
-        concurrent worker threads never share request/reply queues or
-        counters."""
-        if (self.replica is None or not cfg.cache_dir
-                or not cfg.cache_tiers or "net" not in cfg.cache_tiers):
-            return None
-        with self._stats_lock:
-            self._cache_clients += 1
-            client_id = self._cache_clients
-        from ..cache.tiers import TieredProofCache
-        return TieredProofCache(cfg.cache_dir, tiers=cfg.cache_tiers,
-                                mem_budget=cfg.cache_mem_budget,
-                                net_timeout=cfg.cache_net_timeout,
-                                network=self._cache_network,
-                                replica_name=self.replica.name,
-                                client_name=f"daemon-cli-{client_id}")
-
     def _process(self, pending: _Pending) -> dict:
         """Verify/analyze/diagnose one request (runs on a worker thread)."""
         from ..profiles import UnknownProfileError
@@ -390,18 +348,12 @@ class VerifyServer:
                                      server={"path": "analyze",
                                              "solvers_built": 0,
                                              "steps_spent": 0})
-        request_cache = self._request_cache(cfg)
         built0 = solver_constructions()
-        session_kwargs = {"warm_pool": self.pool, "tuner": self.tuner}
-        if request_cache is not None:
-            session_kwargs["cache"] = request_cache
-        with Session(cfg, **session_kwargs) as session:
+        with Session(cfg, warm_pool=self.pool, tuner=self.tuner) as session:
             if request["verb"] == protocol.DIAGNOSE:
                 result = session.diagnose(mod)
             else:
                 result = session.verify_module(mod)
-        if request_cache is not None:
-            request_cache.close()       # flush stores queued while degraded
         built = solver_constructions() - built0
         stats = result.stats or {}
         spent = steps_spent(stats)
@@ -472,14 +424,6 @@ class VerifyServer:
             solvers_avoided = self._solvers_avoided
             tier_totals = dict(self._tier_totals)
         total = hits + misses
-        replica_info = None
-        if self.replica is not None:
-            replica_info = {"name": self.replica.name,
-                            "entries": len(self.replica.store),
-                            "served": self.replica.served,
-                            "quarantined": self.replica.store.quarantined,
-                            "crashed": self.replica.crashed,
-                            "merkle_root": self.replica.store.root()}
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
             "workers": self.config.workers,
@@ -497,8 +441,7 @@ class VerifyServer:
                       "hit_rate": round(hits / total, 4) if total else None,
                       "dir": self.base.cache_dir,
                       "tiers": self.base.cache_tiers,
-                      "tier_counters": tier_totals,
-                      "replica": replica_info},
+                      "tier_counters": tier_totals},
             "triage": {"mode": self.base.effective_triage,
                        "static_proved": static_proved,
                        "solver_constructions_avoided": solvers_avoided},

@@ -156,16 +156,11 @@ class Stats:
         self.static_proved = 0            # obligations discharged statically
         self.absint_fixpoint_iters = 0    # entailment fixpoint passes
         self.solver_constructions_avoided = 0  # solvers never built
-        # Tiered proof cache (repro.cache.tiers): per-tier hit breakdown
-        # and the network tier's fault-tolerance envelope.  All stay 0
-        # with the flat disk cache (cache_hits/cache_misses above remain
-        # the aggregate either way).
+        # Tiered proof cache (repro.cache.tiers): per-tier hit
+        # breakdown.  All stay 0 with the flat disk cache
+        # (cache_hits/cache_misses above remain the aggregate either way).
         self.mem_hits = 0             # lookups answered by the LRU tier
         self.disk_hits = 0            # lookups answered by the disk tier
-        self.net_hits = 0             # lookups answered by a replica
-        self.net_timeouts = 0         # request attempts that hit deadline
-        self.net_retries = 0          # backoff-ladder steps taken
-        self.breaker_trips = 0        # circuit breaker open transitions
         self.quarantined = 0          # entries rejected at a tier boundary
 
     def snapshot(self) -> dict:

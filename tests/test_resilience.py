@@ -99,6 +99,7 @@ class TestFaultPlan:
         "solver.check@1",               # missing kind separator
         "solver.check:crash@0",         # @count is 1-based
         "net.send:drop%1.5",            # probability out of range
+        "cache.net:drop@1",             # no network cache tier
     ])
     def test_bad_clauses_raise(self, bad):
         with pytest.raises(ValueError):

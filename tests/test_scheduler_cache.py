@@ -296,36 +296,6 @@ class TestTieredCacheQuarantine:
         r3 = verify_module(_mk_module(), cache=str(cachedir))
         assert r3.stats["cache_misses"] == 0        # healthy again
 
-    def test_tampered_replica_behind_tiered_front_recovers(self, tmp_path):
-        from repro.cache import CacheReplica, TieredProofCache
-        from repro.runtime.network import Network
-        net = Network()
-        rep = CacheReplica("cache0", net, poll=0.01).start()
-        try:
-            tc1 = TieredProofCache(str(tmp_path / "a"),
-                                   tiers="mem,disk,net", network=net,
-                                   net_timeout=0.05, client_name="sched-a")
-            r1 = VcGen(_mk_module()).verify_module(
-                Scheduler(VerifyConfig.from_env(), cache=tc1))
-            digests = rep.store.digests()
-            assert digests                          # write-through landed
-            for d in digests:
-                rep.store._entries[d]["status"] = "maybe-proved"
-            # A peer with cold local tiers sees only rot from the net
-            # tier: every reply is quarantined, nothing is promoted, and
-            # the re-solved verdicts are byte-identical.
-            tc2 = TieredProofCache(str(tmp_path / "b"),
-                                   tiers="mem,disk,net", network=net,
-                                   net_timeout=0.05, client_name="sched-b")
-            r2 = VcGen(_mk_module()).verify_module(
-                Scheduler(VerifyConfig.from_env(), cache=tc2))
-            assert r2.ok and _signature(r1) == _signature(r2)
-            assert tc2.net_hits == 0
-            assert tc2.mem_hits == 0 and tc2.disk_hits == 0
-            assert tc2.quarantined == len(digests)
-        finally:
-            rep.stop()
-
 
 # ---------------------------------------------------------------------------
 # Idiom-engine caching (§3.3 by(...) verdicts)
