@@ -21,6 +21,7 @@ if _SRC not in sys.path:
 FULL = os.environ.get("REPRO_FULL") == "1"
 
 _CAPMAN = []
+_side_started = False
 _SIDE_FILE = os.path.join(os.path.dirname(__file__), "..",
                           "bench_figures.txt")
 _INCR_FILE = os.path.join(os.path.dirname(__file__), "..",
@@ -61,13 +62,9 @@ _SOLVER_BASELINE = {
 
 
 def pytest_configure(config):
+    # No output file is deleted here: a session rewrites only the files
+    # it produced rows for, so a partial run keeps every other baseline.
     _CAPMAN.append(config.pluginmanager.getplugin("capturemanager"))
-    for stale in (_SIDE_FILE, _INCR_FILE, _SOLVER_FILE,
-                  _CACHE_TIERS_FILE):
-        try:
-            os.remove(stale)
-        except OSError:
-            pass
 
 
 def record_incremental(label: str, fresh_secs: float,
@@ -180,6 +177,7 @@ def _emit(line: str) -> None:
     """Emit a regenerated-figure line past pytest's fd-level capture, so it
     appears in `pytest benchmarks/ --benchmark-only | tee bench_output.txt`
     (and, belt-and-braces, in bench_figures.txt)."""
+    global _side_started
     if _CAPMAN and _CAPMAN[0] is not None:
         with _CAPMAN[0].global_and_fixture_disabled():
             sys.stdout.write(line + "\n")
@@ -187,8 +185,10 @@ def _emit(line: str) -> None:
     else:
         sys.stdout.write(line + "\n")
         sys.stdout.flush()
-    with open(_SIDE_FILE, "a") as fh:
+    # The first line this session emits truncates the side file.
+    with open(_SIDE_FILE, "a" if _side_started else "w") as fh:
         fh.write(line + "\n")
+    _side_started = True
 
 
 def emit(line: str) -> None:

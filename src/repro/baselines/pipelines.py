@@ -9,14 +9,21 @@ pipeline          encoding   triggers   pruning   extra behavior
 verus             value      conserv.   yes       —
 dafny             heap       broad      no        —
 fstar (Low*)      heap       broad      no        fat Seq library context;
-                                                  fuel-retry on failure
-creusot           value      broad      no        solver racing; exhausts
-                                                  the portfolio on failure
+                                                  fuel retry: configs base,
+                                                  2x, 4x instantiations
+creusot           value      broad      no        prover portfolio: three
+                                                  configs, quick to thorough
 prusti            heap       broad      no        per-statement permission
                                                   re-checks; no cyclic refs
 ivy               value      (MBQI)     yes       EPR only — rejects
                                                   anything else
 ================= ========== ========== ========= ==========================
+
+A retry strategy is a list of solver configs (``VcGen.solver_configs``):
+the scheduler tries each obligation under them in order and stops at the
+first proof, so a failure pays for the whole list.  Pipelines with such a
+list skip the static proving tier (``ABSINT_TRIAGE``), warm contexts and
+the profile race.
 
 The wall-clock differences the millibenchmarks report therefore arise from
 *structural* causes (frame axioms, instantiation blowup, extra obligations),
@@ -36,7 +43,7 @@ from ..smt.sorts import INT as SINT
 from ..vc import ast as A
 from ..vc import types as VT
 from ..vc.encode import Encoder
-from ..vc.errors import ModuleResult, PROVED
+from ..vc.errors import ModuleResult
 from ..vc.wp import VcConfig, VcGen, _PendingObligation, _State
 from .heap import HEAP, HeapFnCtx, HeapVcGen, _is_heap_type
 
@@ -93,32 +100,21 @@ class FStarVcGen(HeapVcGen):
     """Heap encoding + the fat FStar.Seq-style lemma context + fuel retry."""
 
     LIB_LEMMAS_EMITTED = "_fstar_lib_done"
+    ABSINT_TRIAGE = False
 
     def context_axioms(self, encoder: Encoder, spec_axioms: list):
         base = super().context_axioms(encoder, spec_axioms)
         return base + _seq_library_lemmas(encoder)
 
-    def _solve_obligation(self, item, encoder, spec_axioms,
-                          solver_config=None):
-        base_config = self.config.make_solver_config()
-        status, stats, qbytes = super()._solve_obligation(
-            item, encoder, spec_axioms, base_config)
-        if status == PROVED:
-            return status, stats, qbytes
-        # F*'s fuel-retry loop: failed queries re-run with more fuel.
-        total_q = qbytes
-        for fuel_factor in (2, 4):
-            retry = SolverConfig(
-                trigger_policy=base_config.trigger_policy,
-                max_rounds=base_config.max_rounds,
-                max_instantiations=base_config.max_instantiations
-                * fuel_factor)
-            status, stats, qbytes = super()._solve_obligation(
-                item, encoder, spec_axioms, retry)
-            total_q += qbytes
-            if status == PROVED:
-                break
-        return status, stats, total_q
+    def solver_configs(self, config):
+        # F*'s fuel-retry loop: a failed query re-runs with 2x, then 4x
+        # the fuel.  The scheduler's discharge config is not used.
+        base = self.config.make_solver_config()
+        return [base] + [
+            SolverConfig(trigger_policy=base.trigger_policy,
+                         max_rounds=base.max_rounds,
+                         max_instantiations=base.max_instantiations * fuel)
+            for fuel in (2, 4)]
 
 
 def _seq_library_lemmas(encoder: Encoder) -> list[T.Term]:
@@ -207,19 +203,11 @@ class CreusotVcGen(VcGen):
         dict(max_rounds=90, max_instantiations=12000),
     )
 
-    def _solve_obligation(self, item, encoder, spec_axioms,
-                          solver_config=None):
-        total_q = 0
-        last = None
-        for entry in self.PORTFOLIO:
-            config = SolverConfig(trigger_policy=BROAD, **entry)
-            status, stats, qbytes = super()._solve_obligation(
-                item, encoder, spec_axioms, config)
-            total_q += qbytes
-            last = (status, stats)
-            if status == PROVED:
-                return status, stats, total_q
-        return last[0], last[1], total_q
+    ABSINT_TRIAGE = False
+
+    def solver_configs(self, config):
+        return [SolverConfig(trigger_policy=BROAD, **entry)
+                for entry in self.PORTFOLIO]
 
 
 class CreusotPipeline(Pipeline):

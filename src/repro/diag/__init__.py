@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..smt import terms as T
-from ..smt.solver import SAT, UNSAT, SmtSolver, SolverConfig
-from ..vc.errors import FAILED, PROVED, TIMEOUT
+from ..smt.solver import SAT, UNSAT, SolverConfig
+from ..vc.discharge import build_solver
 from .model import extract_witness
 from .profile import (module_perf_summary, module_profile,
                       perf_summary, top_instantiations)
@@ -63,12 +63,8 @@ def diagnose_obligation(obligation, goal: Optional[T.Term],
         return diag
 
     fn_name = obligation.label.split(":", 1)[0].strip() or None
-    solver = SmtSolver(config or SolverConfig())
-    for ax in ctx_axioms:
-        solver.add(ax)
-    for a in assumptions:
-        solver.add(a)
-    solver.add(T.Not(goal))
+    solver = build_solver(config or SolverConfig(), list(ctx_axioms)
+                          + list(assumptions) + [T.Not(goal)])
     res = solver.check()
     if res == UNSAT:
         # Should not happen (the scheduler only diagnoses failures) but

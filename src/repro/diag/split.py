@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..smt import terms as T
 from ..smt.printer import term_to_str
-from ..smt.solver import SAT, UNSAT, SmtSolver, SolverConfig
+from ..smt.solver import SolverConfig
 from ..vc.errors import FAILED, PROVED, TIMEOUT
 
 # Don't split into more pieces than a person will read.
@@ -46,6 +46,16 @@ def _split_into(goal: T.Term, out: list[T.Term]) -> None:
     out.append(goal)
 
 
+def solve_conjuncts(conjuncts: list, base: list, configs,
+                    timeout=None):
+    """Solve each conjunct on its own: ``base`` plus the negated
+    conjunct, through :func:`repro.vc.discharge.solve`.  Yields one
+    ``(status, stats, query_bytes, seconds)`` per conjunct."""
+    from ..vc.discharge import solve
+    for conj in conjuncts:
+        yield solve(configs, base + [T.Not(conj)], timeout)
+
+
 def check_conjuncts(goal: T.Term, assumptions: list, ctx_axioms: list,
                     config=None) -> list[dict]:
     """Re-query each conjunct of ``goal`` separately.
@@ -53,28 +63,20 @@ def check_conjuncts(goal: T.Term, assumptions: list, ctx_axioms: list,
     Returns ``{"index", "text", "status"}`` rows, or ``[]`` when the
     goal is not conjunctive (nothing to report).  Each conjunct gets a
     fresh solver over the same context, asserting the *negated*
-    conjunct: UNSAT means that clause alone is provable.
+    conjunct: PROVED means that clause alone is provable, FAILED that
+    the solver found a countermodel, TIMEOUT anything else.
     """
     conjuncts = split_goal(goal)
     if len(conjuncts) <= 1:
         return []
+    base = list(ctx_axioms) + list(assumptions)
+    outcomes = solve_conjuncts(conjuncts, base, [config or SolverConfig()])
     rows = []
-    for i, conj in enumerate(conjuncts):
-        solver = SmtSolver(config or SolverConfig())
-        for ax in ctx_axioms:
-            solver.add(ax)
-        for a in assumptions:
-            solver.add(a)
-        solver.add(T.Not(conj))
-        res = solver.check()
-        if res == UNSAT:
-            status = PROVED
-        elif res == SAT:
-            status = FAILED
-        else:
-            status = TIMEOUT
+    for i, (conj, (status, *_)) in enumerate(zip(conjuncts, outcomes)):
         text = term_to_str(conj)
         if len(text) > 160:
             text = text[:157] + "..."
-        rows.append({"index": i, "text": text, "status": status})
+        rows.append({"index": i, "text": text,
+                     "status": status if status in (PROVED, FAILED)
+                     else TIMEOUT})
     return rows

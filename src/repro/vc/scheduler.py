@@ -6,10 +6,14 @@ obligations and modules ("1/8 cores" in Fig 9) and unchanged obligations
 never need re-solving.  This layer supplies both halves:
 
 * :class:`Scheduler` consumes the self-contained obligation jobs emitted
-  by :meth:`repro.vc.wp.VcGen.plan_function` and discharges them through a
-  pluggable executor — in-process serial by default (byte-identical to the
-  historical eager behavior), or a ``ProcessPoolExecutor`` fan-out across
-  obligations with per-job timeouts and a graceful serial fallback.
+  by :meth:`repro.vc.wp.VcGen.plan_function` and discharges each one
+  through :func:`repro.vc.discharge.solve`: the obligation's planned
+  assertion list, tried under the pipeline's solver configs
+  (:meth:`~repro.vc.wp.VcGen.solver_configs`) in order until one proves
+  it.  The same planned query runs in this process (serially, or in a
+  warm context) or in a ``ProcessPoolExecutor`` worker (``jobs > 1``),
+  under the same soft per-obligation deadline, with a serial fallback
+  when a worker dies.
 
 * Before any solving, each job is looked up in the content-addressed
   proof cache (:mod:`repro.cache`) keyed on the canonical SMT-LIB2
@@ -42,7 +46,7 @@ claim meets real fleet failures):
   attempted), then retry-ladder rungs with exponential backoff
   (warm-incremental → fresh context with escalated budgets →
   per-conjunct split → serial, stopping at the first proof).  Every
-  attempt solves under its own config and the run's timeout, stores its
+  attempt solves under its own configs and the run's timeout, stores its
   verdict under its own digest, and the lowest-index PROVED attempt
   wins.  The race record and the escalation trail land in the
   obligation's stats/diag payload.
@@ -80,12 +84,12 @@ from ..profiles import (escalate_config, get_profile, portfolio_candidates,
                         tuner_fingerprint)
 from ..resilience import faults as _faults
 from ..resilience.faults import FaultPlan, InjectedCrash
-from ..smt import terms as T
 from ..smt.fingerprint import (deserialize_terms, obligation_digest,
                                serialize_terms, solver_config_key)
-from ..smt.solver import SmtSolver, SolverConfig, Stats
+from ..smt.solver import SolverConfig, Stats
+from .discharge import build_solver, classify, solve
 from .errors import (FAILED, PROVED, RESOURCE_OUT, STATIC_PROVED, TIMEOUT,
-                     ModuleResult, status_from_solver)
+                     ModuleResult)
 
 __all__ = ["Scheduler", "ObligationJob", "default_jobs",
            "run_builder_job", "run_builder_jobs",
@@ -96,38 +100,24 @@ __all__ = ["Scheduler", "ObligationJob", "default_jobs",
 RETRY_BACKOFF = 0.01
 
 
-def _classify(solver: SmtSolver, verdict: str, stats: dict) -> str:
-    """Map one ``check()`` verdict to an obligation status, flagging the
-    wall-clock (``deadline_exceeded``) and budget (``resource_out``)
-    artefacts in ``stats``.  A deadline verdict is machine-dependent and
-    is reported as TIMEOUT, never stored."""
-    if solver.last_deadline_exceeded:
-        stats["deadline_exceeded"] = 1
-        return TIMEOUT
-    status = status_from_solver(verdict, solver)
-    if status == RESOURCE_OUT:
-        stats["resource_out"] = 1
-    return status
+def _with_max_steps(cfg: SolverConfig, max_steps: Optional[int]
+                    ) -> SolverConfig:
+    """``cfg`` with the step budget ``max_steps`` (None: unchanged),
+    layered on a *copy* (``make_solver_config`` may hand out a shared
+    instance that must not be mutated)."""
+    if max_steps is None or cfg.max_steps == max_steps:
+        return cfg
+    cfg = SolverConfig(**vars(cfg))
+    cfg.max_steps = max_steps
+    return cfg
 
 
-def _fresh_solve(config: SolverConfig, assertions, timeout: Optional[float],
-                 incremental: bool = False) -> tuple:
-    """Discharge ``assertions`` in one fresh solver under ``config`` and
-    the soft ``timeout``; ``(status, stats, query_bytes, seconds)``.
-
-    Serial runs cannot kill a worker process, so the deadline is
-    enforced *inside* the solver: the CDCL loop checks wall clock
-    between conflict batches and gives up cleanly.
-    """
-    t0 = time.perf_counter()
-    solver = SmtSolver(config, incremental=incremental)
-    for a in assertions:
-        solver.add(a)
-    verdict = solver.check(timeout=timeout)
-    stats = solver.stats.snapshot()
-    status = _classify(solver, verdict, stats)
-    return (status, stats, solver.stats.query_bytes,
-            time.perf_counter() - t0)
+def _configs_key(configs: list):
+    """The cache-key knobs of a task's configs: one config keys as
+    itself, a list as the list of its keys."""
+    if len(configs) == 1:
+        return solver_config_key(configs[0])
+    return [solver_config_key(c) for c in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +128,9 @@ class ObligationJob:
     """A self-contained solver job that can cross a process boundary.
 
     Carries the serialized assertion list (context axioms + path
-    assumptions + negated goal, in solver ``add`` order) and the solver
-    knobs — everything a fresh worker needs to reproduce the default
-    discharge exactly.
+    assumptions + negated goal, in solver ``add`` order), the pipeline's
+    solver configs and the soft deadline — everything a fresh worker
+    needs to reproduce the in-process discharge exactly.
 
     ``inject`` is the worker-side fault directive (``{point: kind}``)
     decided *by the parent* when a fault plan is armed: worker processes
@@ -148,18 +138,18 @@ class ObligationJob:
     live in exactly one process to stay deterministic).
     """
 
-    __slots__ = ("payload", "config_dict", "label", "inject")
+    __slots__ = ("payload", "configs", "timeout", "label", "inject")
 
-    def __init__(self, payload: tuple, config_dict: dict, label: str,
+    def __init__(self, payload: tuple, configs: list, timeout, label: str,
                  inject: Optional[dict] = None):
         self.payload = payload
-        self.config_dict = config_dict
+        self.configs = configs
+        self.timeout = timeout
         self.label = label
         self.inject = inject
 
     def run(self) -> tuple:
         """Solve; returns ``(status, stats_snapshot, query_bytes, secs)``."""
-        t0 = time.perf_counter()
         inject = self.inject or {}
         worker_kind = inject.get("pool.worker")
         if worker_kind == "exit":
@@ -167,22 +157,18 @@ class ObligationJob:
         if worker_kind is not None:
             raise InjectedCrash(f"pool.worker [{self.label}]")
         assertions = deserialize_terms(self.payload)
-        solver = SmtSolver(SolverConfig(**self.config_dict))
-        for a in assertions:
-            solver.add(a)
+        configs = [SolverConfig(**c) for c in self.configs]
         check_kind = inject.get("solver.check")
         if check_kind == "crash":
             raise InjectedCrash(f"solver.check [{self.label}]")
         if check_kind is not None:    # injected resource exhaustion
+            t0 = time.perf_counter()
+            solver = build_solver(configs[0], assertions)
             stats = solver.stats.snapshot()
             stats["resource_out"] = 1
             return (RESOURCE_OUT, stats, solver.stats.query_bytes,
                     time.perf_counter() - t0)
-        verdict = solver.check()
-        stats = solver.stats.snapshot()
-        status = _classify(solver, verdict, stats)
-        return (status, stats, solver.stats.query_bytes,
-                time.perf_counter() - t0)
+        return solve(configs, assertions, self.timeout)
 
 
 def _execute_job(job: ObligationJob) -> tuple:
@@ -192,33 +178,34 @@ def _execute_job(job: ObligationJob) -> tuple:
 
 class _Task:
     """Scheduler-internal handle pairing a pending obligation with its
-    (lazily computed) assertions, digest, and owning function plan."""
+    owning function plan, its solver configs, its (lazily planned)
+    assertion list and its digest."""
 
-    __slots__ = ("item", "plan", "assertions", "config", "digest", "done",
-                 "qbytes", "crash", "pruned_axioms", "pruned_bytes",
+    __slots__ = ("item", "plan", "gen", "_assertions", "configs", "digest",
+                 "done", "qbytes", "crash", "pruned",
                  "profile", "tuner_hit", "static_claim")
 
-    def __init__(self, item, plan):
+    def __init__(self, item, plan, gen, configs: list):
         self.item = item
         self.plan = plan
-        self.assertions: Optional[list] = None
-        self.config: Optional[SolverConfig] = None
+        self.gen = gen
+        self._assertions: Optional[list] = None
+        self.configs = configs
         self.digest: Optional[str] = None
         self.done = False
         self.qbytes = 0
         # Per-obligation context pruning (vc/prune.py): how many spec
         # axioms this task's assertion list dropped, and their query
         # bytes — folded into the discharge stats by _apply().
-        self.pruned_axioms = 0
-        self.pruned_bytes = 0
+        self.pruned: dict = {}
         # Worker-failure cause ("ExcType: message") when a parallel
         # attempt died; surfaced in Stats/diag and consumed by the
         # retry ladder.
         self.crash: Optional[str] = None
         # Automation-profile name this task's config embodies when it
         # differs from the session primary (a tuner redirect), and
-        # whether the tuner chose it — redirected tasks discharge via
-        # _run_fresh (their config can't share a warm-group prefix).
+        # whether the tuner chose it — redirected tasks discharge in a
+        # fresh solver (their config can't share a warm-group prefix).
         self.profile: Optional[str] = None
         self.tuner_hit = False
         # Shadow triage (REPRO_TRIAGE=shadow): the static tier claimed
@@ -226,30 +213,39 @@ class _Task:
         # afterwards is a soundness bug reported loudly.
         self.static_claim = False
 
+    @property
+    def assertions(self) -> list:
+        """The planned query, built on first use so the work happens in
+        the same order as the solving."""
+        if self._assertions is None:
+            plan = self.plan
+            self._assertions, self.pruned = self.gen.obligation_assertions(
+                self.item, plan.encoder, plan.spec_axioms)
+        return self._assertions
+
 
 class _Attempt:
     """One entry of a stubborn obligation's escalation plan.
 
-    ``config`` is the solver config (None: the pipeline's own discharge
-    strategy, for pipelines that override ``VcGen._solve_obligation``).
-    ``isolation`` says how the solver is built: ``warm`` (incremental),
-    ``fresh``, ``split`` (one fresh solver per goal conjunct) or
-    ``serial`` (a plain fresh solver).  ``digest`` is where the verdict
-    is stored — and first looked up, when ``replay`` is set.
-    ``backoff`` is the base delay before solving.  A ``must_run``
-    attempt runs even after an earlier one has PROVED.  ``profile``
-    names a race candidate's automation profile.
+    ``configs`` are the solver configs tried in order.  ``isolation``
+    says how the solver is built: ``warm`` (incremental), ``fresh``,
+    ``split`` (one fresh solver per goal conjunct) or ``serial`` (a
+    plain fresh solver).  ``digest`` is where the verdict is stored —
+    and first looked up, when ``replay`` is set.  ``backoff`` is the
+    base delay before solving.  A ``must_run`` attempt runs even after
+    an earlier one has PROVED.  ``profile`` names a race candidate's
+    automation profile.
     """
 
-    __slots__ = ("config", "isolation", "digest", "backoff", "must_run",
+    __slots__ = ("configs", "isolation", "digest", "backoff", "must_run",
                  "replay", "profile", "status", "stats", "qbytes",
                  "seconds", "replayed")
 
-    def __init__(self, config: Optional[SolverConfig], isolation: str,
+    def __init__(self, configs: list, isolation: str,
                  digest: Optional[str], backoff: float = 0.0,
                  must_run: bool = False, replay: bool = False,
                  profile: Optional[str] = None):
-        self.config = config
+        self.configs = configs
         self.isolation = isolation
         self.digest = digest
         self.backoff = backoff
@@ -269,7 +265,8 @@ class _Attempt:
 # ---------------------------------------------------------------------------
 
 class Scheduler:
-    """Discharges emitted obligations through cache + executor.
+    """Discharges emitted obligations through the cache and one solve
+    helper, in-process or in worker processes.
 
     ``config`` is a resolved :class:`~repro.api.VerifyConfig`: its
     tri-state fields are read through the ``effective_*`` properties
@@ -383,6 +380,7 @@ class Scheduler:
         # cache so e.g. bit-blasting verdicts are reused on warm runs.
         gen.proof_cache = self.cache
         delta_digests: dict[int, str] = {}
+        configs = gen.solver_configs(self._solver_config(gen))
         try:
             for fn in gen.module.functions.values():
                 if fn.mode in (A.EXEC, A.PROOF) and fn.body is not None:
@@ -406,7 +404,7 @@ class Scheduler:
                         delta_digests[id(plan)] = digest
                     plans.append(plan)
                     result.functions.append(plan.result)
-                    tasks.extend(self._plan_tasks(gen, plan))
+                    tasks.extend(self._plan_tasks(gen, plan, configs))
             self._run_tasks(gen, tasks)
             if self.portfolio > 0 or self.retries > 0:
                 self._escalate(gen, tasks)
@@ -460,45 +458,30 @@ class Scheduler:
 
     # ----------------------------------------------------------- planning
 
-    def _offloadable(self, gen) -> bool:
-        """Cross-process dispatch replicates only the *default* discharge;
-        pipelines that override the retry strategy stay in-process."""
-        from .wp import VcGen
-        return type(gen)._solve_obligation is VcGen._solve_obligation
-
     def _solver_config(self, gen) -> SolverConfig:
         """The discharge config: the primary profile's solver knobs,
-        then the scheduler's ``max_steps`` budget, layered on a *copy*
-        (``make_solver_config`` may hand out a shared instance that
-        must not be mutated; the ``default`` profile is an identity, so
-        profile-free behavior is byte-identical)."""
-        cfg = self.profile.apply_solver(gen.config.make_solver_config())
-        if self.max_steps is not None and cfg.max_steps != self.max_steps:
-            cfg = SolverConfig(**vars(cfg))
-            cfg.max_steps = self.max_steps
-        return cfg
+        then the scheduler's ``max_steps`` budget (the ``default``
+        profile is an identity, so profile-free behavior is
+        byte-identical)."""
+        return _with_max_steps(
+            self.profile.apply_solver(gen.config.make_solver_config()),
+            self.max_steps)
 
-    def _race_base(self, gen) -> SolverConfig:
-        """The *unprofiled* discharge config race candidates layer their
-        knobs onto — shared by the tuner redirect and the attempt plan so
-        a redirected task's digest is exactly the digest the winning
+    def _race_config(self, gen, profile: str) -> SolverConfig:
+        """A race candidate's config: ``profile``'s knobs layered on the
+        *unprofiled* discharge config, then an explicit
+        ``VerifyConfig.max_steps`` (a cap such as a daemon quota must
+        bound race attempts too, and must win over a candidate profile's
+        own budget).  Shared by the tuner redirect and the attempt plan,
+        so a redirected task's digest is exactly the digest the winning
         race attempt stored its verdict under."""
-        return gen.config.make_solver_config()
+        return _with_max_steps(
+            get_profile(profile).apply_solver(
+                gen.config.make_solver_config()),
+            self.config.max_steps)
 
-    def _plan_tasks(self, gen, plan) -> list[_Task]:
+    def _plan_tasks(self, gen, plan, configs: list) -> list[_Task]:
         tasks = []
-        cfg = None
-        # Warm contexts and the serial soft deadline replicate the
-        # *default* discharge just like cross-process dispatch does, so
-        # they too need the explicit assertion lists (and stay disabled
-        # for pipelines that override the retry strategy).
-        offload = self._offloadable(gen)
-        need_assertions = (self.cache is not None
-                           or ((self.jobs > 1 or self.incremental
-                                or self.timeout is not None
-                                or self.max_steps is not None
-                                or self.retries > 0
-                                or self.portfolio > 0) and offload))
         for item in plan.pending:
             ob = item.obligation
             plan.result.obligations.append(ob)
@@ -510,23 +493,7 @@ class Scheduler:
                     from ..diag import diagnose_obligation
                     ob.diag = diagnose_obligation(ob, None, [], [])
                 continue
-            task = _Task(item, plan)
-            if need_assertions:
-                if cfg is None:
-                    cfg = self._solver_config(gen)
-                # Per-obligation pruning must match gen._solve_obligation
-                # exactly — digests, warm groups, and the serial fallback
-                # all have to see the same assertion list.
-                kept, dropped = gen.obligation_context(
-                    item, plan.encoder, plan.spec_axioms)
-                if dropped:
-                    from .prune import bytes_saved
-                    task.pruned_axioms = len(dropped)
-                    task.pruned_bytes = bytes_saved(dropped)
-                task.assertions = (kept + list(item.assumptions)
-                                   + [T.Not(item.goal)])
-                task.config = cfg
-            tasks.append(task)
+            tasks.append(_Task(item, plan, gen, configs))
         return tasks
 
     # ---------------------------------------------------------- execution
@@ -534,14 +501,15 @@ class Scheduler:
     def _run_tasks(self, gen, tasks: list[_Task]) -> None:
         unsolved = []
         strategy = type(gen).__qualname__
-        racing = (self.portfolio > 0 and self.tuner is not None
-                  and self._offloadable(gen))
+        racing = self.portfolio > 0 and self.tuner is not None
         triage = None
-        if self.triage_mode != "off" and self._offloadable(gen):
+        if self.triage_mode != "off" and gen.ABSINT_TRIAGE:
             from ..analysis.absint import Triage
             triage = Triage(self.triage_mode)
         for task in tasks:
-            if racing and task.assertions is not None:
+            # A task with several configs runs its pipeline's own
+            # portfolio; only single-config tasks race profiles.
+            if racing and len(task.configs) == 1:
                 winner = self.tuner.lookup(
                     tuner_fingerprint(task.assertions, strategy))
                 if winner is None:
@@ -551,8 +519,7 @@ class Scheduler:
                     # recorded race winner.  The digest below becomes
                     # the winner attempt's digest, so a cache-warm run
                     # replays the race outcome with zero solvers.
-                    task.config = get_profile(winner).apply_solver(
-                        self._race_base(gen))
+                    task.configs = [self._race_config(gen, winner)]
                     task.profile = winner
                     task.tuner_hit = True
                     self.stats.tuner_hits += 1
@@ -560,9 +527,9 @@ class Scheduler:
                     # The tuner confirmed the primary profile: no
                     # redirect needed, but it still counts as learned.
                     self.stats.tuner_hits += 1
-            if self.cache is not None and task.assertions is not None:
+            if self.cache is not None:
                 task.digest = obligation_digest(
-                    task.assertions, solver_config_key(task.config), strategy)
+                    task.assertions, _configs_key(task.configs), strategy)
                 entry = self._lookup(task.digest)
                 if entry is not None:
                     # A cached verdict (perhaps from a killed earlier
@@ -597,54 +564,35 @@ class Scheduler:
                     self.stats.static_proved += 1
                     self.stats.absint_fixpoint_iters += passes
             unsolved.append(task)
-        if self.incremental and self._offloadable(gen):
+        if self.incremental:
             # Warm contexts are in-process by design (the pooled solver
             # is the whole point), so incremental wins over `jobs`.
             groups: dict[int, list[_Task]] = {}
             for task in unsolved:
-                if task.tuner_hit:
+                if task.tuner_hit or len(task.configs) > 1:
                     # A redirected task runs under a different profile's
-                    # config and cannot share the group's warm prefix.
+                    # config, and a multi-config task under several: no
+                    # warm prefix to share with the group.
                     self._run_fresh(task)
                     continue
                 groups.setdefault(id(task.plan), []).append(task)
             for group in groups.values():
                 self._run_warm_group(group)
             return
-        if len(unsolved) > 1 and self.jobs > 1 and self._offloadable(gen):
+        if len(unsolved) > 1 and self.jobs > 1:
             unsolved = self._run_parallel(unsolved)
         for task in unsolved:
             if self.retries > 0 and task.crash is not None:
                 # The retry ladder owns crashed obligations: it records
                 # the escalation trail the plain serial fallback cannot.
                 continue
-            self._run_serial(gen, task)
-
-    def _run_serial(self, gen, task: _Task) -> None:
-        if task.tuner_hit or (
-                (self.timeout is not None or self.max_steps is not None)
-                and task.assertions is not None and self._offloadable(gen)):
-            # Tuner-redirected tasks must solve from their redirected
-            # config — gen._solve_obligation would rebuild the default.
-            return self._run_fresh(task)
-        t0 = time.perf_counter()
-        # Standard pipelines discharge under the primary profile's
-        # solver knobs; baselines (non-offloadable) keep their own
-        # retry strategies and ignore the scheduler's profile.
-        solver_config = (self._solver_config(gen)
-                         if self._offloadable(gen) else None)
-        status, stats, qbytes = gen._solve_obligation(
-            task.item, task.plan.encoder, task.plan.spec_axioms,
-            solver_config=solver_config)
-        seconds = time.perf_counter() - t0
-        self._apply(task, status, stats, qbytes, seconds)
-        self._store(task, status, stats, qbytes)
+            self._run_fresh(task)
 
     def _run_fresh(self, task: _Task) -> None:
-        """One fresh-solver discharge from the planned assertion list,
-        honoring the soft per-obligation deadline when one is set."""
-        status, stats, qbytes, seconds = _fresh_solve(
-            task.config, task.assertions, self.timeout)
+        """One in-process discharge of the planned assertion list under
+        the task's configs and the soft per-obligation deadline."""
+        status, stats, qbytes, seconds = solve(
+            task.configs, task.assertions, self.timeout)
         self._apply(task, status, stats, qbytes, seconds)
         self._store(task, status, stats, qbytes)
 
@@ -677,12 +625,12 @@ class Scheduler:
             # (identical verdict and stats by construction).
             return self._run_fresh(tasks[0])
         prefix = self._common_prefix([t.assertions for t in tasks])
+        config, = tasks[0].configs
         pool = self.solver_pool
         key = None
         pooled = None
         if pool is not None:
-            key = pool.group_key(tasks[0].assertions[:prefix],
-                                 tasks[0].config)
+            key = pool.group_key(tasks[0].assertions[:prefix], config)
             pooled = pool.acquire(key)
         if pooled is not None:
             # Residency: the scope-0 context (learned clauses, E-graph,
@@ -694,9 +642,8 @@ class Scheduler:
             solver, base_qbytes = pooled
             self.stats.warm_pool_hits += 1
         else:
-            solver = SmtSolver(tasks[0].config, incremental=True)
-            for a in tasks[0].assertions[:prefix]:
-                solver.add(a)
+            solver = build_solver(config, tasks[0].assertions[:prefix],
+                                  incremental=True)
             base_qbytes = solver.stats.query_bytes
             if pool is not None:
                 self.stats.warm_pool_misses += 1
@@ -711,7 +658,7 @@ class Scheduler:
                 stats = Stats.diff(before, solver.stats.snapshot())
                 qbytes = base_qbytes + stats.get("query_bytes", 0)
                 stats["query_bytes"] = qbytes
-                status = _classify(solver, verdict, stats)
+                status = classify(solver, verdict, stats)
                 seconds = time.perf_counter() - t0
                 self._apply(task, status, stats, qbytes, seconds)
                 self._store(task, status, stats, qbytes)
@@ -728,6 +675,11 @@ class Scheduler:
     def _run_parallel(self, tasks: list[_Task]) -> list[_Task]:
         """Fan tasks out across processes; returns tasks that still need
         the in-process serial fallback (or the retry ladder).
+
+        Each job carries the soft per-obligation deadline and enforces
+        it inside its worker's solver, as an in-process discharge does,
+        so a slow obligation comes back as TIMEOUT (never cached) on
+        time instead of holding the pool open.
 
         Worker faults are decided here, in the parent, by arming the
         active plan's ``pool.worker``/``solver.check`` points once per
@@ -750,10 +702,10 @@ class Scheduler:
                     spec = plan.arm("solver.check")
                     if spec is not None:
                         inject["solver.check"] = spec.kind
-                jobs.append(ObligationJob(serialize_terms(task.assertions),
-                                          dict(vars(task.config)),
-                                          task.item.obligation.label,
-                                          inject=inject or None))
+                jobs.append(ObligationJob(
+                    serialize_terms(task.assertions),
+                    [dict(vars(c)) for c in task.configs], self.timeout,
+                    task.item.obligation.label, inject=inject or None))
         except (ValueError, TypeError, pickle.PicklingError):
             return tasks  # unserializable content: solve in-process
         try:
@@ -763,15 +715,7 @@ class Scheduler:
                            for task, job in zip(tasks, jobs)]
                 for task, fut in futures:
                     try:
-                        status, stats, qbytes, secs = fut.result(
-                            timeout=self.timeout)
-                    except _cf.TimeoutError:
-                        fut.cancel()
-                        # A killed job is not a solver verdict: report
-                        # TIMEOUT but never cache it.
-                        self._apply(task, TIMEOUT, {"job_timeouts": 1},
-                                    0, self.timeout or 0.0)
-                        continue
+                        status, stats, qbytes, secs = fut.result()
                     except (BrokenProcessPool, OSError,
                             RuntimeError) as exc:
                         self._record_pool_failure(task, exc)
@@ -810,7 +754,7 @@ class Scheduler:
             for attempt in plan:
                 if winner is not None and not attempt.must_run:
                     break
-                self._run_attempt(gen, task, attempt)
+                self._run_attempt(task, attempt)
                 ran.append(attempt)
                 if winner is None and attempt.status == PROVED:
                     winner = attempt
@@ -822,11 +766,10 @@ class Scheduler:
         """The ordered attempt plan for one obligation; empty unless it
         is stubborn.
 
-        **Race candidates** come first, for an obligation left FAILED,
-        TIMEOUT or RESOURCE_OUT (a killed worker is not a solver
-        verdict, so it does not race): each alternative profile
-        (:func:`~repro.profiles.portfolio_candidates`) layered on the
-        unprofiled race base, stored under the digest a session running
+        **Race candidates** come first, for a single-config obligation
+        left FAILED, TIMEOUT or RESOURCE_OUT: each alternative profile
+        (:func:`~repro.profiles.portfolio_candidates`) as configured by
+        :meth:`_race_config`, stored under the digest a session running
         that profile as primary would compute — the digest the tuner's
         redirect replays.  Every candidate runs (so serial, ``jobs=N``
         and cache-warm runs leave byte-identical cache state), and a
@@ -838,23 +781,19 @@ class Scheduler:
         per-conjunct split (unless the profile vetoes splitting or the
         goal does not split) → serial, at most ``retries`` of them, each
         after an exponential backoff.  Rungs always solve, stop at the
-        first proof, and store under the obligation's own digest.
-        Pipelines that override the discharge strategy only get the
-        serial rung, which then runs their own strategy.
+        first proof, and store under the obligation's own digest.  A
+        rung escalates every one of the task's configs.
         """
         ob = task.item.obligation
-        offload = task.assertions is not None and self._offloadable(gen)
         plan: list[_Attempt] = []
-        if (self.portfolio and offload and task.done
-                and ob.status in (FAILED, TIMEOUT, RESOURCE_OUT)
-                and not ob.stats.get("job_timeouts")):
-            base = self._race_base(gen)
+        if (self.portfolio and len(task.configs) == 1 and task.done
+                and ob.status in (FAILED, TIMEOUT, RESOURCE_OUT)):
             for name in portfolio_candidates(task.profile or self.profile.name,
                                              self.portfolio):
-                cfg = get_profile(name).apply_solver(base)
+                cfg = self._race_config(gen, name)
                 digest = obligation_digest(task.assertions,
                                            solver_config_key(cfg), strategy)
-                plan.append(_Attempt(cfg, "fresh", digest, must_run=True,
+                plan.append(_Attempt([cfg], "fresh", digest, must_run=True,
                                      replay=True, profile=name))
         if task.done:
             stubborn = (ob.status in (FAILED, RESOURCE_OUT)
@@ -864,22 +803,20 @@ class Scheduler:
         if not (self.retries and stubborn):
             return plan
         rungs: list[_Attempt] = []
-        for isolation in self.LADDER if offload else ("serial",):
+        for isolation in self.LADDER:
             if len(rungs) == self.retries:
                 break
             if isolation == "split" and (self.profile.split_strategy == "off"
                                          or not self._splittable(task)):
                 continue
-            cfg = None
-            if offload:
-                cfg = (escalate_config(task.config)
-                       if isolation in ("fresh", "split") else task.config)
+            configs = ([escalate_config(c) for c in task.configs]
+                       if isolation in ("fresh", "split") else task.configs)
             rungs.append(_Attempt(
-                cfg, isolation, task.digest,
+                configs, isolation, task.digest,
                 backoff=min(RETRY_BACKOFF * 2 ** len(rungs), 1.0)))
         return plan + rungs
 
-    def _run_attempt(self, gen, task: _Task, attempt: _Attempt) -> None:
+    def _run_attempt(self, task: _Task, attempt: _Attempt) -> None:
         """Replay or solve one attempt, recording its outcome on it."""
         if attempt.replay:
             entry = self._lookup(attempt.digest, reported=False)
@@ -892,16 +829,10 @@ class Scheduler:
         if attempt.backoff > 0:
             time.sleep(attempt.backoff * (1.0 + self._retry_rng.random()))
         if attempt.isolation == "split":
-            outcome = self._solve_split(task, attempt.config)
-        elif attempt.config is None:
-            t0 = time.perf_counter()
-            status, stats, qbytes = gen._solve_obligation(
-                task.item, task.plan.encoder, task.plan.spec_axioms)
-            outcome = (status, stats, qbytes, time.perf_counter() - t0)
+            outcome = self._solve_split(task, attempt.configs)
         else:
-            outcome = _fresh_solve(attempt.config, task.assertions,
-                                   self.timeout,
-                                   incremental=attempt.isolation == "warm")
+            outcome = solve(attempt.configs, task.assertions, self.timeout,
+                            incremental=attempt.isolation == "warm")
         attempt.status, attempt.stats, attempt.qbytes, attempt.seconds = \
             outcome
         self.stats.merge(attempt.stats)
@@ -977,7 +908,7 @@ class Scheduler:
         return (task.item.goal is not None
                 and len(split_goal(task.item.goal)) > 1)
 
-    def _solve_split(self, task: _Task, config: SolverConfig) -> tuple:
+    def _solve_split(self, task: _Task, configs: list) -> tuple:
         """The split rung: prove each conjunct of the goal on its own.
 
         A conjunctive goal that blows a budget as a whole often
@@ -986,14 +917,13 @@ class Scheduler:
         only if *every* conjunct proves; a countermodel for any conjunct
         is a countermodel for the conjunction, hence FAILED.
         """
-        from ..diag.split import split_goal
+        from ..diag.split import solve_conjuncts, split_goal
         conjuncts = split_goal(task.item.goal)
         base = task.assertions[:-1]     # everything but the negated goal
         agg = Stats()
         status, qbytes, seconds, deadline = PROVED, 0, 0.0, False
-        for conjunct in conjuncts:
-            st, stats, qb, secs = _fresh_solve(
-                config, base + [T.Not(conjunct)], self.timeout)
+        for st, stats, qb, secs in solve_conjuncts(conjuncts, base, configs,
+                                                   self.timeout):
             if stats.pop("deadline_exceeded", 0):
                 deadline = True
             stats.pop("resource_out", None)
@@ -1020,9 +950,8 @@ class Scheduler:
 
         Runs in the parent process after all verdicts are in, re-solving
         each failure from its planned VC — so serial, parallel, and
-        cache-warm runs produce identical diagnostics.  Killed parallel
-        jobs (wall-clock timeouts) are not re-solved: the in-process
-        re-solve has no kill switch.
+        cache-warm runs produce identical diagnostics.  Deadline
+        verdicts are not re-solved: the re-solve has no deadline.
         """
         from ..diag import diagnose_obligation
         cfg = None
@@ -1030,9 +959,7 @@ class Scheduler:
             ob = task.item.obligation
             if ob.ok or ob.diag is not None:
                 continue
-            if (ob.stats.get("job_timeouts")
-                    or ob.stats.get("deadline_exceeded")
-                    or ob.status == RESOURCE_OUT):
+            if ob.stats.get("deadline_exceeded") or ob.status == RESOURCE_OUT:
                 from ..diag import Diagnostic, VerusErrorType
                 ob.diag = Diagnostic.for_obligation(ob)
                 if ob.status == RESOURCE_OUT:
@@ -1042,11 +969,6 @@ class Scheduler:
                     ob.diag.notes.append("solver resource budget "
                                          "exhausted; not re-solved for "
                                          "diagnosis")
-                elif ob.stats.get("job_timeouts"):
-                    ob.diag.error_type = \
-                        VerusErrorType.RLIMIT_EXCEEDED.value
-                    ob.diag.notes.append("worker killed by job timeout; "
-                                         "not re-solved for diagnosis")
                 else:
                     ob.diag.error_type = \
                         VerusErrorType.RLIMIT_EXCEEDED.value
@@ -1121,13 +1043,10 @@ class Scheduler:
         ob = task.item.obligation
         ob.status = status
         ob.seconds = seconds
-        if task.pruned_axioms and not stats.get("pruned_axioms"):
-            # Discharges from a planned assertion list (fresh/warm/pool)
-            # never saw the pruning happen; serial in-process solves (and
-            # replays of either) already carry the counts.
-            stats = dict(stats)
-            stats["pruned_axioms"] = task.pruned_axioms
-            stats["query_bytes_saved"] = task.pruned_bytes
+        if task.pruned and not stats.get("pruned_axioms"):
+            # Pruning happens when the task's assertion list is planned,
+            # so solver stats never see it; fold the task's counts in.
+            stats = {**stats, **task.pruned}
         self.stats.merge(stats)
         if replayed:
             stats = dict(stats)

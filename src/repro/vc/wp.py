@@ -26,13 +26,12 @@ from ..smt.compute import ComputeEnv, OutOfFuel, prove_by_compute
 from ..smt.nonlinear import prove_nonlinear
 from ..smt.quant import CONSERVATIVE
 from ..smt.ring import RingError, prove_ring
-from ..smt.solver import SmtSolver, SolverConfig, UNSAT
+from ..smt.solver import SolverConfig
 from ..smt.sorts import bv as bv_sort
 from . import ast as A
 from . import types as VT
 from .encode import EncodeError, Encoder
-from .errors import (FAILED, PROVED, RESOURCE_OUT, TIMEOUT, FunctionResult,
-                     ModuleResult, Obligation, status_from_solver)
+from .errors import FAILED, PROVED, FunctionResult, ModuleResult, Obligation
 
 
 class VcConfig:
@@ -117,6 +116,10 @@ class VcGen:
     # as the SMT obligations.
     proof_cache = None
 
+    #: Whether the scheduler's static proving tier (absint triage) may
+    #: discharge this pipeline's obligations before any solver is built.
+    ABSINT_TRIAGE = True
+
     def __init__(self, module: A.Module, config: Optional[VcConfig] = None):
         self.module = module
         self.config = config or VcConfig()
@@ -155,11 +158,22 @@ class VcGen:
 
     def verify_function(self, fn: A.Function) -> FunctionResult:
         """Eagerly plan and discharge one function (serial, cache-less)."""
+        from .discharge import solve
         t0 = time.perf_counter()
         plan = self.plan_function(fn)
+        configs = self.solver_configs(self.config.make_solver_config())
         for item in plan.pending:
-            self._discharge(item, plan.encoder, plan.spec_axioms,
-                            plan.result)
+            ob = item.obligation
+            plan.result.obligations.append(ob)
+            if item.direct_result is not None:
+                ob.status = PROVED if item.direct_result else FAILED
+                continue
+            assertions, pruned = self.obligation_assertions(
+                item, plan.encoder, plan.spec_axioms)
+            ob.status, ob.stats, qbytes, ob.seconds = solve(configs,
+                                                            assertions)
+            ob.stats.update(pruned)
+            plan.result.query_bytes += qbytes
         plan.result.seconds = time.perf_counter() - t0
         return plan.result
 
@@ -250,23 +264,6 @@ class VcGen:
 
     # ----------------------------------------------------------- dispatch
 
-    def _discharge(self, item: _PendingObligation, encoder: Encoder,
-                   spec_axioms: list, fnres: FunctionResult) -> None:
-        ob = item.obligation
-        t0 = time.perf_counter()
-        if item.direct_result is not None:
-            ob.status = PROVED if item.direct_result else FAILED
-            ob.seconds = time.perf_counter() - t0
-            fnres.obligations.append(ob)
-            return
-        status, stats, query_bytes = self._solve_obligation(
-            item, encoder, spec_axioms)
-        ob.status = status
-        ob.seconds = time.perf_counter() - t0
-        ob.stats = stats
-        fnres.query_bytes += query_bytes
-        fnres.obligations.append(ob)
-
     def obligation_context(self, item: _PendingObligation, encoder: Encoder,
                            spec_axioms: list) -> tuple[list, list]:
         """Per-obligation context pruning: (kept, dropped) context axioms.
@@ -284,28 +281,26 @@ class VcGen:
         from .prune import prune_axioms
         return prune_axioms(ctx, item.goal, item.assumptions)
 
-    def _solve_obligation(self, item: _PendingObligation, encoder: Encoder,
-                          spec_axioms: list,
-                          solver_config: Optional[SolverConfig] = None
-                          ) -> tuple[str, dict, int]:
-        """Run one solver attempt; baselines override the retry strategy."""
-        solver = SmtSolver(solver_config or self.config.make_solver_config())
+    def solver_configs(self, config: SolverConfig) -> list[SolverConfig]:
+        """The configs each obligation is solved under, in order, until
+        one proves it.  ``config`` is the scheduler's discharge config;
+        baseline pipelines declare their own retry strategies here."""
+        return [config]
+
+    def obligation_assertions(self, item: _PendingObligation,
+                              encoder: Encoder, spec_axioms: list
+                              ) -> tuple[list, dict]:
+        """One obligation's query in solver ``add`` order — the pruned
+        context axioms, the path assumptions, the negated goal — and the
+        pruning stats (``pruned_axioms``/``query_bytes_saved``, empty
+        when nothing was dropped)."""
         kept, dropped = self.obligation_context(item, encoder, spec_axioms)
+        pruned = {}
         if dropped:
             from .prune import bytes_saved
-            solver.stats.pruned_axioms += len(dropped)
-            solver.stats.query_bytes_saved += bytes_saved(dropped)
-        for ax in kept:
-            solver.add(ax)
-        for assumption in item.assumptions:
-            solver.add(assumption)
-        solver.add(T.Not(item.goal))
-        verdict = solver.check()
-        status = status_from_solver(verdict, solver)
-        stats = solver.stats.snapshot()
-        if status == RESOURCE_OUT:
-            stats["resource_out"] = 1
-        return status, stats, solver.stats.query_bytes
+            pruned = {"pruned_axioms": len(dropped),
+                      "query_bytes_saved": bytes_saved(dropped)}
+        return kept + list(item.assumptions) + [T.Not(item.goal)], pruned
 
     def context_axioms(self, encoder: Encoder, spec_axioms: list
                        ) -> list[T.Term]:

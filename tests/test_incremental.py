@@ -10,10 +10,12 @@ of the diagnostics suite and a couple of fully verified modules.
 
 import json
 import random
+import time
 
 import pytest
 
 from repro.api import Session, VerifyConfig
+from repro.cache.store import ProofCache
 from repro.lang import (BOOL, INT, U64, Module, and_all, assert_, assign,
                         call, call_stmt, exec_fn, forall, let_, lit, ret,
                         spec_fn, var, while_)
@@ -322,6 +324,40 @@ class TestSerialDeadline:
         statuses = {o.status for f in result.functions
                     for o in f.obligations}
         assert statuses == {TIMEOUT}
+
+    def test_workers_honour_job_timeout(self, tmp_path, monkeypatch):
+        """jobs=2: each worker enforces the soft deadline inside its own
+        solver, so slow obligations come back as TIMEOUT on time instead
+        of holding the pool open, and no TIMEOUT verdict is cached."""
+        real_loop = SmtSolver._check_loop
+
+        def slow_loop(solver, deadline):
+            # Five seconds of search that polls the deadline like the
+            # real CDCL loop does (workers fork, so they inherit this).
+            end = time.monotonic() + 5.0
+            while time.monotonic() < end:
+                solver._poll_deadline()
+            return real_loop(solver, deadline)
+
+        monkeypatch.setattr(SmtSolver, "_check_loop", slow_loop)
+        cache = str(tmp_path / "cache")
+        cfg = VerifyConfig(jobs=2, incremental=False, job_timeout=0.2,
+                           triage="off", cache_dir=cache)
+        t0 = time.perf_counter()
+        result = Session(cfg).verify_module(_verified_module())
+        wall = time.perf_counter() - t0
+        obligations = [o for f in result.functions for o in f.obligations]
+        assert len(obligations) > 2
+        assert {o.status for o in obligations} == {TIMEOUT}
+        assert all(o.stats.get("deadline_exceeded") for o in obligations)
+        # One check that ran to completion would alone take 5 s.
+        assert wall < 5.0
+        monkeypatch.undo()
+        assert not list(ProofCache(cache).iter_entries())
+        clean = Session(VerifyConfig(cache_dir=cache, triage="off"))
+        rerun = clean.verify_module(_verified_module())
+        assert rerun.ok
+        assert rerun.stats.get("cache_hits", 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the §4.1 millibench modules and the baseline pipelines."""
 
+import os
+
 import pytest
 
 from repro.baselines.pipelines import (PIPELINES, Unsupported,
@@ -69,6 +71,48 @@ class TestPipelines:
         for name in ("verus", "dafny", "creusot"):
             res, _ = time_pipeline(PIPELINES[name], mod)
             assert res is not None and not res.ok, name
+
+
+def _signature(res) -> tuple:
+    return (res.ok, res.query_bytes,
+            [(f.name, f.query_bytes,
+              [(o.label, o.status) for o in f.obligations])
+             for f in res.functions])
+
+
+class TestPipelineMatrix:
+    """Every shipped pipeline discharges through the same scheduler
+    path, so serial, ``jobs=2``, warm-context and cache cold/warm runs
+    must agree per obligation, query bytes included."""
+
+    MODES = {"serial": {}, "jobs2": {"REPRO_JOBS": "2"},
+             "incremental": {"REPRO_INCREMENTAL": "1"}}
+
+    @pytest.mark.parametrize("name", ["verus", "dafny", "fstar", "creusot",
+                                      "prusti"])
+    def test_modes_agree(self, name, tmp_path, monkeypatch):
+        for knob in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(knob)
+        builders = [build_singly_linked_module]
+        if name != "prusti":     # Prusti cannot express cyclic lists
+            builders.append(build_doubly_linked_module)
+        pipeline = PIPELINES[name]
+        for build in builders:
+            runs = {}
+            for mode, env in self.MODES.items():
+                with monkeypatch.context() as m:
+                    for knob, value in env.items():
+                        m.setenv(knob, value)
+                    runs[mode] = _signature(pipeline.verify(build()))
+            with monkeypatch.context() as m:
+                m.setenv("REPRO_CACHE_DIR", str(tmp_path / build.__name__))
+                runs["cold"] = _signature(pipeline.verify(build()))
+                warm = pipeline.verify(build())
+                assert warm.stats.get("cache_misses", 0) == 0
+                runs["warm"] = _signature(warm)
+            assert runs["serial"][0], (name, build.__name__)
+            for mode, sig in runs.items():
+                assert sig == runs["serial"], (name, build.__name__, mode)
 
 
 class TestDistributedLock:

@@ -34,7 +34,7 @@ from repro.profiles.corpus import (
     build_universe_gap_module,
 )
 from repro.smt.fingerprint import solver_config_key
-from repro.smt.solver import SolverConfig, solver_constructions
+from repro.smt.solver import SmtSolver, SolverConfig, solver_constructions
 from tests.test_incremental import _normalize
 
 
@@ -345,6 +345,33 @@ class TestTuner:
         fp = tuner_fingerprint([x], "VcGen")
         assert fp == tuner_fingerprint([x], "VcGen")
         assert fp != tuner_fingerprint([x], "OtherGen")
+
+    def test_race_and_redirect_keep_explicit_max_steps(self, tmp_path,
+                                                       monkeypatch):
+        """An explicit ``max_steps`` (a daemon quota admits a request
+        with one) bounds every race attempt and the tuner's redirect,
+        and the redirect's digest is still the winning attempt's: the
+        tuner-warm rerun replays it with zero solvers."""
+        cap = 10 ** 6
+        budgets = []
+        real_init = SmtSolver.__init__
+
+        def spy(solver, config=None, incremental=False):
+            budgets.append(config.max_steps)
+            real_init(solver, config, incremental)
+
+        monkeypatch.setattr(SmtSolver, "__init__", spy)
+        cfg = VerifyConfig(portfolio=2, max_steps=cap,
+                           cache_dir=str(tmp_path / "cache"))
+        cold = Session(cfg).verify_module(build_stubborn_pair_module())
+        assert cold.ok and cold.stats.get("portfolio_races", 0) >= 1
+        assert cold.stats.get("portfolio_attempts", 0) >= 1
+        assert budgets and set(budgets) == {cap}
+
+        budgets.clear()
+        warm = Session(cfg).verify_module(build_stubborn_pair_module())
+        assert warm.ok and warm.stats.get("tuner_hits", 0) >= 1
+        assert budgets == []
 
     def test_learned_winner_survives_proof_cache_wipe(self, tmp_path):
         """The tuner redirects *before* fan-out: a second run against a
