@@ -1,6 +1,6 @@
 """Automation-profile portfolio bench: per-profile win rates, the
-portfolio rescue of stubborn modules, and the auto-tuner's
-race→record→replay savings.
+portfolio rescue of stubborn modules, and the savings of replaying a
+race from the proof cache.
 
 Emits ``BENCH_profiles.json`` (repo root) with three sections:
 
@@ -9,11 +9,11 @@ Emits ``BENCH_profiles.json`` (repo root) with three sections:
 * ``portfolio`` — the same modules with ``portfolio=2``: race counts,
   per-profile win totals, and the modules *rescued* (verified by the
   race though every fixed profile fails them);
-* ``tuner_replay`` — solver constructions for a cold portfolio run vs
-  the tuner+cache-warm re-run of the same module.
+* ``race_replay`` — solver constructions for a cold portfolio run vs
+  the cache-warm re-run of the same module.
 
 Asserted acceptance (not just reported): the portfolio rescues at
-least one module no fixed profile verifies, and the tuner-warm second
+least one module no fixed profile verifies, and the cache-warm second
 run builds at least 2x fewer solvers than the cold race.
 """
 
@@ -88,7 +88,7 @@ def test_profile_portfolio_bench(tmp_path):
     port_seconds = round(time.perf_counter() - t0, 4)
     rescued = sorted(m for m in unverified_everywhere if port_per[m])
 
-    # ---- tuner replay: cold race vs tuner+cache-warm re-run -----------
+    # ---- race replay: cold race vs cache-warm re-run ------------------
     cfg = VerifyConfig(portfolio=2, cache_dir=str(tmp_path / "cache"))
     spec = dict(MODULES)["stubborn_pair"]
     before = solver_constructions()
@@ -113,12 +113,13 @@ def test_profile_portfolio_bench(tmp_path):
     table(["race winner", "wins"], sorted(wins.items()))
     table(["run", "solvers built", "time (s)"],
           [["cold race", cold_built, cold_seconds],
-           ["tuner-warm", warm_built, warm_seconds]])
+           ["cache-warm", warm_built, warm_seconds]])
 
     payload = {
         "description": "Fixed automation profiles vs portfolio racing "
                        "over the profile-gap corpus and two case "
-                       "studies, plus the tuner's replay savings.",
+                       "studies, plus the savings of replaying the "
+                       "race from the proof cache.",
         "command": "PYTHONPATH=src python -m pytest "
                    "benchmarks/test_profiles.py -q",
         "fixed_profiles": fixed_rows,
@@ -133,7 +134,7 @@ def test_profile_portfolio_bench(tmp_path):
             "per_module": port_per,
             "rescued_modules": rescued,
         },
-        "tuner_replay": {
+        "race_replay": {
             "module": "stubborn_pair",
             "cold_solver_constructions": cold_built,
             "warm_solver_constructions": warm_built,

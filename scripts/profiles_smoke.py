@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Profiles smoke gate: the profile axis + the learning tuner, end to end.
+"""Profiles smoke gate: the profile axis + race replay, end to end.
 
 Exercises the profile-first API the way CI does:
 
@@ -12,9 +12,10 @@ Exercises the profile-first API the way CI does:
 2. the stubborn corpus module (one MBQI-only goal + one
    E-matching-only goal): the fixed default profile fails it,
    ``portfolio=2`` verifies it;
-3. tuner learning: a second portfolio run against the same proof
-   cache + tuner directory must build *strictly fewer* solvers than
-   the cold race (and with the cache warm, exactly zero).
+3. race replay: a second portfolio run against the same proof cache
+   must build *strictly fewer* solvers than the cold race (with the
+   cache warm, exactly zero), replaying every race attempt's verdict
+   from the cache.
 
 Any violated expectation exits 1 so CI fails.
 
@@ -84,18 +85,18 @@ def main() -> int:
              cold.stats.get("portfolio_races", 0) >= 1
              and cold.stats.get("portfolio_wins", 0) >= 1)
 
-        # ---- 3. tuner second pass: strictly fewer constructions -------
+        # ---- 3. cache-warm second pass: strictly fewer constructions -
         before = solver_constructions()
         warm = Session(cfg).verify_module(build_stubborn_pair_module())
         warm_built = solver_constructions() - before
-        gate("tuner-warm second pass verifies", warm.ok)
+        gate("cache-warm second pass verifies", warm.ok)
         gate("second pass builds strictly fewer solvers",
              warm_built < cold_built, f"{cold_built} -> {warm_built}")
-        gate("cache+tuner-warm replay builds zero solvers",
+        gate("warm replay builds zero solvers",
              warm_built == 0, f"built={warm_built}")
-        gate("second pass redirects instead of racing",
-             warm.stats.get("portfolio_races", 0) == 0
-             and warm.stats.get("tuner_hits", 0) >= 1)
+        gate("second pass replays the race from the cache",
+             warm.stats.get("portfolio_attempts", 0) == 0
+             and warm.stats.get("portfolio_wins", 0) >= 1)
 
     if _failures:
         print(f"\n{len(_failures)} gate(s) failed: {_failures}",

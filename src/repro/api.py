@@ -29,8 +29,9 @@ automation dial (``default`` / ``frugal`` / ``aggressive`` /
 implies (``incremental``, ``retries``, ``max_steps``) default to the
 profile's values unless set explicitly — an explicit field always wins.
 ``VerifyConfig.portfolio`` enables racing: stubborn obligations are
-re-discharged under that many alternative profiles, and the recorded
-winner (the auto-tuner) is tried first on later runs.
+re-discharged under that many alternative profiles.  Each attempt's
+verdict lands in the proof cache under its own digest, so a cache-warm
+run replays the race without building a solver.
 
 Environment knobs (all optional, read only by :meth:`from_env`):
 
@@ -306,7 +307,7 @@ class Session:
     """
 
     def __init__(self, config: Optional[VerifyConfig] = None, cache=None,
-                 warm_pool=None, tuner=None, **overrides):
+                 warm_pool=None, **overrides):
         if config is None:
             config = VerifyConfig.from_env(**overrides)
         elif overrides:
@@ -317,11 +318,6 @@ class Session:
         config.automation_profile
         self._cache = None
         self._cache_opened = False
-        # Auto-tuner for portfolio racing: explicit injection wins;
-        # otherwise one is opened beside the proof cache when racing is
-        # enabled (no cache dir -> nowhere durable to learn -> None).
-        self._tuner = tuner
-        self._tuner_opened = tuner is not None
         if cache is not None:
             # An already-open ProofCache injected directly (tests, and
             # the legacy lang shims, pass one around).
@@ -362,27 +358,13 @@ class Session:
                     self._cache = ProofCache(self.config.cache_dir)
         return self._cache
 
-    @property
-    def tuner(self):
-        """The session's :class:`~repro.profiles.ProfileTuner` (or None).
-
-        Lazily opened over the proof-cache directory when portfolio
-        racing is enabled; sessions without a cache dir race statelessly.
-        """
-        if not self._tuner_opened:
-            self._tuner_opened = True
-            if self.config.portfolio > 0 and self.config.cache_dir:
-                from .profiles import ProfileTuner
-                self._tuner = ProfileTuner(self.config.cache_dir)
-        return self._tuner
-
     def scheduler(self, config: Optional[VerifyConfig] = None):
         """A fresh :class:`~repro.vc.scheduler.Scheduler` built from this
-        session's config (or ``config``) and wired to its shared cache,
-        warm pool and tuner."""
+        session's config (or ``config``) and wired to its shared cache
+        and warm pool."""
         from .vc.scheduler import Scheduler
         return Scheduler(config or self.config, cache=self.cache,
-                         solver_pool=self.warm_pool, tuner=self.tuner)
+                         solver_pool=self.warm_pool)
 
     # ------------------------------------------------------------- verbs
 

@@ -18,15 +18,14 @@ says which kind it is:
 * **verdict** entries (no ``kind``, or ``static-proved`` for absint
   triage verdicts) answer :meth:`ProofCache.lookup`;
 * **function** entries are the delta engine's per-function records
-  (:class:`repro.vc.delta.DeltaCache`);
-* **tuner** entries are the auto-tuner's race winners
-  (:class:`repro.profiles.ProfileTuner`).
+  (:class:`repro.vc.delta.DeltaCache`).
 
-The function and tuner views share the sharded path, the atomic write
-and the eviction of malformed entries (:meth:`ProofCache.read` /
+The function view shares the sharded path, the atomic write and the
+eviction of malformed entries (:meth:`ProofCache.read` /
 :meth:`ProofCache.write`), but never the verdict counters, fault points
-or tiers.  Their digests live in disjoint namespaces, and a read of
-one kind treats an entry of another kind as a plain miss.
+or tiers.  Verdict and function digests live in disjoint namespaces,
+and a read of one kind treats a well-formed entry of any other kind
+(including kinds this build no longer writes) as a plain miss.
 
 This module also owns the *verdict entry shape* both tiers share:
 :func:`make_entry` builds it and :func:`validate_entry` is the
@@ -53,8 +52,6 @@ _VALID_STATUS = (PROVED, FAILED, TIMEOUT)
 #: Entry kinds (see the module docstring).
 VERDICT = "verdict"
 FUNCTION = "function"
-TUNER = "tuner"
-_KINDS = (VERDICT, FUNCTION, TUNER)
 # The ``kind`` values a verdict entry may carry.
 _VERDICT_KINDS = (None, STATIC_PROVED)
 
@@ -120,18 +117,18 @@ class ProofCache:
         """The ``kind`` entry stored under ``digest``, or None.
 
         A missing file, or a well-formed entry of another kind, is a
-        plain miss.  A malformed entry (truncated write, wrong digest,
-        one that fails ``valid(entry, digest)``) is evicted and counted
-        in ``corrupt``, so the next write replaces it cleanly.  No hit
-        or miss counter moves: those belong to the caller.
+        plain miss that stays on disk.  A malformed entry (truncated
+        write, wrong digest, one that fails ``valid(entry, digest)``) is
+        evicted and counted in ``corrupt``, so the next write replaces it
+        cleanly.  No hit or miss counter moves: those belong to the
+        caller.
         """
         try:
             with open(self._path(digest), "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
             if not isinstance(entry, dict) or entry.get("digest") != digest:
                 raise ValueError("malformed cache entry")
-            found = _entry_kind(entry)
-            if found != kind and found in _KINDS:
+            if _entry_kind(entry) != kind:
                 return None
             if not valid(entry, digest):
                 raise ValueError(f"malformed {kind} entry")
@@ -244,11 +241,6 @@ class ProofCache:
                 if (isinstance(entry, dict) and _entry_kind(entry) == kind
                         and valid(entry, digest)):
                     yield entry
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def snapshot(self) -> dict:
         return {"cache_hits": self.hits, "cache_misses": self.misses,

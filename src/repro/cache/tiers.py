@@ -142,11 +142,6 @@ class TieredProofCache:
             self.stores += 1
         self._mem_put(digest, entry)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def tier_snapshot(self) -> dict:
         """Per-tier counters, keyed exactly like the ``Stats`` attrs the
         scheduler merges them into."""

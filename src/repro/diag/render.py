@@ -49,8 +49,8 @@ def obligation_to_json(o) -> dict:
         "seconds": round(o.seconds, 6),
         # Schema v2 (additive): the automation profile whose verdict
         # this is (None = the session primary) and the portfolio race
-        # record ({raced, outcomes, winner, tuner_recorded}, None when
-        # the obligation was never raced).
+        # record ({raced, outcomes, winner}, None when the obligation
+        # was never raced).
         "profile": o.stats.get("profile"),
         "portfolio": o.stats.get("portfolio"),
         # Schema v2 (additive): True when the static proving tier

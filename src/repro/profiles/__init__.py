@@ -1,12 +1,13 @@
-"""Tunable automation profiles, portfolio racing, and the auto-tuner.
+"""Tunable automation profiles and portfolio racing.
 
 The public surface of the automation *dial* (see ``registry.py`` for
-the detents and the race lineup, ``tuner.py`` for the learned
-per-obligation winners, and ``corpus.py`` for the seeded
+the detents and the race lineup, and ``corpus.py`` for the seeded
 stubborn-obligation fixtures; the race itself runs as part of the
 scheduler's attempt plan, ``Scheduler._plan_attempts`` in
-:mod:`repro.vc.scheduler`).  Typical use goes through
-:class:`repro.api.Session`::
+:mod:`repro.vc.scheduler`).  Nothing is learned on top of the fixed
+detents: each race attempt stores its verdict in the proof cache under
+its own digest, so a cache-warm run replays the race with no solver.
+Typical use goes through :class:`repro.api.Session`::
 
     Session(profile="aggressive")            # one fixed detent
     Session(portfolio=2)                     # race 2 profiles on
@@ -17,9 +18,7 @@ scheduler's attempt plan, ``Scheduler._plan_attempts`` in
 from .registry import (PROFILES, RACE_ORDER, AutomationProfile,
                        UnknownProfileError, escalate_config, get_profile,
                        portfolio_candidates, profile_names)
-from .tuner import ProfileTuner, tuner_fingerprint
 
 __all__ = ["AutomationProfile", "UnknownProfileError", "PROFILES",
            "RACE_ORDER", "get_profile", "profile_names",
-           "portfolio_candidates", "escalate_config", "ProfileTuner",
-           "tuner_fingerprint"]
+           "portfolio_candidates", "escalate_config"]

@@ -3,7 +3,7 @@
 Small modules constructed so that *no single* shipped profile
 discharges all of their obligations, while a 2-wide portfolio race
 proves every one.  They are the acceptance fixture for the
-portfolio/tuner benchmarks (``benchmarks/test_profiles.py``) and the
+portfolio race-replay benchmarks (``benchmarks/test_profiles.py``) and the
 determinism tests (``tests/test_profiles.py``).
 
 The two gaps exploit the real incompleteness frontiers of the solver's

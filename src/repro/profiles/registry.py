@@ -27,15 +27,15 @@ Semantics that the rest of the pipeline depends on:
   automatically keys entries on the *effective* profile: two profiles
   never share a cache entry for the same query text.
 
-* **Escalation** — the retry ladder's "heavier" rungs are expressed as
-  a profile transform (:meth:`AutomationProfile.escalated` /
-  :func:`escalate_config`): every resource budget doubles and the step
-  budget quadruples, exactly the historical ladder semantics.
+* **Escalation** — the retry ladder's "heavier" rungs raise the
+  budgets of each discharge config (:func:`escalate_config`): every
+  resource budget doubles and the step budget quadruples, exactly the
+  historical ladder semantics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from ..smt.quant import BROAD, CONSERVATIVE
@@ -130,21 +130,6 @@ class AutomationProfile:
         for k, v in overrides.items():
             setattr(out, k, v)
         return out
-
-    def escalated(self) -> "AutomationProfile":
-        """The retry ladder's heavier variant of this profile: budgets
-        doubled, step budget quadrupled (``None`` fields escalate from
-        the stock :class:`SolverConfig` defaults)."""
-        base = self.apply_solver(SolverConfig())
-        boosted = escalate_config(base)
-        kw = {f.name: getattr(self, f.name) for f in fields(self)}
-        kw.update(name=f"{self.name}+escalated",
-                  doc=f"ladder escalation of {self.name!r}",
-                  max_rounds=boosted.max_rounds,
-                  max_instantiations=boosted.max_instantiations,
-                  sat_conflict_budget=boosted.sat_conflict_budget,
-                  max_steps=boosted.max_steps)
-        return AutomationProfile(**kw)
 
     def describe(self) -> dict:
         """JSON-able summary (the server's ``profiles`` verb payload)."""

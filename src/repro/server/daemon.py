@@ -89,13 +89,6 @@ class VerifyServer:
             base = dataclasses.replace(base, delta=True)
         self.base = base
         self.pool = SolverPool(self.config.warm_budget)
-        # Resident auto-tuner: shared by every request so race winners
-        # learned for one client redirect everyone (no cache root ->
-        # nowhere durable to learn -> requests race statelessly).
-        self.tuner = None
-        if base.cache_dir:
-            from ..profiles import ProfileTuner
-            self.tuner = ProfileTuner(base.cache_dir)
         self.ledger = QuotaLedger(self.config.client_quota)
         self.queue: Optional[FairQueue] = None     # built on start()
         self.executor = ThreadPoolExecutor(
@@ -349,7 +342,7 @@ class VerifyServer:
                                              "solvers_built": 0,
                                              "steps_spent": 0})
         built0 = solver_constructions()
-        with Session(cfg, warm_pool=self.pool, tuner=self.tuner) as session:
+        with Session(cfg, warm_pool=self.pool) as session:
             if request["verb"] == protocol.DIAGNOSE:
                 result = session.diagnose(mod)
             else:
@@ -378,7 +371,6 @@ class VerifyServer:
             "cache_misses": int(stats.get("cache_misses", 0) or 0),
             "portfolio_races": int(stats.get("portfolio_races", 0) or 0),
             "portfolio_wins": int(stats.get("portfolio_wins", 0) or 0),
-            "tuner_hits": int(stats.get("tuner_hits", 0) or 0),
             "static_proved": int(stats.get("static_proved", 0) or 0),
             "solver_constructions_avoided": int(
                 stats.get("solver_constructions_avoided", 0) or 0),
@@ -401,15 +393,14 @@ class VerifyServer:
     # -------------------------------------------------------------- status
 
     def profiles(self) -> dict:
-        """The ``profiles`` verb payload: shipped detents, the race
-        order, and the resident tuner's learned-winner statistics."""
+        """The ``profiles`` verb payload: the shipped detents, the race
+        order, and the server's base profile and race width."""
         from ..profiles import PROFILES, RACE_ORDER
         return {
             "profiles": [p.describe() for p in PROFILES.values()],
             "race_order": list(RACE_ORDER),
             "base_profile": self.base.profile,
             "base_portfolio": self.base.portfolio,
-            "tuner": self.tuner.stats() if self.tuner is not None else None,
         }
 
     def status(self) -> dict:

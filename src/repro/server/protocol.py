@@ -13,7 +13,7 @@ Every request is one JSON object terminated by ``\\n``::
 * ``verb`` — one of ``verify`` / ``analyze`` / ``diagnose`` /
   ``profiles`` / ``status`` / ``shutdown`` (required).  ``profiles``
   lists the shipped automation profiles, the portfolio race order, and
-  the resident auto-tuner's statistics.
+  the server's base profile and race width.
 * ``client`` — client name for fairness and quota accounting
   (default ``"anon"``).
 * ``priority`` — integer band; higher bands are served first, requests

@@ -143,14 +143,12 @@ class Stats:
         # context vs. groups that had to build their prefix from scratch.
         self.warm_pool_hits = 0
         self.warm_pool_misses = 0
-        # Portfolio racing / auto-tuner (repro.profiles + the race
-        # candidates of the scheduler's attempt plan); all stay 0 when
-        # racing is off.
+        # Portfolio racing (repro.profiles + the race candidates of the
+        # scheduler's attempt plan); all stay 0 when racing is off.  A
+        # race replayed from the proof cache still counts as a race.
         self.portfolio_races = 0      # stubborn obligations raced
         self.portfolio_attempts = 0   # live (non-replayed) race solves
         self.portfolio_wins = 0       # races that adopted a PROVED verdict
-        self.tuner_hits = 0           # obligations redirected by the tuner
-        self.tuner_misses = 0         # tuner lookups with no record
         # Static proving tier (repro.analysis.absint + the scheduler's
         # triage pass); all stay 0 when triage is off.
         self.static_proved = 0            # obligations discharged statically

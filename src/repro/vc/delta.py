@@ -145,7 +145,7 @@ def _contract_text(fn: A.Function) -> str:
 
 
 def function_dependency_digest(gen, fn: A.Function,
-                               solver_config=None) -> str:
+                               solver_config=None, race=()) -> str:
     """Content address of everything fn's verification depends on.
 
     ``solver_config`` is the *effective* solver configuration the
@@ -154,6 +154,10 @@ def function_dependency_digest(gen, fn: A.Function,
     and a verdict proved under one budget says nothing about another —
     callers that apply overrides must pass the layered config or the
     digest would alias across budgets and replay stale verdicts.
+
+    ``race`` is the portfolio race lineup's solver configs: a function a
+    race rescued is fully verified only for runs that race the same
+    lineup.  Empty (racing off) leaves the digest unchanged.
     """
     module = gen.module
     chunks = [f"module:{module.name}:epr={module.epr_mode}",
@@ -168,9 +172,10 @@ def function_dependency_digest(gen, fn: A.Function,
         chunks.append(_contract_text(callee))
     if solver_config is None:
         solver_config = gen.config.make_solver_config()
-    return function_fingerprint(chunks,
-                                solver_config_key(solver_config),
-                                type(gen).__qualname__)
+    config_key = solver_config_key(solver_config)
+    if race:
+        config_key = [config_key] + [solver_config_key(c) for c in race]
+    return function_fingerprint(chunks, config_key, type(gen).__qualname__)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,7 @@ from typing import Optional, Sequence
 from ..api import DIAG_ENV, JOB_TIMEOUT_ENV, JOBS_ENV, VerifyConfig, \
     default_jobs
 from ..cache.store import ProofCache
-from ..profiles import (escalate_config, get_profile, portfolio_candidates,
-                        tuner_fingerprint)
+from ..profiles import escalate_config, get_profile, portfolio_candidates
 from ..resilience import faults as _faults
 from ..resilience.faults import FaultPlan, InjectedCrash
 from ..smt.fingerprint import (deserialize_terms, obligation_digest,
@@ -182,8 +181,7 @@ class _Task:
     assertion list and its digest."""
 
     __slots__ = ("item", "plan", "gen", "_assertions", "configs", "digest",
-                 "done", "qbytes", "crash", "pruned",
-                 "profile", "tuner_hit", "static_claim")
+                 "done", "qbytes", "crash", "pruned", "static_claim")
 
     def __init__(self, item, plan, gen, configs: list):
         self.item = item
@@ -202,12 +200,6 @@ class _Task:
         # attempt died; surfaced in Stats/diag and consumed by the
         # retry ladder.
         self.crash: Optional[str] = None
-        # Automation-profile name this task's config embodies when it
-        # differs from the session primary (a tuner redirect), and
-        # whether the tuner chose it — redirected tasks discharge in a
-        # fresh solver (their config can't share a warm-group prefix).
-        self.profile: Optional[str] = None
-        self.tuner_hit = False
         # Shadow triage (REPRO_TRIAGE=shadow): the static tier claimed
         # this obligation; the solver still runs, and a FAILED verdict
         # afterwards is a soundness bug reported loudly.
@@ -277,10 +269,6 @@ class Scheduler:
     caching.  ``solver_pool``: a warm solver-context
     registry (:class:`repro.server.warm.SolverPool`) that lets warm
     groups reuse a scope-0 context built by an earlier ``run_module``.
-    ``tuner``: a :class:`~repro.profiles.ProfileTuner` recording race
-    winners; obligations with a learned winner are redirected straight
-    to it *before* digests are computed, so a tuner-warm + cache-warm
-    run replays races with zero solver constructions.
 
     Run-level behaviour follows the config: ``jobs`` worker processes;
     ``job_timeout`` soft per-obligation deadline; ``diagnostics`` re-solves
@@ -300,14 +288,12 @@ class Scheduler:
     #: heaviest (and most isolated) last.
     LADDER = ("warm", "fresh", "split", "serial")
 
-    def __init__(self, config: VerifyConfig, cache=None, solver_pool=None,
-                 tuner=None):
+    def __init__(self, config: VerifyConfig, cache=None, solver_pool=None):
         self.config = config
         self.jobs = max(1, config.jobs)
         self.cache: Optional[ProofCache] = cache
         self.profile = config.automation_profile
         self.portfolio = max(0, config.portfolio)
-        self.tuner = tuner
         self.timeout = config.job_timeout
         self.diagnostics = config.diagnostics
         self.incremental = config.effective_incremental
@@ -381,6 +367,9 @@ class Scheduler:
         gen.proof_cache = self.cache
         delta_digests: dict[int, str] = {}
         configs = gen.solver_configs(self._solver_config(gen))
+        # A task with several configs runs its pipeline's own portfolio;
+        # only single-config pipelines race profiles.
+        race = self._race_lineup(gen) if len(configs) == 1 else []
         try:
             for fn in gen.module.functions.values():
                 if fn.mode in (A.EXEC, A.PROOF) and fn.body is not None:
@@ -390,9 +379,12 @@ class Scheduler:
                         # Key on the scheduler-effective solver config
                         # (max_steps layered on), never the raw base
                         # config: a PROVED under one budget must not be
-                        # replayed under another.
+                        # replayed under another.  Likewise the race
+                        # lineup: a function a race rescued must not
+                        # replay into a run that does not race.
                         digest = function_dependency_digest(
-                            gen, fn, solver_config=self._solver_config(gen))
+                            gen, fn, solver_config=self._solver_config(gen),
+                            race=[cfg for _, cfg in race])
                         entry = self._delta_cache.lookup(digest)
                         if entry is not None:
                             result.functions.append(replay_function(
@@ -406,8 +398,8 @@ class Scheduler:
                     result.functions.append(plan.result)
                     tasks.extend(self._plan_tasks(gen, plan, configs))
             self._run_tasks(gen, tasks)
-            if self.portfolio > 0 or self.retries > 0:
-                self._escalate(gen, tasks)
+            if race or self.retries > 0:
+                self._escalate(gen, tasks, race)
             if self.triage_mode == "shadow":
                 # Shadow triage: the static tier ran alongside the
                 # solver; a claimed obligation the solver *refuted* is
@@ -467,18 +459,19 @@ class Scheduler:
             self.profile.apply_solver(gen.config.make_solver_config()),
             self.max_steps)
 
-    def _race_config(self, gen, profile: str) -> SolverConfig:
-        """A race candidate's config: ``profile``'s knobs layered on the
-        *unprofiled* discharge config, then an explicit
+    def _race_lineup(self, gen) -> list[tuple[str, SolverConfig]]:
+        """The race candidates as ``(profile, config)`` pairs (empty when
+        racing is off): each alternative profile
+        (:func:`~repro.profiles.portfolio_candidates`) has its knobs
+        layered on the *unprofiled* discharge config, then an explicit
         ``VerifyConfig.max_steps`` (a cap such as a daemon quota must
         bound race attempts too, and must win over a candidate profile's
-        own budget).  Shared by the tuner redirect and the attempt plan,
-        so a redirected task's digest is exactly the digest the winning
-        race attempt stored its verdict under."""
-        return _with_max_steps(
-            get_profile(profile).apply_solver(
-                gen.config.make_solver_config()),
-            self.config.max_steps)
+        own budget)."""
+        base = gen.config.make_solver_config()
+        return [(name, _with_max_steps(get_profile(name).apply_solver(base),
+                                       self.config.max_steps))
+                for name in portfolio_candidates(self.profile,
+                                                 self.portfolio)]
 
     def _plan_tasks(self, gen, plan, configs: list) -> list[_Task]:
         tasks = []
@@ -501,32 +494,11 @@ class Scheduler:
     def _run_tasks(self, gen, tasks: list[_Task]) -> None:
         unsolved = []
         strategy = type(gen).__qualname__
-        racing = self.portfolio > 0 and self.tuner is not None
         triage = None
         if self.triage_mode != "off" and gen.ABSINT_TRIAGE:
             from ..analysis.absint import Triage
             triage = Triage(self.triage_mode)
         for task in tasks:
-            # A task with several configs runs its pipeline's own
-            # portfolio; only single-config tasks race profiles.
-            if racing and len(task.configs) == 1:
-                winner = self.tuner.lookup(
-                    tuner_fingerprint(task.assertions, strategy))
-                if winner is None:
-                    self.stats.tuner_misses += 1
-                elif winner != self.profile.name:
-                    # Learned redirect: discharge straight under the
-                    # recorded race winner.  The digest below becomes
-                    # the winner attempt's digest, so a cache-warm run
-                    # replays the race outcome with zero solvers.
-                    task.configs = [self._race_config(gen, winner)]
-                    task.profile = winner
-                    task.tuner_hit = True
-                    self.stats.tuner_hits += 1
-                else:
-                    # The tuner confirmed the primary profile: no
-                    # redirect needed, but it still counts as learned.
-                    self.stats.tuner_hits += 1
             if self.cache is not None:
                 task.digest = obligation_digest(
                     task.assertions, _configs_key(task.configs), strategy)
@@ -569,9 +541,8 @@ class Scheduler:
             # is the whole point), so incremental wins over `jobs`.
             groups: dict[int, list[_Task]] = {}
             for task in unsolved:
-                if task.tuner_hit or len(task.configs) > 1:
-                    # A redirected task runs under a different profile's
-                    # config, and a multi-config task under several: no
+                if len(task.configs) > 1:
+                    # A multi-config task runs under several configs: no
                     # warm prefix to share with the group.
                     self._run_fresh(task)
                     continue
@@ -738,7 +709,7 @@ class Scheduler:
 
     # ---------------------------------------------------------- escalation
 
-    def _escalate(self, gen, tasks: list[_Task]) -> None:
+    def _escalate(self, gen, tasks: list[_Task], race: list) -> None:
         """Run each stubborn obligation's attempt plan, then adopt.
 
         Runs in the parent process after the main pass.  One election
@@ -748,7 +719,7 @@ class Scheduler:
         """
         strategy = type(gen).__qualname__
         for task in tasks:
-            plan = self._plan_attempts(gen, task, strategy)
+            plan = self._plan_attempts(task, strategy, race)
             ran: list[_Attempt] = []
             winner = None
             for attempt in plan:
@@ -759,21 +730,20 @@ class Scheduler:
                 if winner is None and attempt.status == PROVED:
                     winner = attempt
             if ran:
-                self._adopt(task, plan, ran, winner, strategy)
+                self._adopt(task, plan, ran, winner)
 
-    def _plan_attempts(self, gen, task: _Task,
-                       strategy: str) -> list[_Attempt]:
+    def _plan_attempts(self, task: _Task, strategy: str,
+                       race: list) -> list[_Attempt]:
         """The ordered attempt plan for one obligation; empty unless it
         is stubborn.
 
-        **Race candidates** come first, for a single-config obligation
-        left FAILED, TIMEOUT or RESOURCE_OUT: each alternative profile
-        (:func:`~repro.profiles.portfolio_candidates`) as configured by
-        :meth:`_race_config`, stored under the digest a session running
-        that profile as primary would compute — the digest the tuner's
-        redirect replays.  Every candidate runs (so serial, ``jobs=N``
-        and cache-warm runs leave byte-identical cache state), and a
-        stored verdict replays instead of solving.
+        **Race candidates** come first, for an obligation left FAILED,
+        TIMEOUT or RESOURCE_OUT: each ``(profile, config)`` pair of
+        ``race`` (:meth:`_race_lineup`), stored under its own digest.
+        Every candidate runs (so serial, ``jobs=N`` and cache-warm runs
+        leave byte-identical cache state), and a stored verdict replays
+        instead of solving, so a cache-warm run replays the whole race
+        with zero solvers.
 
         **Ladder rungs** follow, for an obligation that crashed or ended
         FAILED/RESOURCE_OUT from a fresh solve (a replay is not a
@@ -786,11 +756,8 @@ class Scheduler:
         """
         ob = task.item.obligation
         plan: list[_Attempt] = []
-        if (self.portfolio and len(task.configs) == 1 and task.done
-                and ob.status in (FAILED, TIMEOUT, RESOURCE_OUT)):
-            for name in portfolio_candidates(task.profile or self.profile.name,
-                                             self.portfolio):
-                cfg = self._race_config(gen, name)
+        if task.done and ob.status in (FAILED, TIMEOUT, RESOURCE_OUT):
+            for name, cfg in race:
                 digest = obligation_digest(task.assertions,
                                            solver_config_key(cfg), strategy)
                 plan.append(_Attempt([cfg], "fresh", digest, must_run=True,
@@ -840,7 +807,7 @@ class Scheduler:
                     digest=attempt.digest)
 
     def _adopt(self, task: _Task, plan: list[_Attempt], ran: list[_Attempt],
-               winner: Optional[_Attempt], strategy: str) -> None:
+               winner: Optional[_Attempt]) -> None:
         """Fold a finished plan into the obligation.
 
         The winner's verdict is adopted; with no winner, the last ladder
@@ -859,20 +826,13 @@ class Scheduler:
         adopted = winner or (rungs[-1] if rungs else None)
         stats = dict(adopted.stats if adopted is not None else ob.stats)
         if raced:
-            recorded = (winner is not None and winner.profile is not None
-                        and self.tuner is not None)
-            if recorded:
-                self.tuner.record_win(
-                    tuner_fingerprint(task.assertions, strategy),
-                    winner.profile, status=winner.status)
             self.stats.portfolio_races += 1
             self.stats.portfolio_attempts += sum(a.profile is not None
                                                  for a in solved)
             stats["portfolio"] = {
                 "raced": [a.profile for a in raced],
                 "outcomes": {a.profile: a.status for a in raced},
-                "winner": winner.profile if winner is not None else None,
-                "tuner_recorded": recorded}
+                "winner": winner.profile if winner is not None else None}
         if rungs:
             self.stats.retries += len(rungs)
             stats["retries"] = len(rungs)
@@ -1054,11 +1014,6 @@ class Scheduler:
         if task.crash is not None and "pool_failure" not in stats:
             stats = dict(stats)
             stats["pool_failure"] = task.crash
-        if task.profile is not None and "profile" not in stats:
-            # A tuner-redirected discharge: record whose profile's
-            # verdict this is, matching what the original race adopted.
-            stats = dict(stats)
-            stats["profile"] = task.profile
         ob.stats = stats
         task.plan.result.query_bytes += qbytes
         self.stats.obligations += 1

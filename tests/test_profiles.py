@@ -1,6 +1,6 @@
 """Automation profiles: registry detents, the profile-first config API,
-portfolio racing (with its determinism contract), the learning
-auto-tuner, and the daemon's ``profiles`` verb.
+portfolio racing (with its determinism contract), race replay from the
+proof cache, and the daemon's ``profiles`` verb.
 
 The empirical backbone is the profile-gap corpus in
 :mod:`repro.profiles.corpus`: ``mbqi_gap`` is provable only under MBQI
@@ -15,17 +15,16 @@ import json
 import pytest
 
 from repro.api import PORTFOLIO_ENV, PROFILE_ENV, Session, VerifyConfig
+from repro.cache.store import ProofCache
 from repro.profiles import (
     PROFILES,
     RACE_ORDER,
     AutomationProfile,
-    ProfileTuner,
     UnknownProfileError,
     escalate_config,
     get_profile,
     portfolio_candidates,
     profile_names,
-    tuner_fingerprint,
 )
 from repro.profiles.corpus import (
     CORPUS_BUILDERS,
@@ -35,24 +34,21 @@ from repro.profiles.corpus import (
 )
 from repro.smt.fingerprint import solver_config_key
 from repro.smt.solver import SmtSolver, SolverConfig, solver_constructions
+from repro.vc.errors import PROVED
 from tests.test_incremental import _normalize
 
 
-def _strip_race_fields(payload: dict) -> dict:
-    """Normalize minus the additive per-obligation race metadata.
+def _strip_race_bytes(payload: dict) -> dict:
+    """Normalize minus module-level ``query_bytes``.
 
-    A tuner-warm run *replays* a race instead of re-running it, so its
-    ``portfolio`` field is ``None`` by design — and it never re-pays the
-    losing attempts' query bytes, so module-level ``query_bytes`` is an
-    effort counter here, not a verdict field.  Everything else must
-    still match byte-for-byte.
+    A cache-warm run *replays* a race instead of re-running it, so it
+    never re-pays the race attempts' query bytes: the module total is an
+    effort counter here, not a verdict field.  Everything else — the
+    race record and the winning profile included — must still match
+    byte-for-byte.
     """
     payload = _normalize(payload)
     payload.pop("query_bytes", None)
-    for f in payload["functions"]:
-        for o in f["obligations"]:
-            o.pop("profile", None)
-            o.pop("portfolio", None)
     return payload
 
 
@@ -229,20 +225,25 @@ class TestPortfolioDeterminism:
         warm = Session(cfg).verify_module(build_stubborn_pair_module())
         assert warm.ok
         assert solver_constructions() == before, \
-            "tuner-warm replay must build zero solvers"
-        assert warm.stats.get("portfolio_races", 0) == 0
-        assert warm.stats.get("tuner_hits", 0) >= 1
-        # The replayed verdict still carries the winning profile; only
-        # the race record itself is absent (nothing was re-raced).
+            "cache-warm race replay must build zero solvers"
+        # A replayed race still counts as a race, but solves nothing.
+        assert warm.stats.get("portfolio_races", 0) == \
+            cold.stats["portfolio_races"]
+        assert warm.stats.get("portfolio_wins", 0) == \
+            cold.stats["portfolio_wins"]
+        assert warm.stats.get("portfolio_attempts", 0) == 0
+        # The replayed verdict carries the same race record and winner.
         raced_cold = _raced_obligations(cold)
         assert raced_cold
         warm_obs = {o.label: o for fn in warm.functions
                     for o in fn.obligations}
         for ob in raced_cold:
+            assert warm_obs[ob.label].stats["portfolio"] == \
+                ob.stats["portfolio"]
             assert warm_obs[ob.label].stats.get("profile") == \
                 ob.stats["portfolio"]["winner"]
-        assert _strip_race_fields(cold.to_json()) == \
-            _strip_race_fields(warm.to_json())
+        assert _strip_race_bytes(cold.to_json()) == \
+            _strip_race_bytes(warm.to_json())
 
     def test_case_studies_unaffected_by_portfolio(self, tmp_path):
         """Modules with no stubborn obligations never fan out: the
@@ -273,8 +274,7 @@ class TestPortfolioDeterminism:
             expected = _normalize(plain.to_json())
             assert _normalize(serial.to_json()) == expected
             assert _normalize(jobs2.to_json()) == expected
-            assert _strip_race_fields(rewarm.to_json()) == \
-                _strip_race_fields(expected)
+            assert _normalize(rewarm.to_json()) == expected
 
 
 class TestRaceThenLadder:
@@ -308,50 +308,19 @@ class TestRaceThenLadder:
 
 
 # ---------------------------------------------------------------------------
-# Tuner
+# Race replay from the proof cache
 
 
-class TestTuner:
-    def test_record_lookup_roundtrip(self, tmp_path):
-        tuner = ProfileTuner(str(tmp_path))
-        fp = "a" * 40
-        assert tuner.lookup(fp) is None
-        tuner.record_win(fp, "epr", status="proved")
-        assert tuner.lookup(fp) == "epr"
-        tuner.record_win(fp, "epr", status="proved")
-        stats = tuner.stats()
-        assert stats["records"] == 2 and stats["entries"] == 1
-        assert stats["wins_by_profile"] == {"epr": 2}
+def _statuses(result) -> dict:
+    return {o.label: o.status for fn in result.functions
+            for o in fn.obligations}
 
-    def test_malformed_and_unknown_entries_evicted(self, tmp_path):
-        from pathlib import Path
-        tuner = ProfileTuner(str(tmp_path))
-        fp_bad, fp_gone = "b" * 40, "c" * 40
-        tuner.record_win(fp_bad, "epr")
-        Path(tuner._path(fp_bad)).write_text("not json", encoding="utf-8")
-        assert tuner.lookup(fp_bad) is None
-        tuner.record_win(fp_gone, "epr")
-        gone = Path(tuner._path(fp_gone))
-        entry = json.loads(gone.read_text(encoding="utf-8"))
-        entry["profile"] = "retired-profile"
-        gone.write_text(json.dumps(entry), encoding="utf-8")
-        assert tuner.lookup(fp_gone) is None
-        assert tuner.stats()["evictions"] == 2
 
-    def test_fingerprint_is_profile_independent(self):
-        from repro.smt import terms as T
-        from repro.smt.sorts import BOOL
-        x = T.Const("x", BOOL)
-        fp = tuner_fingerprint([x], "VcGen")
-        assert fp == tuner_fingerprint([x], "VcGen")
-        assert fp != tuner_fingerprint([x], "OtherGen")
-
-    def test_race_and_redirect_keep_explicit_max_steps(self, tmp_path,
-                                                       monkeypatch):
+class TestRaceReplay:
+    def test_race_keeps_explicit_max_steps(self, tmp_path, monkeypatch):
         """An explicit ``max_steps`` (a daemon quota admits a request
-        with one) bounds every race attempt and the tuner's redirect,
-        and the redirect's digest is still the winning attempt's: the
-        tuner-warm rerun replays it with zero solvers."""
+        with one) bounds every race attempt, and the cache-warm rerun
+        replays the race with zero solvers."""
         cap = 10 ** 6
         budgets = []
         real_init = SmtSolver.__init__
@@ -370,27 +339,62 @@ class TestTuner:
 
         budgets.clear()
         warm = Session(cfg).verify_module(build_stubborn_pair_module())
-        assert warm.ok and warm.stats.get("tuner_hits", 0) >= 1
+        assert warm.ok and warm.stats.get("portfolio_wins", 0) >= 1
+        assert warm.stats.get("portfolio_attempts", 0) == 0
         assert budgets == []
 
-    def test_learned_winner_survives_proof_cache_wipe(self, tmp_path):
-        """The tuner redirects *before* fan-out: a second run against a
-        fresh proof cache still skips the race entirely."""
-        cold_cfg = VerifyConfig(portfolio=2,
-                                cache_dir=str(tmp_path / "cacheA"))
-        session = Session(cold_cfg)
-        assert session.verify_module(build_stubborn_pair_module()).ok
-        tuner = ProfileTuner(cold_cfg.cache_dir)
-        assert tuner.stats()["entries"] >= 1
+    def test_legacy_tuner_entries_are_inert(self, tmp_path):
+        """A cache directory written by a build that still kept race
+        winners as ``"kind": "tuner"`` records replays its verdicts; the
+        record never answers a lookup and is not corruption."""
+        root = str(tmp_path / "cache")
+        cfg = VerifyConfig(portfolio=2, cache_dir=root)
+        cold = Session(cfg).verify_module(build_stubborn_pair_module())
+        assert cold.ok
+        legacy = "7e" * 32
+        record = {"digest": legacy, "kind": "tuner", "profile": "epr",
+                  "status": PROVED, "wins": 1}
+        store = ProofCache(root)
+        assert store.write(record)
+        path = store._path(legacy)
 
-        fresh_cfg = VerifyConfig(portfolio=2,
-                                 cache_dir=str(tmp_path / "cacheB"))
-        redirected = Session(fresh_cfg, tuner=tuner).verify_module(
+        before = solver_constructions()
+        warm = Session(cfg, cache=store).verify_module(
             build_stubborn_pair_module())
-        assert redirected.ok
-        assert redirected.stats.get("portfolio_races", 0) == 0
-        assert redirected.stats.get("portfolio_attempts", 0) == 0
-        assert redirected.stats.get("tuner_hits", 0) >= 1
+        assert solver_constructions() == before
+        assert warm.ok and _statuses(warm) == _statuses(cold)
+        assert warm.stats.get("portfolio_wins", 0) >= 1
+        assert store.lookup(legacy) is None
+        assert store.corrupt == 0
+        assert legacy not in [e["digest"] for e in store.iter_entries()]
+        assert json.loads(open(path, encoding="utf-8").read()) == record
+
+    def test_delta_replay_keeps_race_verdicts_out_of_plain_runs(
+            self, tmp_path):
+        """A function a race rescued is recorded for racing runs only:
+        a ``portfolio=0`` run over the same cache must report what a cold
+        ``portfolio=0`` run reports, delta on or off, while a racing
+        rerun still skips it."""
+        plain = Session(VerifyConfig()).verify_module(
+            build_stubborn_pair_module())
+        assert not plain.ok
+        root = str(tmp_path / "cache")
+        raced = Session(VerifyConfig(portfolio=2, delta=True,
+                                     cache_dir=root)).verify_module(
+            build_stubborn_pair_module())
+        assert raced.ok
+        for delta in (True, False):
+            rerun = Session(VerifyConfig(delta=delta,
+                                         cache_dir=root)).verify_module(
+                build_stubborn_pair_module())
+            assert not rerun.ok, f"delta={delta}"
+            assert _statuses(rerun) == _statuses(plain), f"delta={delta}"
+            assert rerun.stats.get("delta_skips", 0) == 0
+        again = Session(VerifyConfig(portfolio=2, delta=True,
+                                     cache_dir=root)).verify_module(
+            build_stubborn_pair_module())
+        assert again.ok and _statuses(again) == _statuses(raced)
+        assert again.stats.get("delta_skips", 0) == len(raced.functions)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +412,8 @@ class TestServerProfiles:
             assert [p["name"] for p in result["profiles"]] == \
                 list(profile_names())
             assert result["race_order"] == list(RACE_ORDER)
-            assert result["tuner"] is not None
+            assert (result["base_profile"], result["base_portfolio"]) == \
+                ("default", 0)
 
             bad = c.verify(
                 builder="repro.profiles.corpus:build_stubborn_pair_module",
@@ -423,16 +428,28 @@ class TestServerProfiles:
             assert ok["status"] == "ok" and ok["result"]["ok"]
             assert ok["server"]["portfolio_races"] == 0
 
-    def test_server_races_and_tuner_persists(self, tmp_path):
+    def test_server_races_then_replays(self, tmp_path):
+        """A race one request paid for replays on the next: from the
+        proof cache with delta off, and as a delta skip with it on."""
         from tests.test_server import _Daemon
         cfg = VerifyConfig(cache_dir=str(tmp_path / "cache"))
+        builder = "repro.profiles.corpus:build_stubborn_pair_module"
         with _Daemon(verify_cfg=cfg) as d, d.client("racer") as c:
-            first = c.verify(
-                builder="repro.profiles.corpus:build_stubborn_pair_module",
-                config={"portfolio": 2})
+            first = c.verify(builder=builder, config={"portfolio": 2})
             assert first["status"] == "ok" and first["result"]["ok"]
             assert first["server"]["portfolio_races"] >= 1
             assert first["server"]["portfolio_wins"] >= 1
-            stats = c.profiles()["result"]["tuner"]
-            assert stats["entries"] >= 1
-            assert stats["wins_by_profile"].get("epr", 0) >= 1
+            assert first["server"]["solvers_built"] > 0
+
+            cached = c.verify(builder=builder,
+                              config={"portfolio": 2, "delta": False})
+            assert cached["status"] == "ok" and cached["result"]["ok"]
+            assert cached["server"]["path"] == "cache"
+            assert cached["server"]["solvers_built"] == 0
+            assert cached["server"]["portfolio_wins"] == \
+                first["server"]["portfolio_wins"]
+
+            skipped = c.verify(builder=builder, config={"portfolio": 2})
+            assert skipped["status"] == "ok" and skipped["result"]["ok"]
+            assert skipped["server"]["path"] == "delta"
+            assert skipped["server"]["solvers_built"] == 0

@@ -302,31 +302,33 @@ class TestTieredCacheQuarantine:
 # ---------------------------------------------------------------------------
 
 class TestEntryKinds:
-    """Verdict, function and tuner entries share one directory and one
-    path scheme; a read of one kind never answers with another."""
+    """Verdict and function entries share one directory and one path
+    scheme; a read of one kind never answers with another.  Neither does
+    an entry of a kind this build no longer writes (``tuner`` records
+    from an older build's auto-tuner)."""
 
     FN = "f1" * 32
     TUNER = "7e" * 32
     VERDICT = "ab" * 32
 
     def _plant(self, root):
-        from repro.profiles import ProfileTuner
         from repro.vc.delta import DeltaCache
         from repro.vc.errors import FunctionResult, Obligation
         result = FunctionResult("f")
         ob = Obligation("f: ensures#0", "ensures")
         ob.status = PROVED
         result.obligations.append(ob)
-        delta, tuner = DeltaCache(root), ProfileTuner(root)
+        delta = DeltaCache(root)
         delta.store(self.FN, "f", result)
-        tuner.record_win(self.TUNER, "epr", status=PROVED)
         cache = ProofCache(root)
+        cache.write({"digest": self.TUNER, "kind": "tuner",
+                     "profile": "epr", "status": PROVED, "wins": 1})
         cache.store(self.VERDICT, PROVED, {}, 0, label="x")
-        return cache, delta, tuner
+        return cache, delta
 
     def test_function_and_tuner_entries_never_answer_verdicts(self,
                                                               tmp_path):
-        cache, _, _ = self._plant(str(tmp_path))
+        cache, _ = self._plant(str(tmp_path))
         assert cache.lookup(self.FN) is None
         assert cache.lookup(self.TUNER) is None
         assert (cache.hits, cache.misses, cache.corrupt) == (0, 2, 0)
@@ -336,28 +338,24 @@ class TestEntryKinds:
         assert os.path.exists(cache._path(self.TUNER))
 
     def test_verdict_entry_never_answers_views(self, tmp_path):
-        cache, delta, tuner = self._plant(str(tmp_path))
+        cache, delta = self._plant(str(tmp_path))
         assert delta.lookup(self.VERDICT) is None
-        assert tuner.lookup(self.VERDICT) is None
-        assert delta.misses == 1 and tuner.misses == 1
-        assert tuner.evictions == 0
+        assert delta.lookup(self.TUNER) is None
+        assert delta.misses == 2
+        assert cache.corrupt == 0 and os.path.exists(cache._path(self.TUNER))
         assert cache.lookup(self.VERDICT)["status"] == PROVED
-        # The views still read their own entries.
+        # The view still reads its own entries.
         assert delta.lookup(self.FN)["function"] == "f"
-        assert tuner.lookup(self.TUNER) == "epr"
 
-    def test_truncated_function_and_tuner_entries_evicted(self, tmp_path):
-        _, delta, tuner = self._plant(str(tmp_path))
-        for digest in (self.FN, self.TUNER):
-            path = tuner._path(digest)
-            data = open(path, "rb").read()
-            with open(path, "wb") as fh:
-                fh.write(data[:len(data) // 2])
+    def test_truncated_function_entries_evicted(self, tmp_path):
+        cache, delta = self._plant(str(tmp_path))
+        path = cache._path(self.FN)
+        data = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(data[:len(data) // 2])
         assert delta.lookup(self.FN) is None
-        assert tuner.lookup(self.TUNER) is None
-        assert delta.misses == 1 and tuner.misses == 1
-        assert not os.path.exists(tuner._path(self.FN))
-        assert not os.path.exists(tuner._path(self.TUNER))
+        assert delta.misses == 1
+        assert not os.path.exists(path)
 
     def test_tier_hits_count_only_admitted_entries(self, tmp_path):
         """A triage-off run over a triage-on cache rejects the static
