@@ -51,8 +51,8 @@ Environment knobs (all optional, read only by :meth:`from_env`):
 * ``REPRO_ANALYZE`` — truthy to run the :mod:`repro.analysis` static
   passes before planning and reject modules with error findings
   without issuing a single SMT query.
-* ``REPRO_RETRIES`` — max retry-escalation attempts per failed /
-  resource-out / crashed obligation (``0`` = ladder off, the default).
+* ``REPRO_RETRIES`` — max retry-ladder rungs per failed /
+  resource-out obligation (``0`` = ladder off, the default).
 * ``REPRO_MAX_STEPS`` — machine-independent solver step budget per
   check; exhaustion yields a structured ``resource-out`` verdict.
 * ``REPRO_FAULT_PLAN`` — a :mod:`repro.resilience.faults` plan string;
@@ -156,9 +156,9 @@ class VerifyConfig:
                         fingerprints (needs ``cache_dir``).
     ``analyze``         run the static-analysis gate before planning;
                         error findings reject the module solver-free.
-    ``retries``         retry-escalation attempts per failed/resource-out
-                        /crashed obligation (0 = ladder off; None =
-                        profile default).
+    ``retries``         retry-ladder rungs per failed/resource-out
+                        obligation (0 = ladder off; None = profile
+                        default).
     ``max_steps``       per-check solver step budget; exhaustion yields
                         a ``resource-out`` verdict instead of a hang
                         (None = profile default).

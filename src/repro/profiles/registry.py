@@ -27,10 +27,9 @@ Semantics that the rest of the pipeline depends on:
   automatically keys entries on the *effective* profile: two profiles
   never share a cache entry for the same query text.
 
-* **Escalation** — the retry ladder's "heavier" rungs raise the
-  budgets of each discharge config (:func:`escalate_config`): every
-  resource budget doubles and the step budget quadruples, exactly the
-  historical ladder semantics.
+* **Escalation** — the retry ladder's rungs raise the budgets of each
+  discharge config (:func:`escalate_config`): every resource budget
+  doubles and the step budget quadruples.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ class AutomationProfile:
 
 def escalate_config(cfg: SolverConfig) -> SolverConfig:
     """A copy of ``cfg`` with every resource budget raised — the
-    ladder's "fresh context" and "split" rungs trade more work for a
+    ladder's ``escalate`` and ``split`` rungs trade more work for a
     chance of discharging a goal that blew its budget."""
     boosted = SolverConfig(**vars(cfg))
     boosted.max_rounds *= 2

@@ -39,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from ..api import Session, VerifyConfig
-from ..smt.solver import solver_constructions
+from ..smt.solver import Stats, solver_constructions
 from . import protocol
 from .config import ServerConfig
 from .queue import FairQueue, QueueFull
@@ -109,15 +109,9 @@ class VerifyServer:
                                         PATH_DELTA)}
         self._busy = 0
         self._errors = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
-        # Static proving tier aggregates (repro.analysis.absint).
-        self._static_proved = 0
-        self._solvers_avoided = 0
-        # Tiered proof cache (repro.cache) per-tier counters, summed
-        # over requests.
-        self._tier_totals = {k: 0 for k in
-                             ("mem_hits", "disk_hits", "quarantined")}
+        # Every verify/diagnose request's run stats, merged: proof-cache
+        # hits and tiers, static-tier discharges, solver counters.
+        self._totals = Stats()
 
     # -------------------------------------------------------------- startup
 
@@ -354,13 +348,7 @@ class VerifyServer:
         path = self._classify(stats, built)
         with self._stats_lock:
             self._paths[path] += 1
-            self._cache_hits += int(stats.get("cache_hits", 0) or 0)
-            self._cache_misses += int(stats.get("cache_misses", 0) or 0)
-            self._static_proved += int(stats.get("static_proved", 0) or 0)
-            self._solvers_avoided += int(
-                stats.get("solver_constructions_avoided", 0) or 0)
-            for key in self._tier_totals:
-                self._tier_totals[key] += int(stats.get(key, 0) or 0)
+            self._totals.merge(stats)
         server = {
             "path": path,
             "solvers_built": built,
@@ -410,10 +398,13 @@ class VerifyServer:
             paths = dict(self._paths)
             busy = self._busy
             errors = self._errors
-            hits, misses = self._cache_hits, self._cache_misses
-            static_proved = self._static_proved
-            solvers_avoided = self._solvers_avoided
-            tier_totals = dict(self._tier_totals)
+            totals = self._totals
+            hits, misses = totals.cache_hits, totals.cache_misses
+            static_proved = totals.static_proved
+            solvers_avoided = totals.solver_constructions_avoided
+            tier_totals = {"mem_hits": totals.mem_hits,
+                           "disk_hits": totals.disk_hits,
+                           "quarantined": totals.quarantined}
         total = hits + misses
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),

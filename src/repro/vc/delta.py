@@ -144,8 +144,8 @@ def _contract_text(fn: A.Function) -> str:
     return "|".join(parts)
 
 
-def function_dependency_digest(gen, fn: A.Function,
-                               solver_config=None, race=()) -> str:
+def function_dependency_digest(gen, fn: A.Function, solver_config=None,
+                               lineup=(), static_tier: bool = True) -> str:
     """Content address of everything fn's verification depends on.
 
     ``solver_config`` is the *effective* solver configuration the
@@ -155,9 +155,13 @@ def function_dependency_digest(gen, fn: A.Function,
     callers that apply overrides must pass the layered config or the
     digest would alias across budgets and replay stale verdicts.
 
-    ``race`` is the portfolio race lineup's solver configs: a function a
-    race rescued is fully verified only for runs that race the same
-    lineup.  Empty (racing off) leaves the digest unchanged.
+    ``lineup`` is the run's escalation attempt keys (race candidates,
+    then ladder rungs): a function an attempt rescued is fully verified
+    only for runs with the same lineup.  ``static_tier`` says whether the
+    static proving tier answers obligations: a function it discharged
+    was not checked by any solver, and a run without the tier must not
+    replay it.  An empty lineup with the tier answering (the default
+    run) leaves the digest unchanged.
     """
     module = gen.module
     chunks = [f"module:{module.name}:epr={module.epr_mode}",
@@ -173,8 +177,10 @@ def function_dependency_digest(gen, fn: A.Function,
     if solver_config is None:
         solver_config = gen.config.make_solver_config()
     config_key = solver_config_key(solver_config)
-    if race:
-        config_key = [config_key] + [solver_config_key(c) for c in race]
+    if lineup:
+        config_key = [config_key] + list(lineup)
+    if not static_tier:
+        config_key = {"config": config_key, "static_tier": False}
     return function_fingerprint(chunks, config_key, type(gen).__qualname__)
 
 
@@ -233,13 +239,11 @@ class DeltaCache:
             self.stores += 1
 
 
-def replay_function(entry: dict, triage_on: bool = True) -> FunctionResult:
-    """Rebuild a FunctionResult from a delta-cache hit (all PROVED).
-
-    Static-tier provenance is restored only when ``triage_on`` — a
-    triage-off warm run must report exactly what a triage-off cold run
-    would, and that run never produces static verdicts.
-    """
+def replay_function(entry: dict) -> FunctionResult:
+    """Rebuild a FunctionResult from a delta-cache hit (all PROVED),
+    static-tier provenance included: the digest keys whether the tier
+    answers, so an entry with static verdicts only replays into a run
+    that produces them."""
     result = FunctionResult(entry["function"])
     result.query_bytes = int(entry.get("query_bytes", 0))
     result.seconds = 0.0
@@ -248,7 +252,7 @@ def replay_function(entry: dict, triage_on: bool = True) -> FunctionResult:
         ob.status = PROVED
         ob.seq = int(rec.get("seq", 0))
         ob.stats = {"delta_skipped": True}
-        if rec.get("static") and triage_on:
+        if rec.get("static"):
             ob.stats["tier"] = STATIC_PROVED
         span = rec.get("span")
         if span:

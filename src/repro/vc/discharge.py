@@ -42,8 +42,7 @@ def classify(solver: SmtSolver, verdict: str, stats: dict) -> str:
 
 
 def solve(configs: Sequence[SolverConfig], assertions: Sequence,
-          timeout: Optional[float] = None,
-          incremental: bool = False) -> tuple:
+          timeout: Optional[float] = None) -> tuple:
     """Discharge ``assertions`` under each config in turn, stopping at
     the first PROVED; ``(status, stats, query_bytes, seconds)``.
 
@@ -58,7 +57,7 @@ def solve(configs: Sequence[SolverConfig], assertions: Sequence,
     left = timeout
     qbytes = 0
     for config in configs:
-        solver = build_solver(config, assertions, incremental)
+        solver = build_solver(config, assertions)
         verdict = solver.check(timeout=left)
         stats = solver.stats.snapshot()
         status = classify(solver, verdict, stats)

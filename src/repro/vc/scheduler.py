@@ -12,8 +12,8 @@ never need re-solving.  This layer supplies both halves:
   (:meth:`~repro.vc.wp.VcGen.solver_configs`) in order until one proves
   it.  The same planned query runs in this process (serially, or in a
   warm context) or in a ``ProcessPoolExecutor`` worker (``jobs > 1``),
-  under the same soft per-obligation deadline, with a serial fallback
-  when a worker dies.
+  under the same soft per-obligation deadline, with an in-process
+  fallback when a worker dies.
 
 * Before any solving, each job is looked up in the content-addressed
   proof cache (:mod:`repro.cache`) keyed on the canonical SMT-LIB2
@@ -40,16 +40,15 @@ Resilience (this layer is where the paper's "practical foundation"
 claim meets real fleet failures):
 
 * **Escalation** (``portfolio=N`` / ``retries=N``) — after the main
-  pass, each stubborn obligation (failed, ``RESOURCE_OUT``, or crashed)
-  gets one ordered *attempt plan*, run by one executor: portfolio race
-  candidates first (alternative automation profiles, every one
-  attempted), then retry-ladder rungs with exponential backoff
-  (warm-incremental → fresh context with escalated budgets →
-  per-conjunct split → serial, stopping at the first proof).  Every
-  attempt solves under its own configs and the run's timeout, stores its
-  verdict under its own digest, and the lowest-index PROVED attempt
-  wins.  The race record and the escalation trail land in the
-  obligation's stats/diag payload.
+  pass, each stubborn obligation (failed, ``RESOURCE_OUT``, or timed
+  out) runs the run's one *attempt lineup*: portfolio race candidates
+  first (alternative automation profiles, every one attempted), then up
+  to two retry-ladder rungs (escalated budgets, then escalated budgets
+  one conjunct at a time, stopping at the first proof).  Every attempt
+  is keyed by its own query, configs and split tag, replays its own
+  cached verdict or solves and stores under that key, and the
+  lowest-index PROVED attempt wins.  The race record and the escalation
+  trail land in the obligation's stats/diag payload.
 
 * **Fault injection** (``fault_plan`` / ``REPRO_FAULT_PLAN``) — the
   scheduler installs a :class:`repro.resilience.FaultPlan` around each
@@ -72,7 +71,6 @@ from __future__ import annotations
 import concurrent.futures as _cf
 import os
 import pickle
-import random
 import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
@@ -94,9 +92,9 @@ __all__ = ["Scheduler", "ObligationJob", "default_jobs",
            "run_builder_job", "run_builder_jobs",
            "JOBS_ENV", "JOB_TIMEOUT_ENV", "DIAG_ENV"]
 
-#: Base delay (seconds) of the retry ladder's exponential backoff; each
-#: rung doubles it (capped at 1 s) plus seeded jitter.
-RETRY_BACKOFF = 0.01
+#: Strategy tag of an attempt that proves the goal one conjunct at a
+#: time: its verdict is not the whole query's, so it keys apart.
+SPLIT_TAG = "/split"
 
 
 def _with_max_steps(cfg: SolverConfig, max_steps: Optional[int]
@@ -117,6 +115,12 @@ def _configs_key(configs: list):
     if len(configs) == 1:
         return solver_config_key(configs[0])
     return [solver_config_key(c) for c in configs]
+
+
+def _attempt_key(configs: list, split: bool) -> list:
+    """An escalation attempt's key: its configs' cache-key knobs and its
+    strategy tag."""
+    return [_configs_key(configs), SPLIT_TAG if split else ""]
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +201,7 @@ class _Task:
         # bytes — folded into the discharge stats by _apply().
         self.pruned: dict = {}
         # Worker-failure cause ("ExcType: message") when a parallel
-        # attempt died; surfaced in Stats/diag and consumed by the
-        # retry ladder.
+        # attempt died; surfaced in Stats/diag.
         self.crash: Optional[str] = None
         # Shadow triage (REPRO_TRIAGE=shadow): the static tier claimed
         # this obligation; the solver still runs, and a FAILED verdict
@@ -217,39 +220,34 @@ class _Task:
 
 
 class _Attempt:
-    """One entry of a stubborn obligation's escalation plan.
+    """One entry of the run's attempt lineup, bound to one obligation.
 
-    ``configs`` are the solver configs tried in order.  ``isolation``
-    says how the solver is built: ``warm`` (incremental), ``fresh``,
-    ``split`` (one fresh solver per goal conjunct) or ``serial`` (a
-    plain fresh solver).  ``digest`` is where the verdict is stored —
-    and first looked up, when ``replay`` is set.  ``backoff`` is the
-    base delay before solving.  A ``must_run`` attempt runs even after
-    an earlier one has PROVED.  ``profile`` names a race candidate's
-    automation profile.
+    ``name`` is a race candidate's automation profile or a ladder rung's
+    name (``escalate``, ``split``).  ``configs`` are the solver configs
+    tried in order; a ``split`` attempt proves each goal conjunct on its
+    own.  ``digest`` keys the attempt's verdict: it is looked up first
+    and stored under after solving.  Every ``race`` attempt runs even
+    after an earlier one has PROVED; a rung runs only until one does.
     """
 
-    __slots__ = ("configs", "isolation", "digest", "backoff", "must_run",
-                 "replay", "profile", "status", "stats", "qbytes",
-                 "seconds", "replayed")
+    __slots__ = ("name", "configs", "split", "race", "digest", "status",
+                 "stats", "qbytes", "seconds", "replayed", "diag")
 
-    def __init__(self, configs: list, isolation: str,
-                 digest: Optional[str], backoff: float = 0.0,
-                 must_run: bool = False, replay: bool = False,
-                 profile: Optional[str] = None):
+    def __init__(self, name: str, configs: list, split: bool, race: bool,
+                 digest: str):
+        self.name = name
         self.configs = configs
-        self.isolation = isolation
+        self.split = split
+        self.race = race
         self.digest = digest
-        self.backoff = backoff
-        self.must_run = must_run
-        self.replay = replay
-        self.profile = profile
         self.status: Optional[str] = None
         self.stats: dict = {}
         self.qbytes = 0
         self.seconds = 0.0
-        # True when the verdict was replayed from the proof cache.
+        # Set when the verdict was replayed from the proof cache, with
+        # the stored diagnostic (if any) alongside.
         self.replayed = False
+        self.diag: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +277,11 @@ class Scheduler:
     module with error findings before any solver exists; the automation
     ``profile`` layers its solver knobs onto every discharge config.
 
-    Stubborn obligations get one ordered attempt plan (see
-    :meth:`_plan_attempts`): ``portfolio`` race candidates, then up to
-    ``retries`` ladder rungs, run by one executor (:meth:`_escalate`).
+    Stubborn obligations run the run's attempt lineup (see
+    :meth:`_lineup`): ``portfolio`` race candidates, then up to
+    ``retries`` ladder rungs, each keyed, replayed and stored the same
+    way by one executor (:meth:`_escalate`).
     """
-
-    #: Escalation order of the retry ladder: cheapest recovery first,
-    #: heaviest (and most isolated) last.
-    LADDER = ("warm", "fresh", "split", "serial")
 
     def __init__(self, config: VerifyConfig, cache=None, solver_pool=None):
         self.config = config
@@ -308,8 +303,6 @@ class Scheduler:
         plan = config.fault_plan
         self.fault_plan: Optional[FaultPlan] = (
             FaultPlan.from_string(plan) if isinstance(plan, str) else plan)
-        # Seeded backoff jitter keeps chaos runs reproducible.
-        self._retry_rng = random.Random(0x5EED)
         self._delta_cache = None
         if self.delta and self.cache is not None:
             from .delta import DeltaCache
@@ -367,9 +360,7 @@ class Scheduler:
         gen.proof_cache = self.cache
         delta_digests: dict[int, str] = {}
         configs = gen.solver_configs(self._solver_config(gen))
-        # A task with several configs runs its pipeline's own portfolio;
-        # only single-config pipelines race profiles.
-        race = self._race_lineup(gen) if len(configs) == 1 else []
+        lineup = self._lineup(gen, configs)
         try:
             for fn in gen.module.functions.values():
                 if fn.mode in (A.EXEC, A.PROOF) and fn.body is not None:
@@ -379,17 +370,18 @@ class Scheduler:
                         # Key on the scheduler-effective solver config
                         # (max_steps layered on), never the raw base
                         # config: a PROVED under one budget must not be
-                        # replayed under another.  Likewise the race
-                        # lineup: a function a race rescued must not
-                        # replay into a run that does not race.
+                        # replayed under another.  Likewise the attempt
+                        # lineup (a function a race or rung rescued must
+                        # not replay into a run without it) and whether
+                        # the static tier answers.
                         digest = function_dependency_digest(
                             gen, fn, solver_config=self._solver_config(gen),
-                            race=[cfg for _, cfg in race])
+                            lineup=[_attempt_key(c, split)
+                                    for _, c, split, _ in lineup],
+                            static_tier=self.triage_mode == "on")
                         entry = self._delta_cache.lookup(digest)
                         if entry is not None:
-                            result.functions.append(replay_function(
-                                entry,
-                                triage_on=self.triage_mode == "on"))
+                            result.functions.append(replay_function(entry))
                             continue
                     plan = gen.plan_function(fn)
                     if self._delta_cache is not None:
@@ -397,9 +389,9 @@ class Scheduler:
                     plans.append(plan)
                     result.functions.append(plan.result)
                     tasks.extend(self._plan_tasks(gen, plan, configs))
-            self._run_tasks(gen, tasks)
-            if race or self.retries > 0:
-                self._escalate(gen, tasks, race)
+            self._run_tasks(gen, tasks, lineup)
+            if lineup:
+                self._escalate(gen, tasks, lineup)
             if self.triage_mode == "shadow":
                 # Shadow triage: the static tier ran alongside the
                 # solver; a claimed obligation the solver *refuted* is
@@ -459,19 +451,37 @@ class Scheduler:
             self.profile.apply_solver(gen.config.make_solver_config()),
             self.max_steps)
 
-    def _race_lineup(self, gen) -> list[tuple[str, SolverConfig]]:
-        """The race candidates as ``(profile, config)`` pairs (empty when
-        racing is off): each alternative profile
+    def _lineup(self, gen, configs: list) -> list[tuple]:
+        """The run's attempt lineup, as ``(name, configs, split, race)``
+        entries: race candidates first, then ladder rungs.
+
+        Only a single-config pipeline races (a multi-config task runs
+        its pipeline's own portfolio): each alternative profile
         (:func:`~repro.profiles.portfolio_candidates`) has its knobs
         layered on the *unprofiled* discharge config, then an explicit
         ``VerifyConfig.max_steps`` (a cap such as a daemon quota must
         bound race attempts too, and must win over a candidate profile's
-        own budget)."""
-        base = gen.config.make_solver_config()
-        return [(name, _with_max_steps(get_profile(name).apply_solver(base),
-                                       self.config.max_steps))
-                for name in portfolio_candidates(self.profile,
-                                                 self.portfolio)]
+        own budget).
+
+        At most ``retries`` rungs follow: ``escalate`` runs every one of
+        the task's configs through :func:`~repro.profiles.escalate_config`;
+        ``split`` runs the escalated configs on each goal conjunct on its
+        own, unless the profile vetoes splitting.
+        """
+        lineup = []
+        if len(configs) == 1:
+            base = gen.config.make_solver_config()
+            lineup = [(name,
+                       [_with_max_steps(get_profile(name).apply_solver(base),
+                                        self.config.max_steps)],
+                       False, True)
+                      for name in portfolio_candidates(self.profile,
+                                                       self.portfolio)]
+        escalated = [escalate_config(c) for c in configs]
+        rungs = [("escalate", escalated, False, False)]
+        if self.profile.split_strategy != "off":
+            rungs.append(("split", escalated, True, False))
+        return lineup + rungs[:self.retries]
 
     def _plan_tasks(self, gen, plan, configs: list) -> list[_Task]:
         tasks = []
@@ -491,8 +501,11 @@ class Scheduler:
 
     # ---------------------------------------------------------- execution
 
-    def _run_tasks(self, gen, tasks: list[_Task]) -> None:
+    def _run_tasks(self, gen, tasks: list[_Task], lineup: list) -> None:
         unsolved = []
+        # With a ladder, a stored failure is never the reported verdict
+        # (the last rung's is), so it replays without its diagnostic.
+        reported = all(race for *_, race in lineup)
         strategy = type(gen).__qualname__
         triage = None
         if self.triage_mode != "off" and gen.ABSINT_TRIAGE:
@@ -502,7 +515,7 @@ class Scheduler:
             if self.cache is not None:
                 task.digest = obligation_digest(
                     task.assertions, _configs_key(task.configs), strategy)
-                entry = self._lookup(task.digest)
+                entry = self._lookup(task.digest, reported)
                 if entry is not None:
                     # A cached verdict (perhaps from a killed earlier
                     # run): replay it, solve nothing.
@@ -553,10 +566,6 @@ class Scheduler:
         if len(unsolved) > 1 and self.jobs > 1:
             unsolved = self._run_parallel(unsolved)
         for task in unsolved:
-            if self.retries > 0 and task.crash is not None:
-                # The retry ladder owns crashed obligations: it records
-                # the escalation trail the plain serial fallback cannot.
-                continue
             self._run_fresh(task)
 
     def _run_fresh(self, task: _Task) -> None:
@@ -645,7 +654,7 @@ class Scheduler:
 
     def _run_parallel(self, tasks: list[_Task]) -> list[_Task]:
         """Fan tasks out across processes; returns tasks that still need
-        the in-process serial fallback (or the retry ladder).
+        the in-process fallback.
 
         Each job carries the soft per-obligation deadline and enforces
         it inside its worker's solver, as an in-process discharge does,
@@ -709,21 +718,22 @@ class Scheduler:
 
     # ---------------------------------------------------------- escalation
 
-    def _escalate(self, gen, tasks: list[_Task], race: list) -> None:
-        """Run each stubborn obligation's attempt plan, then adopt.
+    def _escalate(self, gen, tasks: list[_Task], lineup: list) -> None:
+        """Run each stubborn obligation's attempts, then adopt.
 
         Runs in the parent process after the main pass.  One election
-        rule: the lowest-index PROVED attempt wins.  One store rule:
-        every solved attempt's verdict is stored under the attempt's own
-        digest unless it is a wall-clock artefact (:meth:`_store`).
+        rule: the lowest-index PROVED attempt wins.  One replay and
+        store rule: every attempt replays the verdict stored under its
+        own digest, or solves and stores under it unless the verdict is
+        a wall-clock artefact (:meth:`_store`).
         """
         strategy = type(gen).__qualname__
         for task in tasks:
-            plan = self._plan_attempts(task, strategy, race)
+            plan = self._plan_attempts(task, strategy, lineup)
             ran: list[_Attempt] = []
             winner = None
             for attempt in plan:
-                if winner is not None and not attempt.must_run:
+                if winner is not None and not attempt.race:
                     break
                 self._run_attempt(task, attempt)
                 ran.append(attempt)
@@ -733,73 +743,45 @@ class Scheduler:
                 self._adopt(task, plan, ran, winner)
 
     def _plan_attempts(self, task: _Task, strategy: str,
-                       race: list) -> list[_Attempt]:
-        """The ordered attempt plan for one obligation; empty unless it
-        is stubborn.
+                       lineup: list) -> list[_Attempt]:
+        """The lineup's attempts for one obligation; empty unless it is
+        stubborn (FAILED, TIMEOUT or RESOURCE_OUT), whether its verdict
+        was solved or replayed.
 
-        **Race candidates** come first, for an obligation left FAILED,
-        TIMEOUT or RESOURCE_OUT: each ``(profile, config)`` pair of
-        ``race`` (:meth:`_race_lineup`), stored under its own digest.
-        Every candidate runs (so serial, ``jobs=N`` and cache-warm runs
-        leave byte-identical cache state), and a stored verdict replays
-        instead of solving, so a cache-warm run replays the whole race
-        with zero solvers.
-
-        **Ladder rungs** follow, for an obligation that crashed or ended
-        FAILED/RESOURCE_OUT from a fresh solve (a replay is not a
-        transient fault): warm → fresh with escalated budgets →
-        per-conjunct split (unless the profile vetoes splitting or the
-        goal does not split) → serial, at most ``retries`` of them, each
-        after an exponential backoff.  Rungs always solve, stop at the
-        first proof, and store under the obligation's own digest.  A
-        rung escalates every one of the task's configs.
+        A TIMEOUT gets the race candidates only: a rung's bigger budgets
+        cannot beat a wall-clock deadline.  The split rung is skipped
+        for a goal that does not split.  Each attempt's digest keys its
+        query, its configs and its split tag, so a rung's verdict never
+        lands under the obligation's own digest.
         """
-        ob = task.item.obligation
-        plan: list[_Attempt] = []
-        if task.done and ob.status in (FAILED, TIMEOUT, RESOURCE_OUT):
-            for name, cfg in race:
-                digest = obligation_digest(task.assertions,
-                                           solver_config_key(cfg), strategy)
-                plan.append(_Attempt([cfg], "fresh", digest, must_run=True,
-                                     replay=True, profile=name))
-        if task.done:
-            stubborn = (ob.status in (FAILED, RESOURCE_OUT)
-                        and not ob.stats.get("cache_hit"))
-        else:
-            stubborn = task.crash is not None
-        if not (self.retries and stubborn):
-            return plan
-        rungs: list[_Attempt] = []
-        for isolation in self.LADDER:
-            if len(rungs) == self.retries:
-                break
-            if isolation == "split" and (self.profile.split_strategy == "off"
-                                         or not self._splittable(task)):
+        status = task.item.obligation.status
+        if status not in (FAILED, TIMEOUT, RESOURCE_OUT):
+            return []
+        plan = []
+        for name, configs, split, race in lineup:
+            if not race and (status == TIMEOUT
+                             or split and not self._splittable(task)):
                 continue
-            configs = ([escalate_config(c) for c in task.configs]
-                       if isolation in ("fresh", "split") else task.configs)
-            rungs.append(_Attempt(
-                configs, isolation, task.digest,
-                backoff=min(RETRY_BACKOFF * 2 ** len(rungs), 1.0)))
-        return plan + rungs
+            key, tag = _attempt_key(configs, split)
+            plan.append(_Attempt(name, configs, split, race,
+                                 obligation_digest(task.assertions, key,
+                                                   strategy + tag)))
+        return plan
 
     def _run_attempt(self, task: _Task, attempt: _Attempt) -> None:
         """Replay or solve one attempt, recording its outcome on it."""
-        if attempt.replay:
-            entry = self._lookup(attempt.digest, reported=False)
-            if entry is not None:
-                attempt.replayed = True
-                attempt.status = entry["status"]
-                attempt.stats = dict(entry.get("stats") or {})
-                attempt.qbytes = entry.get("query_bytes", 0)
-                return
-        if attempt.backoff > 0:
-            time.sleep(attempt.backoff * (1.0 + self._retry_rng.random()))
-        if attempt.isolation == "split":
+        entry = self._lookup(attempt.digest, reported=False)
+        if entry is not None:
+            attempt.replayed = True
+            attempt.status = entry["status"]
+            attempt.stats = dict(entry.get("stats") or {})
+            attempt.qbytes = entry.get("query_bytes", 0)
+            attempt.diag = entry.get("diag")
+            return
+        if attempt.split:
             outcome = self._solve_split(task, attempt.configs)
         else:
-            outcome = solve(attempt.configs, task.assertions, self.timeout,
-                            incremental=attempt.isolation == "warm")
+            outcome = solve(attempt.configs, task.assertions, self.timeout)
         attempt.status, attempt.stats, attempt.qbytes, attempt.seconds = \
             outcome
         self.stats.merge(attempt.stats)
@@ -814,52 +796,56 @@ class Scheduler:
         rung's verdict replaces the failed one, and a race alone leaves
         the obligation's verdict as it was (non-PROVED race outcomes are
         never adopted: a countermodel under another profile's quantifier
-        knobs may be spurious).  The race record (``portfolio``) and the
-        escalation trail (``retries``/``escalation``) both land in the
-        obligation's stats; every solve the plan paid for counts towards
-        the module's query bytes.
+        knobs may be spurious).  An adopted verdict brings its digest
+        along, so a diagnosis upgrades the attempt's own entry.  The
+        race record (``portfolio``) and the escalation trail
+        (``retries``/``escalation``) both land in the obligation's
+        stats; every solve the plan paid for counts towards the module's
+        query bytes.
         """
         ob = task.item.obligation
-        raced = [a for a in plan if a.profile is not None]
-        rungs = [a for a in ran if a.profile is None]
+        raced = [a for a in plan if a.race]
+        rungs = [a for a in ran if not a.race]
         solved = [a for a in ran if not a.replayed]
         adopted = winner or (rungs[-1] if rungs else None)
         stats = dict(adopted.stats if adopted is not None else ob.stats)
         if raced:
             self.stats.portfolio_races += 1
-            self.stats.portfolio_attempts += sum(a.profile is not None
-                                                 for a in solved)
+            self.stats.portfolio_attempts += sum(a.race for a in solved)
             stats["portfolio"] = {
-                "raced": [a.profile for a in raced],
-                "outcomes": {a.profile: a.status for a in raced},
-                "winner": winner.profile if winner is not None else None}
+                "raced": [a.name for a in raced],
+                "outcomes": {a.name: a.status for a in raced},
+                "winner": winner.name if winner is not None and winner.race
+                else None}
         if rungs:
             self.stats.retries += len(rungs)
             stats["retries"] = len(rungs)
-            stats["escalation"] = [a.isolation for a in rungs]
+            stats["escalation"] = [a.name for a in rungs]
         if winner is not None:
-            if winner.profile is not None:
+            if winner.race:
                 self.stats.portfolio_wins += 1
-                stats["profile"] = winner.profile
+                stats["profile"] = winner.name
             else:
                 self.stats.retry_recoveries += 1
         if adopted is not None:
             if adopted.replayed:
                 stats["cache_hit"] = True
+            # The diagnostic follows the verdict: the adopted attempt's
+            # stored one, or a fresh diagnosis afterwards.
+            ob.diag = None
+            if self.diagnostics and adopted.diag:
+                from ..diag import Diagnostic
+                ob.diag = Diagnostic.from_dict(adopted.diag)
             ob.status = adopted.status
             task.qbytes = adopted.qbytes
+            task.digest = adopted.digest
             if adopted.status == RESOURCE_OUT:
                 self.stats.resource_outs += 1
         if task.crash is not None:
             stats["pool_failure"] = task.crash
         ob.stats = stats
         seconds = sum(a.seconds for a in ran)
-        if task.done:
-            ob.seconds += seconds
-        else:
-            ob.seconds = seconds
-            self.stats.obligations += 1
-            task.done = True
+        ob.seconds += seconds
         self.stats.obligation_seconds += seconds
         task.plan.result.query_bytes += sum(a.qbytes for a in solved)
 
@@ -991,8 +977,10 @@ class Scheduler:
         """The admissible cached verdict for ``digest``, or None.  The
         cache applies :meth:`_admissible` as it looks up, so its hit
         counters (tiers included) count only replayed entries.
-        ``reported`` is False where only a PROVED replay can become the
-        obligation's verdict (race candidates)."""
+        ``reported`` is False where a replayed failure need not carry
+        its diagnostic: escalation attempts (a diagnosis missing from
+        the adopted verdict is made afterwards) and a main pass that a
+        ladder follows (its failures are never the reported verdict)."""
         if self.cache is None:
             return None
         return self.cache.lookup(

@@ -441,13 +441,18 @@ def test_delta_replay_drops_static_provenance_when_triage_off(tmp_path):
     cache = str(tmp_path / "pv_cache")
     cold = _verify(_case_module, triage="on", cache_dir=cache, delta=True)
     assert cold.stats["static_proved"] >= 1
-    # A triage-off warm run hits the delta entries (verdicts are sound
-    # either way) but must report exactly what a triage-off cold run
-    # would — no static provenance.
+    # The delta digest keys on whether the static tier answers: a
+    # triage-off run never replays a function no solver checked, and
+    # reports exactly what a triage-off cold run would — no static
+    # provenance.  Its own entries then replay into the next off run.
     off = _verify(_case_module, triage="off", cache_dir=cache, delta=True)
-    assert off.stats.get("delta_skips", 0) >= 1
-    assert not any(o.stats.get("tier") == STATIC_PROVED
-                   for f in off.functions for o in f.obligations)
+    assert off.stats.get("delta_skips", 0) == 0
+    again = _verify(_case_module, triage="off", cache_dir=cache, delta=True)
+    assert again.stats.get("delta_skips", 0) >= 1
+    for run in (off, again):
+        assert run.ok
+        assert not any(o.stats.get("tier") == STATIC_PROVED
+                       for f in run.functions for o in f.obligations)
     # An on-mode warm run keeps the provenance byte-identical to cold.
     on = _verify(_case_module, triage="on", cache_dir=cache, delta=True)
     assert on.stats.get("delta_skips", 0) >= 1

@@ -292,7 +292,7 @@ class TestRaceThenLadder:
         for ob in failed:
             assert ob.stats["portfolio"]["raced"] == ["aggressive"]
             assert ob.stats["portfolio"]["winner"] is None
-            assert ob.stats["escalation"] == ["warm"]
+            assert ob.stats["escalation"] == ["escalate"]
             assert ob.stats["retries"] == 1
 
     def test_race_win_skips_the_ladder(self):

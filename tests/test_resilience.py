@@ -4,9 +4,9 @@ gate.
 
 The contract under test: with a deterministic seeded FaultPlan injecting
 worker crashes, cache I/O errors, and forced resource-out verdicts, the
-pipeline's recovery machinery (quarantine, escalation ladder, serial
-fallback, cache resume) must converge to verdicts *byte-identical* to
-a fault-free run — faults may cost time, never answers.
+pipeline's recovery machinery (quarantine, escalation ladder, in-process
+fallback, cache resume) must converge to verdicts *byte-identical* to a
+fault-free run — faults may cost time, never answers.
 """
 
 import glob
@@ -225,8 +225,8 @@ class TestInjection:
 
     def test_solver_check_crash_escapes_without_retries(self):
         # Serial runs have no worker boundary to absorb the crash: it
-        # takes the whole run down, exactly like a SIGKILL (this is what
-        # the journal-resume path recovers from).
+        # takes the whole run down, exactly like a SIGKILL (a re-run over
+        # the same cache directory resumes it; see TestJournalResume).
         sched = Scheduler(
             VerifyConfig.from_env(jobs=1, fault_plan="solver.check:crash@1"))
         with pytest.raises(InjectedCrash):
@@ -294,7 +294,26 @@ class TestInjection:
 
 class TestRetryLadder:
     def test_ladder_order(self):
-        assert Scheduler.LADDER == ("warm", "fresh", "split", "serial")
+        """The lineup is race candidates, then at most ``retries`` rungs:
+        escalated budgets, then escalated budgets per conjunct (unless
+        the profile vetoes splitting)."""
+        gen = VcGen(_mk_module())
+
+        def names(**kw):
+            sched = Scheduler(VerifyConfig(**kw))
+            configs = gen.solver_configs(sched._solver_config(gen))
+            return [(name, split, race) for name, _, split, race
+                    in sched._lineup(gen, configs)]
+
+        assert names() == []
+        assert names(retries=1) == [("escalate", False, False)]
+        assert names(retries=3) == [("escalate", False, False),
+                                    ("split", True, False)]
+        assert names(profile="frugal", retries=3) == \
+            [("escalate", False, False)]
+        assert names(portfolio=1, retries=2) == [
+            ("aggressive", False, True), ("escalate", False, False),
+            ("split", True, False)]
 
     def test_resource_out_recovered(self):
         clean = VcGen(_mk_module()).verify_module()
@@ -307,16 +326,19 @@ class TestRetryLadder:
         trails = [o.stats.get("escalation")
                   for f in res.functions for o in f.obligations
                   if o.stats.get("escalation")]
-        assert trails == [["warm"]]
+        assert trails == [["escalate"]]
 
-    def test_worker_crash_recovered_by_ladder(self):
+    def test_worker_crash_recovered_in_process(self):
+        """A crashed worker's task takes the in-process fallback whatever
+        ``retries`` is; the ladder then sees only its verdict."""
         clean = VcGen(_mk_module()).verify_module()
         sched = Scheduler(VerifyConfig.from_env(
             jobs=2, incremental=False, retries=2,
             fault_plan="pool.worker:crash@1"))
         res = VcGen(_mk_module()).verify_module(sched)
         assert res.ok and _signature(clean) == _signature(res)
-        assert res.stats["retry_recoveries"] == 1
+        assert res.stats["retry_recoveries"] == 0
+        assert res.stats["retries"] == 0
         assert res.stats["pool_failures"] == 1
 
     def test_genuine_failure_stays_failed(self):
@@ -327,11 +349,11 @@ class TestRetryLadder:
         assert res.stats["retries"] >= 1
         failed = [o for f in res.functions for o in f.obligations
                   if o.status == FAILED]
-        assert failed and failed[0].stats.get("escalation") == ["warm"]
+        assert failed and failed[0].stats.get("escalation") == ["escalate"]
 
     def test_every_rung_honours_the_run_budgets(self, monkeypatch):
-        """Every rung, serial included, solves under a step-budgeted
-        config and the run's soft deadline."""
+        """Every rung solves under a step-budgeted config and the run's
+        soft deadline."""
         checks = []
         real_check = SmtSolver.check
 
@@ -346,13 +368,71 @@ class TestRetryLadder:
         assert not res.ok
         trails = [o.stats.get("escalation")
                   for f in res.functions for o in f.obligations]
-        assert ["warm", "fresh", "serial"] in trails
+        assert ["escalate"] in trails
         assert checks
         assert all(steps is not None and timeout == 0.5
                    for steps, timeout in checks)
 
     def test_retries_off_by_default(self):
         assert Session().scheduler().retries == 0
+
+
+# ---------------------------------------------------------------------------
+# Ladder rungs are keyed, replayed and stored like race candidates
+# ---------------------------------------------------------------------------
+
+# The Fig 7a doubly-linked list under a 20-step budget: 11 of its 23
+# obligations run out of budget, and every one proves on the escalate rung.
+_TIGHT = {"jobs": 1, "max_steps": 20, "triage": "off"}
+
+
+def _tight_run(**kw):
+    from repro.millibench.lists import build_doubly_linked_module
+    from repro.smt.solver import total_solver_constructions
+    built0 = total_solver_constructions()
+    res = Session(VerifyConfig(**_TIGHT, **kw)).verify_module(
+        build_doubly_linked_module())
+    return res, total_solver_constructions() - built0
+
+
+def _trails(res):
+    return [(o.label, o.status, o.stats.get("escalation"))
+            for f in res.functions for o in f.obligations]
+
+
+class TestLadderReplay:
+    @pytest.mark.parametrize("delta", [False, True], ids=["cache", "delta"])
+    def test_rescue_does_not_replay_into_a_run_without_the_ladder(
+            self, tmp_path, delta):
+        cold, _ = _tight_run(retries=0)
+        assert not cold.ok
+        assert sum(o.status == RESOURCE_OUT for f in cold.functions
+                   for o in f.obligations) == 11
+        cdir = str(tmp_path / "pc")
+        rescued, _ = _tight_run(retries=2, cache_dir=cdir, delta=delta)
+        assert rescued.ok
+        again, _ = _tight_run(retries=0, cache_dir=cdir, delta=delta)
+        assert not again.ok
+        assert _signature(again) == _signature(cold)
+        assert again.stats.get("delta_skips", 0) == 0
+
+    def test_cold_ladder_spends_one_rung_per_resource_out(self):
+        res, built = _tight_run(retries=2)
+        assert res.ok and built <= 34
+        assert res.stats["retries"] == res.stats["retry_recoveries"] == 11
+        assert {tuple(o.stats["escalation"]) for f in res.functions
+                for o in f.obligations if "escalation" in o.stats} \
+            == {("escalate",)}
+
+    def test_warm_rerun_replays_the_ladder(self, tmp_path):
+        cdir = str(tmp_path / "pc")
+        cold, _ = _tight_run(retries=2, cache_dir=cdir)
+        warm, built = _tight_run(retries=2, cache_dir=cdir)
+        assert warm.ok and _trails(warm) == _trails(cold)
+        # Only the main pass re-solves: a resource-out is never cached.
+        # Every rung replays its own entry.
+        assert built == warm.stats["retries"] == 11
+        assert warm.stats["cache_hits"] == 23
 
 
 # ---------------------------------------------------------------------------

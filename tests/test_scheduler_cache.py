@@ -487,3 +487,28 @@ class TestStatsPlumbing:
         assert default_jobs() == 1
         monkeypatch.delenv(JOBS_ENV)
         assert default_jobs() == 1
+
+
+# ---------------------------------------------------------------------------
+# Delta digests key on whether the static tier answers
+# ---------------------------------------------------------------------------
+
+class TestDeltaTriageKey:
+    @staticmethod
+    def _run(triage, cache_dir=None):
+        from repro.systems.ironkv.delegation_map import build_default_module
+        cfg = VerifyConfig(jobs=1, triage=triage, cache_dir=cache_dir,
+                           delta=cache_dir is not None)
+        return Session(cfg).verify_module(build_default_module())
+
+    def test_static_verdicts_do_not_replay_into_off_or_shadow(self,
+                                                              tmp_path):
+        cold_off = self._run("off")
+        for mode in ("off", "shadow"):
+            cdir = str(tmp_path / mode)
+            on = self._run("on", cdir)
+            assert on.stats.get("static_proved", 0) >= 1
+            res = self._run(mode, cdir)
+            assert res.ok and res.stats.get("delta_skips", 0) == 0
+            assert _signature(res) == _signature(cold_off)
+            assert res.query_bytes == cold_off.query_bytes
