@@ -12,8 +12,14 @@ A second leg repeats both runs with delta re-verification on, over the
 same directory.  Function dependency digests must not depend on the
 hash seed either, so its second run must replay every function from
 the cache's function entries: zero ``plan_function`` calls and zero
-solvers.  Exits 1 when either leg rebuilds anything, naming the
-modules that missed.
+solvers.
+
+A third leg copies ``src/`` to two different paths and verifies a few
+modules with delta on from the first copy, then from the second, over
+one fresh cache directory.  Function digests must not depend on where
+the checkout lives (source spans name files relative to their import
+root), so the second run must plan 0 functions and build 0 solvers.
+Exits 1 when any leg rebuilds anything, naming the modules that missed.
 
 Run:  PYTHONPATH=src python scripts/cache_stability.py [--cache-dir DIR]
 """
@@ -22,9 +28,12 @@ import argparse
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Module name -> dotted builder path (builders take no arguments).
 MODULES = {
@@ -50,8 +59,12 @@ HASH_SEEDS = ("1", "2")
 # Leg name -> whether delta re-verification is on.
 LEGS = {"verdict": False, "function": True}
 
+# Modules of the checkout-path leg, and where its two copies of src/ go.
+PATH_MODULES = ("ironkv.delegation_map", "fig7a.doubly")
+CHECKOUTS = ("a", os.path.join("b", "nested"))
 
-def verify_all(cache_dir: str, delta: bool) -> dict:
+
+def verify_all(cache_dir: str, delta: bool, names=tuple(MODULES)) -> dict:
     """Verify every module through ``cache_dir``; per-module counts."""
     from repro.api import Session, VerifyConfig
     from repro.smt.solver import total_solver_constructions
@@ -66,8 +79,8 @@ def verify_all(cache_dir: str, delta: bool) -> dict:
     VcGen.plan_function = counting_plan
     config = VerifyConfig(cache_dir=cache_dir, jobs=1, delta=delta)
     out = {}
-    for name, dotted in MODULES.items():
-        path, attr = dotted.rsplit(".", 1)
+    for name in names:
+        path, attr = MODULES[name].rsplit(".", 1)
         mod = getattr(importlib.import_module(path), attr)()
         built0, plans0 = total_solver_constructions(), plans[0]
         with Session(config) as session:
@@ -79,12 +92,14 @@ def verify_all(cache_dir: str, delta: bool) -> dict:
     return out
 
 
-def run_child(cache_dir: str, hash_seed: str, delta: bool) -> dict:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+def run_child(cache_dir: str, hash_seed: str, delta: bool,
+              src: str = os.path.join(ROOT, "src"),
+              names=tuple(MODULES)) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = os.path.join(root, "src")
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", cache_dir]
+    env["PYTHONPATH"] = src
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", cache_dir,
+           "--modules", ",".join(names)]
     if delta:
         cmd.append("--delta")
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
@@ -127,11 +142,41 @@ def check_leg(cache_dir: str, leg: str, delta: bool) -> int:
     return 0
 
 
+def check_paths() -> int:
+    print("checkout-path leg (delta=on, two copies of src/):")
+    with tempfile.TemporaryDirectory(prefix="pv_checkouts_") as tmp:
+        cache_dir = os.path.join(tmp, "cache")
+        runs = []
+        for copy in CHECKOUTS:
+            src = os.path.join(tmp, copy, "src")
+            shutil.copytree(os.path.join(ROOT, "src"), src,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            runs.append(run_child(cache_dir, HASH_SEEDS[0], True, src,
+                                  PATH_MODULES))
+    for name in PATH_MODULES:
+        cells = [f"{copy}: {run[name]['solvers']:3d} solvers, "
+                 f"{run[name]['plans']:3d} plans"
+                 for copy, run in zip(CHECKOUTS, runs)]
+        print(f"  {name:<22} " + " | ".join(cells))
+    moved = {n: (r["plans"], r["solvers"]) for n, r in runs[1].items()
+             if r["plans"] or r["solvers"]}
+    if moved:
+        print(f"FAIL: the second checkout re-planned or re-solved "
+              f"(plans, solvers) {moved}: function digests depend on the "
+              f"checkout path")
+        return 1
+    if not all(r["ok"] for run in runs for r in run.values()):
+        print("FAIL: a module did not verify")
+        return 1
+    print("OK: the second checkout planned 0 functions and built 0 solvers")
+    return 0
+
+
 def check(cache_dir: str) -> int:
     for leg, delta in LEGS.items():
         if check_leg(cache_dir, leg, delta):
             return 1
-    return 0
+    return check_paths()
 
 
 def main(argv=None) -> int:
@@ -141,9 +186,12 @@ def main(argv=None) -> int:
                          "removed afterwards)")
     ap.add_argument("--child", metavar="DIR", help=argparse.SUPPRESS)
     ap.add_argument("--delta", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--modules", default=",".join(MODULES),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(verify_all(args.child, args.delta)))
+        print(json.dumps(verify_all(args.child, args.delta,
+                                    args.modules.split(","))))
         return 0
     if args.cache_dir:
         return check(args.cache_dir)

@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Snapshot of the solver work done on the benchmark modules.
+
+Verifies the 11 modules of the ``cold_smt`` and ``cold_idiom`` benchmark
+workloads (``perfbench/workloads.py``, imported read-only) one after
+another, each cold in a fresh cache-less ``Session(VerifyConfig(
+analyze=True))`` as a benchmark pass does.  For each module it records
+the verdict, the obligation statuses, the solvers built, the query bytes
+and every non-timing ``Stats`` counter (SAT conflicts, rounds, theory
+lemmas, instantiations, E-matching counters, ...), and prints the
+snapshot as sorted JSON.  The pagetable entry module keeps the divmod
+level that seed ``SEED`` selects, as ``cold_idiom`` does.
+
+The snapshot is a function of the solver's search, not of timing or
+of ``PYTHONHASHSEED``.  A change that
+only makes the SMT core faster must leave it byte-identical, which
+``--check`` asserts against ``tests/data/solver_effort.json``.  A change
+that means to change the solver's search regenerates that file with
+``--write`` and says so in CHANGES.md.
+
+Run:  PYTHONPATH=src python scripts/solver_effort.py [--check | --write]
+"""
+
+import argparse
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SNAPSHOT = os.path.join(ROOT, "tests", "data", "solver_effort.json")
+
+# cold_idiom seed whose divmod level the pagetable entry module keeps.
+SEED = 1
+
+
+def snapshot() -> dict:
+    sys.path.insert(0, ROOT)
+    from perfbench import workloads as W
+    from repro.api import Session, VerifyConfig
+    from repro.smt.solver import solver_constructions
+    config = VerifyConfig(analyze=True)
+    out = {}
+    for spec in W.COLD_SMT + W.COLD_IDIOM:
+        mod = W.build_idiom_module(spec, SEED)
+        built0 = solver_constructions()
+        with Session(config) as session:
+            res = session.verify_module(mod)
+        statuses: dict = {}
+        for fn in res.functions:
+            for ob in fn.obligations:
+                key = str(ob.status)
+                statuses[key] = statuses.get(key, 0) + 1
+        out[spec.name] = {
+            "ok": res.ok,
+            "statuses": statuses,
+            "solvers": solver_constructions() - built0,
+            "query_bytes": res.query_bytes,
+            # Every Stats counter except the wall-clock ones.
+            "stats": {k: v for k, v in (res.stats or {}).items()
+                      if not k.endswith("seconds")},
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="exit 1 if the snapshot differs from the "
+                           "committed one")
+    mode.add_argument("--write", action="store_true",
+                      help="overwrite the committed snapshot")
+    args = ap.parse_args(argv)
+    text = json.dumps(snapshot(), indent=1, sort_keys=True) + "\n"
+    if args.write:
+        with open(SNAPSHOT, "w") as fh:
+            fh.write(text)
+        print(f"wrote {SNAPSHOT}")
+        return 0
+    if not args.check:
+        sys.stdout.write(text)
+        return 0
+    with open(SNAPSHOT) as fh:
+        want = json.load(fh)
+    got = json.loads(text)
+    changed = sorted(n for n in set(want) | set(got)
+                     if want.get(n) != got.get(n))
+    for name in changed:
+        print(f"{name}:")
+        print(f"  committed: {json.dumps(want.get(name), sort_keys=True)}")
+        print(f"  now:       {json.dumps(got.get(name), sort_keys=True)}")
+    if changed:
+        print(f"FAIL: solver effort changed on {len(changed)} module(s); "
+              f"a change meant to alter the search regenerates "
+              f"{os.path.relpath(SNAPSHOT, ROOT)} with --write")
+        return 1
+    print(f"OK: solver effort identical on all {len(got)} modules")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,6 +12,14 @@ It follows the Dutertre–de Moura *general simplex* architecture used by Z3:
   GCD pre-test on rows to catch common integer infeasibilities early.
 
 Variables are arbitrary hashable atoms (the DPLL(T) layer uses Terms).
+
+Numbers are integer-first: every coefficient, bound and value is a plain
+``int`` when it is integral and a ``Fraction`` only when its denominator
+is greater than 1.  Almost every number the verifier produces is an
+integer, and CPython ``int`` arithmetic is one to two orders of
+magnitude cheaper than ``Fraction`` arithmetic.  A non-integer can only arise from a division
+(pivoting) or from arithmetic on a ``Fraction``; :func:`_q` and
+:func:`_div` normalize the result at those few places.
 """
 
 from __future__ import annotations
@@ -20,7 +28,22 @@ import math
 from fractions import Fraction
 from typing import Hashable, Optional
 
-ZERO = Fraction(0)
+ZERO = 0
+
+
+def _q(x):
+    """An exact number in normal form: an integral Fraction becomes an int."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _div(a, b):
+    """Exact ``a / b`` in normal form."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _q(a / b)
 
 
 class LiaConflict(Exception):
@@ -41,14 +64,14 @@ class LinExpr:
     __slots__ = ("coeffs", "const")
 
     def __init__(self, coeffs: Optional[dict] = None, const=0):
-        self.coeffs: dict[Hashable, Fraction] = {}
+        self.coeffs: dict[Hashable, int | Fraction] = {}
         if coeffs:
             for v, c in coeffs.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = _q(Fraction(c))
                 if c:
                     self.coeffs[v] = c
-        self.const = const if type(const) is Fraction else Fraction(const)
+        self.const = const if type(const) is int else _q(Fraction(const))
 
     @classmethod
     def var(cls, v: Hashable) -> "LinExpr":
@@ -61,21 +84,23 @@ class LinExpr:
     def __add__(self, other: "LinExpr") -> "LinExpr":
         out = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            nc = out.get(v, ZERO) + c
+            nc = _q(out.get(v, ZERO) + c)
             if nc:
                 out[v] = nc
             else:
                 out.pop(v, None)
-        return LinExpr(out, self.const + other.const)
+        return LinExpr(out, _q(self.const + other.const))
 
     def __sub__(self, other: "LinExpr") -> "LinExpr":
         return self + other.scale(-1)
 
     def scale(self, k) -> "LinExpr":
-        k = Fraction(k)
+        if type(k) is not int:
+            k = _q(Fraction(k))
         if not k:
             return LinExpr()
-        return LinExpr({v: c * k for v, c in self.coeffs.items()}, self.const * k)
+        return LinExpr({v: _q(c * k) for v, c in self.coeffs.items()},
+                       _q(self.const * k))
 
     def is_constant(self) -> bool:
         return not self.coeffs
@@ -89,13 +114,17 @@ class LinExpr:
 class _Bound:
     __slots__ = ("value", "reason")
 
-    def __init__(self, value: Fraction, reason: Hashable):
+    def __init__(self, value: int | Fraction, reason: Hashable):
         self.value = value
         self.reason = reason
 
 
 class Simplex:
-    """General simplex over rationals with per-bound reasons."""
+    """General simplex over rationals with per-bound reasons.
+
+    Rows, bounds and values hold ints where integral and Fractions only
+    where not (see the module docstring).
+    """
 
     __slots__ = ("_rows", "_basic", "_nonbasic", "_lower", "_upper",
                  "_value", "_slack_of_form", "_slack_counter", "_order",
@@ -104,12 +133,12 @@ class Simplex:
     def __init__(self):
         # Tableau: basic var -> {nonbasic var: coeff}. Invariant: basic ==
         # sum(coeff * nonbasic).
-        self._rows: dict[Hashable, dict[Hashable, Fraction]] = {}
+        self._rows: dict[Hashable, dict[Hashable, int | Fraction]] = {}
         self._basic: set = set()
         self._nonbasic: set = set()
         self._lower: dict[Hashable, _Bound] = {}
         self._upper: dict[Hashable, _Bound] = {}
-        self._value: dict[Hashable, Fraction] = {}
+        self._value: dict[Hashable, int | Fraction] = {}
         self._slack_of_form: dict[tuple, Hashable] = {}
         self._slack_counter = 0
         self._order: dict[Hashable, int] = {}
@@ -166,24 +195,25 @@ class Simplex:
         for v in expr.coeffs:
             self._ensure_var(v)
         # Row in terms of current nonbasic/basic vars: substitute basic vars.
-        row: dict[Hashable, Fraction] = {}
+        row: dict[Hashable, int | Fraction] = {}
         for v, c in expr.coeffs.items():
             if v in self._basic:
                 for w, cw in self._rows[v].items():
-                    nc = row.get(w, ZERO) + c * cw
+                    nc = _q(row.get(w, ZERO) + c * cw)
                     if nc:
                         row[w] = nc
                     else:
                         row.pop(w, None)
             else:
-                nc = row.get(v, ZERO) + c
+                nc = _q(row.get(v, ZERO) + c)
                 if nc:
                     row[v] = nc
                 else:
                     row.pop(v, None)
         self._rows[s] = row
         self._basic.add(s)
-        self._value[s] = sum((self._value[v] * c for v, c in row.items()), ZERO)
+        value = self._value
+        value[s] = _q(sum((value[v] * c for v, c in row.items()), ZERO))
         self._slack_of_form[items] = s
         return s
 
@@ -217,13 +247,14 @@ class Simplex:
         if s in self._nonbasic and self._value[s] < bound:
             self._update_nonbasic(s, bound)
 
-    def _update_nonbasic(self, v: Hashable, new_val: Fraction) -> None:
-        delta = new_val - self._value[v]
-        self._value[v] = new_val
-        for b in self._basic:
-            c = self._rows[b].get(v)
+    def _update_nonbasic(self, v: Hashable, new_val) -> None:
+        value = self._value
+        delta = _q(new_val - value[v])
+        value[v] = new_val
+        for b, row in self._rows.items():
+            c = row.get(v)
             if c:
-                self._value[b] += c * delta
+                value[b] = _q(value[b] + c * delta)
 
     # -- pivoting check --------------------------------------------------------
 
@@ -233,19 +264,27 @@ class Simplex:
         Raises LiaConflict if infeasible, LiaUnknown on pivot budget blowout.
         """
         pivots = 0
+        order, value = self._order, self._value
+        lower, upper = self._lower, self._upper
         while True:
+            # Bland's rule: repair the violated basic variable with the
+            # least order key, found in one scan (no sort of the basis).
             violated = None
             direction = 0
-            for b in sorted(self._basic, key=self._key):  # Bland-ish: stable order
-                val = self._value[b]
-                lo = self._lower.get(b)
+            least = len(order)
+            for b in self._basic:
+                val = value[b]
+                lo = lower.get(b)
                 if lo is not None and val < lo.value:
-                    violated, direction = b, +1
-                    break
-                up = self._upper.get(b)
-                if up is not None and val > up.value:
-                    violated, direction = b, -1
-                    break
+                    d = +1
+                else:
+                    up = upper.get(b)
+                    if up is None or val <= up.value:
+                        continue
+                    d = -1
+                k = order[b]
+                if k < least:
+                    violated, direction, least = b, d, k
             if violated is None:
                 return dict(self._value)
             pivots += 1
@@ -258,8 +297,15 @@ class Simplex:
         row = self._rows[b]
         target = (self._lower[b].value if direction > 0
                   else self._upper[b].value)
-        for v in sorted(row, key=self._key):
-            c = row[v]
+        # Bland's rule again: the eligible entering variable with the least
+        # order key.
+        order = self._order
+        entering = None
+        least = len(order)
+        for v, c in row.items():
+            k = order[v]
+            if k > least:
+                continue
             # Increasing b requires: c>0 -> increase v (below upper), or
             # c<0 -> decrease v (above lower); symmetric for decreasing.
             if direction > 0:
@@ -267,9 +313,11 @@ class Simplex:
             else:
                 can = (c > 0 and self._can_decrease(v)) or (c < 0 and self._can_increase(v))
             if can:
-                self._pivot(b, v)
-                self._set_basic_to_bound(v, b, target)
-                return
+                entering, least = v, k
+        if entering is not None:
+            self._pivot(b, entering)
+            self._set_basic_to_bound(entering, b, target)
+            return
         # No pivot possible: conflict from this row's binding bounds.
         reasons = set()
         reasons.add(self._lower[b].reason if direction > 0 else self._upper[b].reason)
@@ -295,9 +343,9 @@ class Simplex:
         row = self._rows.pop(b)
         c = row.pop(nb)
         # b = c*nb + rest  =>  nb = (b - rest)/c
-        new_row = {b: Fraction(1) / c}
+        new_row = {b: _div(1, c)}
         for v, cv in row.items():
-            new_row[v] = -cv / c
+            new_row[v] = _div(-cv, c)
         self._basic.remove(b)
         self._nonbasic.add(b)
         self._nonbasic.remove(nb)
@@ -310,26 +358,26 @@ class Simplex:
             cv = orow.pop(nb, None)
             if cv:
                 for v, c2 in new_row.items():
-                    nc = orow.get(v, ZERO) + cv * c2
+                    nc = _q(orow.get(v, ZERO) + cv * c2)
                     if nc:
                         orow[v] = nc
                     else:
                         orow.pop(v, None)
 
     def _set_basic_to_bound(self, new_basic: Hashable, now_nonbasic: Hashable,
-                            target: Fraction) -> None:
+                            target) -> None:
         # After the pivot the system is algebraically unchanged, so current
         # values still satisfy every row; only the delta of the (formerly
         # basic, now nonbasic) variable needs propagating.
-        delta = target - self._value[now_nonbasic]
+        value = self._value
+        delta = _q(target - value[now_nonbasic])
         if not delta:
             return
-        self._value[now_nonbasic] = target
-        value = self._value
+        value[now_nonbasic] = target
         for b, row in self._rows.items():
             c = row.get(now_nonbasic)
             if c:
-                value[b] += c * delta
+                value[b] = _q(value[b] + c * delta)
 
 
 class LiaSolver:

@@ -20,6 +20,8 @@ cannot see (a custom ``VcGen`` subclass hook, say) is covered by the
 
 from __future__ import annotations
 
+import functools
+import os
 from typing import Optional
 
 from ..cache.store import FUNCTION, ProofCache
@@ -65,12 +67,32 @@ def _render_type(t, busy: set) -> str:
     return t.name
 
 
+@functools.lru_cache(maxsize=1024)
+def _import_relative(file: str) -> str:
+    """``file`` relative to its import root, the nearest ancestor directory
+    that is not a package: ``repro/systems/ironkv/delegation_map.py`` for
+    the delegation map wherever the checkout lives.  Pseudo-files such as
+    ``<string>`` are returned unchanged."""
+    if file.startswith("<"):
+        return file
+    head, tail = os.path.split(os.path.abspath(file))
+    parts = [tail]
+    while os.path.isfile(os.path.join(head, "__init__.py")):
+        head, name = os.path.split(head)
+        if not name:
+            break
+        parts.append(name)
+    return "/".join(reversed(parts))
+
+
 def canonical_node(node, _memo: Optional[dict] = None) -> str:
     """Deterministic text rendering of any AST node (tree, recursively).
 
     Covers every attribute the node carries — including source spans, so
     a function that merely *moved* re-verifies rather than replaying
-    stale locations from the delta cache.
+    stale locations from the delta cache.  A span names its file relative
+    to the import root, so digests do not depend on where the checkout
+    lives.
     """
     if _memo is None:
         _memo = {}
@@ -79,7 +101,7 @@ def canonical_node(node, _memo: Optional[dict] = None) -> str:
     if isinstance(node, (str, int, float, bool)):
         return repr(node)
     if isinstance(node, A.Span):
-        return f"@{node.file}:{node.line}"
+        return f"@{_import_relative(node.file)}:{node.line}"
     if isinstance(node, VT.VType):
         return _render_type(node, set())
     if isinstance(node, dict):
@@ -188,6 +210,13 @@ def function_dependency_digest(gen, fn: A.Function, solver_config=None,
 # Function entries in the proof-cache directory
 # ---------------------------------------------------------------------------
 
+# Per-obligation escalation record kept by a function entry, so a
+# delta-replayed report carries the trail its cold run reported: the
+# ladder (``retries``/``escalation``) and the race (``portfolio``, and
+# the winning ``profile``).
+REPLAYED_STATS = ("escalation", "retries", "portfolio", "profile")
+
+
 def _valid_function(entry: dict, digest: str) -> bool:
     return isinstance(entry.get("obligations"), list)
 
@@ -197,10 +226,11 @@ class DeltaCache:
 
     A typed view over :class:`~repro.cache.store.ProofCache`: entries
     record the per-obligation metadata of a *fully verified* function
-    (labels, kinds, seqs, spans, query bytes) keyed by its dependency
-    fingerprint; a hit replays the function result without planning or
-    solving.  The store supplies the path, the atomic write and the
-    eviction of malformed entries; the verdict counters never move.
+    (labels, kinds, seqs, spans, escalation records, query bytes) keyed
+    by its dependency fingerprint; a hit replays the function result
+    without planning or solving.  The store supplies the path, the
+    atomic write and the eviction of malformed entries; the verdict
+    counters never move.
     """
 
     def __init__(self, root: str):
@@ -231,7 +261,9 @@ class DeltaCache:
                  "span": o.span.to_dict() if o.span is not None else None,
                  # Static-tier provenance survives the delta skip so a
                  # replayed report is byte-identical to the cold one.
-                 "static": o.stats.get("tier") == STATIC_PROVED}
+                 "static": o.stats.get("tier") == STATIC_PROVED,
+                 "record": {k: o.stats[k] for k in REPLAYED_STATS
+                            if k in o.stats}}
                 for o in result.obligations
             ],
         }
@@ -241,9 +273,9 @@ class DeltaCache:
 
 def replay_function(entry: dict) -> FunctionResult:
     """Rebuild a FunctionResult from a delta-cache hit (all PROVED),
-    static-tier provenance included: the digest keys whether the tier
-    answers, so an entry with static verdicts only replays into a run
-    that produces them."""
+    static-tier provenance and escalation records included: the digest
+    keys whether the tier answers and which attempts escalation runs, so
+    an entry only replays into a run that produces the same ones."""
     result = FunctionResult(entry["function"])
     result.query_bytes = int(entry.get("query_bytes", 0))
     result.seconds = 0.0
@@ -254,6 +286,7 @@ def replay_function(entry: dict) -> FunctionResult:
         ob.stats = {"delta_skipped": True}
         if rec.get("static"):
             ob.stats["tier"] = STATIC_PROVED
+        ob.stats.update(rec.get("record") or {})
         span = rec.get("span")
         if span:
             ob.span = A.Span.from_dict(span)

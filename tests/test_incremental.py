@@ -9,7 +9,11 @@ of the diagnostics suite and a couple of fully verified modules.
 """
 
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -495,6 +499,36 @@ class TestDelta:
         assert not r2.ok and not r2.stats.get("delta_skips")
         # The re-run still carries full diagnostics.
         assert _diag_signature(r1) == _diag_signature(r2)
+
+    def test_digests_do_not_depend_on_checkout_path(self, tmp_path):
+        """Two copies of ``src/`` at different paths build the delegation
+        map with different absolute span files; its function digests
+        must still agree, or a delta cache written from one checkout
+        would never serve the other."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        probe = (
+            "import json\n"
+            "from repro.systems.ironkv.delegation_map import "
+            "build_default_module\n"
+            "from repro.vc.delta import function_dependency_digest\n"
+            "from repro.vc.wp import VcGen\n"
+            "gen = VcGen(build_default_module())\n"
+            "fns = [f for f in gen.module.functions.values()\n"
+            "       if f.mode in ('exec', 'proof') and f.body is not None]\n"
+            "print(json.dumps({f.name: function_dependency_digest(gen, f)\n"
+            "                  for f in fns}))\n")
+        digests = []
+        for copy in ("a", "b/nested"):
+            root = tmp_path / copy
+            shutil.copytree(src, root / "src",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            env = dict(os.environ, PYTHONPATH=str(root / "src"))
+            out = subprocess.run([sys.executable, "-c", probe], env=env,
+                                 cwd=str(tmp_path), capture_output=True,
+                                 text=True, check=True)
+            digests.append(json.loads(out.stdout))
+        assert digests[0] and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

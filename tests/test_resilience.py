@@ -400,6 +400,12 @@ def _trails(res):
             for f in res.functions for o in f.obligations]
 
 
+def _records(res):
+    return [(o.label, o.status, o.stats.get("escalation"),
+             o.stats.get("retries"), o.stats.get("portfolio"))
+            for f in res.functions for o in f.obligations]
+
+
 class TestLadderReplay:
     @pytest.mark.parametrize("delta", [False, True], ids=["cache", "delta"])
     def test_rescue_does_not_replay_into_a_run_without_the_ladder(
@@ -433,6 +439,14 @@ class TestLadderReplay:
         # Every rung replays its own entry.
         assert built == warm.stats["retries"] == 11
         assert warm.stats["cache_hits"] == 23
+
+    def test_delta_replay_keeps_the_escalation_record(self, tmp_path):
+        cdir = str(tmp_path / "pc")
+        cold, _ = _tight_run(retries=2, cache_dir=cdir, delta=True)
+        warm, built = _tight_run(retries=2, cache_dir=cdir, delta=True)
+        assert warm.ok and built == 0 and warm.stats["delta_skips"] > 0
+        assert _records(warm) == _records(cold)
+        assert any(escalation for _, _, escalation, _, _ in _records(cold))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -147,3 +148,82 @@ def test_conflicting_bounds_same_slack():
         simplex.assert_upper(V("x") - C(1), "u")   # x <= 1
         simplex.assert_lower(V("x") - C(2), "l")   # x >= 2
     assert exc.value.reasons == frozenset({"u", "l"})
+
+
+# -- integer-first representation and probe soundness -------------------------
+
+def _numbers(simplex):
+    """Every exact number held by a tableau: row coefficients, values and
+    bound values."""
+    for row in simplex._rows.values():
+        yield from row.values()
+    yield from simplex._value.values()
+    for bounds in (simplex._lower, simplex._upper):
+        for b in bounds.values():
+            yield b.value
+
+
+def _bound_map(simplex):
+    return ({v: (b.value, b.reason) for v, b in simplex._lower.items()},
+            {v: (b.value, b.reason) for v, b in simplex._upper.items()})
+
+
+def _holds(kind, coeffs, const, env):
+    val = sum(c * env[n] for n, c in coeffs.items()) + const
+    return (val <= 0 if kind == "le" else val < 0 if kind == "lt"
+            else val >= 0 if kind == "ge" else val == 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_probe_sound_and_tableau_int_first(seed):
+    """Random boxed systems with non-unit coefficients (so pivots divide
+    and create real fractions): a probe never claims infeasible when an
+    integer point exists, it restores the bound maps exactly, and the
+    tableau never holds a Fraction with denominator 1."""
+    rng = random.Random(f"probe:{seed}")
+    saw_fraction = False
+    for _ in range(60):
+        nv = rng.randint(2, 3)
+        names = [f"v{i}" for i in range(nv)]
+        cons = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {n: rng.choice([-3, -2, 2, 3, 5]) for n in names}
+            cons.append((rng.choice(["le", "ge", "eq"]), coeffs,
+                         rng.randint(-6, 6)))
+        s = LiaSolver()
+        for n in names:
+            s.assert_ge0(V(n) + C(3), f"lo{n}")
+            s.assert_le0(V(n) - C(3), f"hi{n}")
+        for i, (kind, coeffs, const) in enumerate(cons):
+            getattr(s, f"assert_{kind}0")(LinExpr(coeffs, const), f"c{i}")
+        try:
+            s.check()
+        except (LiaConflict, LiaUnknown):
+            continue
+        points = [dict(zip(names, pt))
+                  for pt in itertools.product(range(-3, 4), repeat=nv)]
+        points = [env for env in points
+                  if all(_holds(k, cf, c, env) for k, cf, c in cons)]
+        for _ in range(4):
+            kind = rng.choice(["le", "lt", "eq"])
+            coeffs = {n: rng.choice([-2, -1, 1, 2, 3]) for n in names}
+            const = rng.randint(-5, 5)
+            root = s._root()
+            before = _bound_map(root)
+            infeasible = s.lp_probe_infeasible(kind, LinExpr(coeffs, const))
+            assert _bound_map(root) == before
+            if any(_holds(kind, coeffs, const, env) for env in points):
+                assert not infeasible, (cons, kind, coeffs, const)
+            for x in _numbers(root):
+                assert type(x) is int or x.denominator > 1, x
+                saw_fraction |= type(x) is not int
+    assert saw_fraction
+
+
+def test_linexpr_normalizes_integral_fractions():
+    e = LinExpr({"x": Fraction(4, 2), "y": "1/2"}, Fraction(6, 3))
+    assert type(e.coeffs["x"]) is int and type(e.const) is int
+    assert e.coeffs["y"] == Fraction(1, 2)
+    doubled = e.scale(2)
+    assert all(type(c) is int for c in doubled.coeffs.values())
+    assert type((e + e).coeffs["y"]) is int
