@@ -7,10 +7,10 @@ served it:
 
 * **cold** — first-ever submission to a freshly started daemon: full VC
   generation and solving (each cold repetition uses its own daemon with
-  an empty proof cache and an empty warm-context pool).
+  an empty proof cache).
 * **warm** — re-submission of a known module with the delta fast path
-  disabled for the request: served from the daemon's residency
-  (pre-warmed solver contexts plus the resident proof cache).  CRC-table
+  disabled for the request: served from the daemon's resident proof
+  cache.  CRC-table
   style obligations that bypass the proof cache re-solve here, so a few
   warm-bucket requests legitimately report the ``cold`` daemon path.
 * **delta** — re-submission with the delta path on: unchanged
@@ -124,8 +124,8 @@ def _merge(into, paths):
 def test_server_request_paths(tmp_path):
     cold, cold_wall, cold_paths = [], 0.0, {}
     warm = delta = None
-    # Each cold repetition gets its own daemon: empty proof cache, empty
-    # warm pool — a genuinely cold front door.  The last daemon stays up
+    # Each cold repetition gets its own daemon: an empty proof cache —
+    # a genuinely cold front door.  The last daemon stays up
     # and serves the warm and delta re-submission passes.
     for rep in range(REPS):
         cfg = VerifyConfig(cache_dir=str(tmp_path / f"cache{rep}"))
@@ -173,7 +173,7 @@ def test_server_request_paths(tmp_path):
         "description": "Verification daemon request latency over the "
                        "five case studies: cold solves (fresh daemon per "
                        "repetition) vs warm-resident re-submissions "
-                       "(delta off: warm contexts + proof cache) vs "
+                       "(delta off: proof cache) vs "
                        "delta-path re-submissions.",
         "command": COMMAND,
         "reps_per_module": REPS,
@@ -181,7 +181,6 @@ def test_server_request_paths(tmp_path):
         "buckets": buckets,
         "warm_p50_speedup_vs_cold": warm_speedup,
         "delta_p50_speedup_vs_cold": delta_speedup,
-        "warm_pool": status["warm"],
         "cache": status["cache"],
     }
     with open(BENCH_FILE, "w") as fh:

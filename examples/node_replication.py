@@ -15,23 +15,18 @@ import threading
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.api import Session, VerifyConfig              # noqa: E402
 from repro.sync import ProtocolViolation                 # noqa: E402
 from repro.systems.nr.log import NodeReplicated          # noqa: E402
-from repro.systems.nr.model import build_nr_system       # noqa: E402
-from repro.vc.wp import VcGen                            # noqa: E402
+from repro.systems.nr.model import build_nr_core_module  # noqa: E402
 
 
 def verify_core_obligations() -> None:
     print("== verifying core VerusSync obligations ==")
-    system = build_nr_system()
-    mod = system.obligations_module()
-    gen = VcGen(mod)
-    for name in ("initialize#establishes",
-                 "register_node#preserves_versions_bounded",
-                 "register_node#fresh", "version_in_log#property"):
-        result = gen.verify_function(mod.functions[name])
+    res = Session(VerifyConfig()).verify_module(build_nr_core_module())
+    for result in res.functions:
         status = "ok" if result.ok else "FAILED"
-        print(f"  {status} {name}")
+        print(f"  {status} {result.name}")
         assert result.ok
 
 

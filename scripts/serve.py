@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Start the verification service daemon (repro.server).
 
-Reads the ``REPRO_SERVER_*`` knobs (port, queue depth, warm-context
-budget, per-client quota) and the ``REPRO_*`` verification knobs once
+Reads the ``REPRO_SERVER_*`` knobs (port, queue depth, workers,
+per-client quota) and the ``REPRO_*`` verification knobs once
 at startup; per-request variation happens through protocol config
 overrides, never by re-reading the environment.  Flags beat env.
 
@@ -27,8 +27,6 @@ def main(argv=None) -> int:
                     help="resident worker threads")
     ap.add_argument("--queue-depth", type=int, default=None,
                     help="max queued requests before BUSY replies")
-    ap.add_argument("--warm-budget", type=int, default=None,
-                    help="warm solver-context pool budget in bytes")
     ap.add_argument("--quota", type=int, default=None,
                     help="per-client solver-step quota (0 = unlimited)")
     ap.add_argument("--cache-dir", default=None,
@@ -39,8 +37,7 @@ def main(argv=None) -> int:
 
     server_cfg = ServerConfig.from_env(
         host=args.host, port=args.port, workers=args.workers,
-        queue_depth=args.queue_depth, warm_budget=args.warm_budget,
-        client_quota=args.quota)
+        queue_depth=args.queue_depth, client_quota=args.quota)
     verify_cfg = VerifyConfig.from_env(
         cache_dir=args.cache_dir, max_steps=args.max_steps)
     server = VerifyServer(server_cfg, verify_cfg)

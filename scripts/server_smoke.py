@@ -180,7 +180,8 @@ def main() -> int:
                 result["quota"]["clients"]:
             return _fail(f"status payload incomplete: {result}", proc)
         print(f"status ok: paths={result['paths']}, "
-              f"warm={result['warm']['entries']} entries")
+              f"warm contexts={result['warm']['misses']} built, "
+              f"{result['warm']['hits']} reused")
 
         # 6. Clean shutdown.
         rc, reply, proc = _client(port, "shutdown")

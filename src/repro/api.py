@@ -307,7 +307,7 @@ class Session:
     """
 
     def __init__(self, config: Optional[VerifyConfig] = None, cache=None,
-                 warm_pool=None, **overrides):
+                 **overrides):
         if config is None:
             config = VerifyConfig.from_env(**overrides)
         elif overrides:
@@ -323,18 +323,6 @@ class Session:
             # the legacy lang shims, pass one around).
             self._cache = cache
             self._cache_opened = True
-        # Warm solver-context pool (repro.server.warm.SolverPool).  Pass
-        # an existing pool to share residency across sessions (the
-        # daemon does), or ``True`` for a private default-budget pool.
-        # Only meaningful with ``incremental=True`` — warm groups are
-        # the acquire/release sites.  A pool passed in is *borrowed*:
-        # close() only clears pools this session created.
-        self._owns_pool = warm_pool is True
-        if warm_pool is True:
-            from .server.warm import SolverPool
-            warm_pool = SolverPool()
-        self.warm_pool = warm_pool
-        self._closed = False
 
     # ------------------------------------------------------------ plumbing
 
@@ -360,11 +348,9 @@ class Session:
 
     def scheduler(self, config: Optional[VerifyConfig] = None):
         """A fresh :class:`~repro.vc.scheduler.Scheduler` built from this
-        session's config (or ``config``) and wired to its shared cache
-        and warm pool."""
+        session's config (or ``config``) and wired to its shared cache."""
         from .vc.scheduler import Scheduler
-        return Scheduler(config or self.config, cache=self.cache,
-                         solver_pool=self.warm_pool)
+        return Scheduler(config or self.config, cache=self.cache)
 
     # ------------------------------------------------------------- verbs
 
@@ -404,23 +390,15 @@ class Session:
 
     # --------------------------------------------------------- lifecycle
 
-    def close(self) -> None:
-        """Release held resources: warm solver contexts this session
-        owns are dropped (borrowed pools are left to their owner).
-        Idempotent; the session stays usable for cache-only work but
-        builds no further warm contexts from an owned pool."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.warm_pool is not None and self._owns_pool:
-            self.warm_pool.close()
-            self.warm_pool = None
+    # A session holds nothing that outlives a run (warm solver contexts
+    # live for one function group), so ``with Session(...)`` only scopes
+    # the name.
 
     def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        pass
 
     def __repr__(self) -> str:
         return f"<Session {self.config}>"

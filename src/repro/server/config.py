@@ -14,8 +14,6 @@ Knobs (all optional):
 * ``REPRO_SERVER_QUEUE_DEPTH`` — max queued requests before new work
   gets a structured ``BUSY`` reply (default ``64``).
 * ``REPRO_SERVER_WORKERS`` — resident worker count (default ``4``).
-* ``REPRO_SERVER_WARM_BUDGET`` — warm solver-context pool budget in
-  bytes of scope-0 query text (default 32 MiB).
 * ``REPRO_SERVER_CLIENT_QUOTA`` — per-client solver *step* budget
   charged against a ledger; ``0`` = unlimited (the default).
 * ``REPRO_SERVER_MAX_SOURCE`` — max request line length in bytes,
@@ -32,7 +30,6 @@ HOST_ENV = "REPRO_SERVER_HOST"
 PORT_ENV = "REPRO_SERVER_PORT"
 QUEUE_DEPTH_ENV = "REPRO_SERVER_QUEUE_DEPTH"
 WORKERS_ENV = "REPRO_SERVER_WORKERS"
-WARM_BUDGET_ENV = "REPRO_SERVER_WARM_BUDGET"
 CLIENT_QUOTA_ENV = "REPRO_SERVER_CLIENT_QUOTA"
 MAX_SOURCE_ENV = "REPRO_SERVER_MAX_SOURCE"
 
@@ -57,7 +54,6 @@ class ServerConfig:
     port: int = DEFAULT_PORT
     queue_depth: int = 64
     workers: int = 4
-    warm_budget: int = 32 * 1024 * 1024
     client_quota: int = 0
     max_source: int = 1024 * 1024
 
@@ -72,7 +68,6 @@ class ServerConfig:
                   port=_env_int(PORT_ENV, DEFAULT_PORT),
                   queue_depth=_env_int(QUEUE_DEPTH_ENV, 64, floor=1),
                   workers=_env_int(WORKERS_ENV, 4, floor=1),
-                  warm_budget=_env_int(WARM_BUDGET_ENV, 32 * 1024 * 1024),
                   client_quota=_env_int(CLIENT_QUOTA_ENV, 0),
                   max_source=_env_int(MAX_SOURCE_ENV, 1024 * 1024,
                                       floor=4096))

@@ -4,16 +4,16 @@ Request lifecycle (also documented in DESIGN.md)::
 
     accept → validate → quota admit → fair queue → worker thread:
         build module → Session(base config ⊕ request overrides,
-                               shared SolverPool, shared cache root)
-        → delta lookup → warm-context lookup → solve residues
+                               shared cache root)
+        → delta lookup → proof-cache lookup → solve the rest
+          (one warm solver context per function group)
     → reply (out-of-order by design, matched by request id)
 
-Residency is the point: one :class:`~repro.server.warm.SolverPool` and
-one proof-cache root are shared by every request, so a client
-re-submitting an edited module pays only for functions whose
-dependency fingerprints changed (``vc/delta.py``), and even those
-land on a pre-warmed scope-0 solver context when their assertion
-prefix is unchanged.
+Residency is the point: one proof-cache root is shared by every
+request, so a client re-submitting an edited module pays only for
+functions whose dependency fingerprints changed (``vc/delta.py``), and
+of those only for obligations whose query text changed.  Solvers do
+not outlive a request: a warm context lives for one function group.
 
 Concurrency model: the event loop owns all I/O (accept, queue,
 replies); verification itself runs on ``ServerConfig.workers``
@@ -44,12 +44,10 @@ from . import protocol
 from .config import ServerConfig
 from .queue import FairQueue, QueueFull
 from .quota import QuotaExceeded, QuotaLedger, steps_spent
-from .warm import SolverPool
 
 #: Request paths reported in replies and aggregated by ``status``.
 PATH_COLD = "cold"
 PATH_CACHE = "cache"
-PATH_WARM = "warm"
 PATH_DELTA = "delta"
 
 
@@ -78,8 +76,8 @@ class VerifyServer:
             else VerifyConfig.from_env()
         # Server invariants, whatever the env said: requests run inline
         # on their worker thread (jobs=1 — the daemon's parallelism *is*
-        # the worker pool), warm contexts on (they are the residency
-        # win), no fault plans (the injection registry is process-global
+        # the worker pool), warm contexts on (one per function group),
+        # no fault plans (the injection registry is process-global
         # and must not be armed under concurrent traffic).
         base = dataclasses.replace(base, jobs=1, incremental=True,
                                    fault_plan=None)
@@ -88,7 +86,6 @@ class VerifyServer:
             # fingerprints in, re-submissions ride the fast path.
             base = dataclasses.replace(base, delta=True)
         self.base = base
-        self.pool = SolverPool(self.config.warm_budget)
         self.ledger = QuotaLedger(self.config.client_quota)
         self.queue: Optional[FairQueue] = None     # built on start()
         self.executor = ThreadPoolExecutor(
@@ -105,8 +102,7 @@ class VerifyServer:
         self._stats_lock = threading.Lock()
         self._requests: dict[str, int] = {}        # verb -> count
         self._paths: dict[str, int] = {p: 0 for p in
-                                       (PATH_COLD, PATH_CACHE, PATH_WARM,
-                                        PATH_DELTA)}
+                                       (PATH_COLD, PATH_CACHE, PATH_DELTA)}
         self._busy = 0
         self._errors = 0
         # Every verify/diagnose request's run stats, merged: proof-cache
@@ -137,7 +133,7 @@ class VerifyServer:
         asyncio.run(self.serve_forever())
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain in-flight work, release residency.
+        """Stop accepting, drain in-flight work, stop the workers.
 
         Idempotent and awaitable from several places at once (the
         shutdown verb, tests, signal handlers) — the first caller runs
@@ -163,7 +159,6 @@ class VerifyServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self.executor.shutdown(wait=True)
-        self.pool.close()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -319,7 +314,7 @@ class VerifyServer:
                 self._errors += 1
             return protocol.error_reply(request["id"], str(exc))
         if request["verb"] == protocol.ANALYZE:
-            with Session(cfg, warm_pool=self.pool) as session:
+            with Session(cfg) as session:
                 report = session.analyze(mod)
             payload = report.to_json()
             if cfg.effective_triage != "off":
@@ -336,7 +331,7 @@ class VerifyServer:
                                              "solvers_built": 0,
                                              "steps_spent": 0})
         built0 = solver_constructions()
-        with Session(cfg, warm_pool=self.pool) as session:
+        with Session(cfg) as session:
             if request["verb"] == protocol.DIAGNOSE:
                 result = session.diagnose(mod)
             else:
@@ -354,7 +349,6 @@ class VerifyServer:
             "solvers_built": built,
             "steps_spent": spent,
             "delta_skips": int(stats.get("delta_skips", 0) or 0),
-            "warm_pool_hits": int(stats.get("warm_pool_hits", 0) or 0),
             "cache_hits": int(stats.get("cache_hits", 0) or 0),
             "cache_misses": int(stats.get("cache_misses", 0) or 0),
             "portfolio_races": int(stats.get("portfolio_races", 0) or 0),
@@ -369,11 +363,9 @@ class VerifyServer:
     @staticmethod
     def _classify(stats: dict, solvers_built: int) -> str:
         """Which fast path (if any) served the request — delta beats
-        warm beats cache beats cold, matching how much work each skips."""
+        cache beats cold, matching how much work each skips."""
         if stats.get("delta_skips"):
             return PATH_DELTA
-        if stats.get("warm_pool_hits"):
-            return PATH_WARM
         if stats.get("cache_hits") and solvers_built == 0:
             return PATH_CACHE
         return PATH_COLD
@@ -402,6 +394,11 @@ class VerifyServer:
             hits, misses = totals.cache_hits, totals.cache_misses
             static_proved = totals.static_proved
             solvers_avoided = totals.solver_constructions_avoided
+            # Request-scoped warm contexts: one built per function group
+            # of two or more goals (a miss), every later goal of the
+            # group checked in it (a hit).
+            warm = {"hits": totals.warm_reuses,
+                    "misses": totals.warm_contexts}
             tier_totals = {"mem_hits": totals.mem_hits,
                            "disk_hits": totals.disk_hits,
                            "quarantined": totals.quarantined}
@@ -417,7 +414,7 @@ class VerifyServer:
                       else {"depth": 0,
                             "capacity": self.config.queue_depth,
                             "by_band": {}}),
-            "warm": self.pool.stats(),
+            "warm": warm,
             "quota": self.ledger.snapshot(),
             "cache": {"hits": hits, "misses": misses,
                       "hit_rate": round(hits / total, 4) if total else None,

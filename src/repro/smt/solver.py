@@ -138,11 +138,11 @@ class Stats:
         self.retries = 0              # escalation-ladder attempts
         self.retry_recoveries = 0     # obligations rescued by the ladder
         self.faults_injected = 0      # FaultPlan firings during the run
-        # Warm solver-context pool (repro.server.warm / the scheduler's
-        # solver_pool hook): groups served from a resident pre-warmed
-        # context vs. groups that had to build their prefix from scratch.
-        self.warm_pool_hits = 0
-        self.warm_pool_misses = 0
+        # Warm contexts (the scheduler's incremental mode, one per
+        # function group of two or more goals): contexts built, and goals
+        # checked in a context an earlier goal of the group built.
+        self.warm_contexts = 0
+        self.warm_reuses = 0
         # Portfolio racing (repro.profiles + the race candidates of the
         # scheduler's attempt plan); all stay 0 when racing is off.  A
         # race replayed from the proof cache still counts as a race.
@@ -185,7 +185,7 @@ class Stats:
     def diff(before: dict, after: dict) -> dict:
         """Per-goal delta between two snapshots of one warm solver.
 
-        Counters on a pooled solver are cumulative across goals; the warm
+        Counters on a warm solver are cumulative across goals; the warm
         scheduler snapshots around each check and reports the difference so
         per-obligation numbers stay comparable to fresh-solver runs.
         """
@@ -293,6 +293,10 @@ class SmtSolver:
         # max_rounds) ran out rather than because the problem is beyond
         # the solver.  The scheduler maps this to a RESOURCE_OUT verdict.
         self.last_resource_out = False
+        # Instantiation count when the current check() started: the
+        # max_instantiations budget, like max_steps, is per check, so a
+        # warm solver's later goals get the budget a fresh solver would.
+        self._inst_base = 0
         # Soft-deadline polling state: single rounds over a large ground
         # universe (MBQI) can take seconds, so the hot inner loops poll
         # the wall clock (every 256th call) and abort to UNKNOWN instead
@@ -405,6 +409,7 @@ class SmtSolver:
         # (that would let matching loops feed themselves).
         self._guard_limit = 60 + 2 * self._max_ground_size
         self._deadline = deadline
+        self._inst_base = self.stats.instantiations
         try:
             return self._check_loop(deadline)
         except _DeadlineReached:
@@ -806,8 +811,14 @@ class SmtSolver:
         """Mark the check resource-limited if E-matching/MBQI stalled
         because the instantiation budget ran out (as opposed to genuine
         saturation, which stays a plain UNKNOWN)."""
-        if self.stats.instantiations >= self.config.max_instantiations:
+        if self._instantiation_budget_spent():
             self.last_resource_out = True
+
+    def _instantiation_budget_spent(self) -> bool:
+        """True once this check has made ``max_instantiations``
+        instances (counted from the start of the check)."""
+        return (self.stats.instantiations - self._inst_base
+                >= self.config.max_instantiations)
 
     def _forced_round(self):
         """One round of forced-prefix reasoning.
@@ -929,7 +940,7 @@ class SmtSolver:
         key = (quant, tuple(sub.get(v) for v in quant.bound_vars))
         if key in self._instances_seen:
             return False
-        if self.stats.instantiations >= self.config.max_instantiations:
+        if self._instantiation_budget_spent():
             return False
         self._instances_seen.add(key)
         self._inst_subs.setdefault(quant, []).append(key[1])
@@ -1033,7 +1044,7 @@ class SmtSolver:
             if not added:
                 break
             added_any = True
-            if self.stats.instantiations >= self.config.max_instantiations:
+            if self._instantiation_budget_spent():
                 break
         self.stats.ematch_index_hits += matcher.index_hits
         self.stats.ematch_rescans_avoided += matcher.rescans_avoided
@@ -1219,8 +1230,7 @@ class SmtSolver:
                 domains.append(dom)
             for combo in _product(domains):
                 self._poll_deadline()  # instances already added stand
-                if (self.stats.instantiations
-                        >= self.config.max_instantiations):
+                if self._instantiation_budget_spent():
                     return added > 0, False
                 sub = dict(zip(quant.bound_vars, combo))
                 if self._instantiate(quant, sub):

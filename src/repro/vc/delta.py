@@ -292,3 +292,21 @@ def replay_function(entry: dict) -> FunctionResult:
             ob.span = A.Span.from_dict(span)
         result.obligations.append(ob)
     return result
+
+
+def replayed_counters(result: FunctionResult) -> dict:
+    """The module counters the escalation records of a replayed function
+    stand for, so a delta-warm run reports the races and ladder rescues
+    of the run that stored it.  Every replayed obligation is PROVED: a
+    ladder trail on it is a rescue, a race record with a winner a win."""
+    counters = dict.fromkeys(("portfolio_races", "portfolio_wins",
+                              "retries", "retry_recoveries"), 0)
+    for ob in result.obligations:
+        race = ob.stats.get("portfolio")
+        if race is not None:
+            counters["portfolio_races"] += 1
+            counters["portfolio_wins"] += race.get("winner") is not None
+        rungs = ob.stats.get("retries", 0)
+        counters["retries"] += rungs
+        counters["retry_recoveries"] += rungs > 0
+    return counters

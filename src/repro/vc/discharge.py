@@ -4,8 +4,7 @@ Under the paper's §3.1 query economy each obligation is a small,
 self-contained query — the pruned context axioms, the path assumptions
 and the negated goal, in solver ``add`` order.  Every place that solves
 one (the scheduler's main pass, worker processes, escalation attempts,
-the eager :meth:`repro.vc.wp.VcGen.verify_function`, and failure
-diagnosis) builds its solver through :func:`build_solver`, and every
+and failure diagnosis) builds its solver through :func:`build_solver`, and every
 verdict-producing discharge goes through :func:`solve`.
 """
 

@@ -25,11 +25,11 @@ never need re-solving.  This layer supplies both halves:
 Two further strategies stack on top (both off by default):
 
 * **Warm contexts** (``incremental=True``) — each function's obligations
-  share one pooled :class:`~repro.smt.solver.SmtSolver`: the common
-  assertion prefix (context axioms and shared path assumptions) is
-  asserted once, and each goal is checked under a ``push()``/``pop()``
-  scope, so learned clauses and E-graph merges from earlier goals carry
-  forward.
+  share one :class:`~repro.smt.solver.SmtSolver`: the common assertion
+  prefix (context axioms and shared path assumptions) is asserted once,
+  and each goal is checked under a ``push()``/``pop()`` scope, so
+  learned clauses and E-graph merges from earlier goals carry forward.
+  The context lives for that one function group of one ``run_module``.
 
 * **Delta re-verification** (``delta=True``, needs the cache) — a
   function whose dependency fingerprint (:mod:`repro.vc.delta`) is
@@ -264,9 +264,7 @@ class Scheduler:
     arguments are live objects the caller owns:
 
     ``cache``: a :class:`ProofCache` (or tiered cache), or None for no
-    caching.  ``solver_pool``: a warm solver-context
-    registry (:class:`repro.server.warm.SolverPool`) that lets warm
-    groups reuse a scope-0 context built by an earlier ``run_module``.
+    caching.
 
     Run-level behaviour follows the config: ``jobs`` worker processes;
     ``job_timeout`` soft per-obligation deadline; ``diagnostics`` re-solves
@@ -283,7 +281,7 @@ class Scheduler:
     way by one executor (:meth:`_escalate`).
     """
 
-    def __init__(self, config: VerifyConfig, cache=None, solver_pool=None):
+    def __init__(self, config: VerifyConfig, cache=None):
         self.config = config
         self.jobs = max(1, config.jobs)
         self.cache: Optional[ProofCache] = cache
@@ -307,8 +305,6 @@ class Scheduler:
         if self.delta and self.cache is not None:
             from .delta import DeltaCache
             self._delta_cache = DeltaCache(self.cache.root)
-        self.solver_pool = solver_pool
-        self._module_name: Optional[str] = None
         self.stats = Stats()
 
     # ------------------------------------------------------------- public
@@ -326,7 +322,6 @@ class Scheduler:
         skips0 = (self._delta_cache.skips
                   if self._delta_cache is not None else 0)
         result = ModuleResult(gen.module.name)
-        self._module_name = gen.module.name
         if self.analyze:
             from ..analysis import analyze_module
             report = analyze_module(gen.module, gen.config)
@@ -366,7 +361,8 @@ class Scheduler:
                 if fn.mode in (A.EXEC, A.PROOF) and fn.body is not None:
                     if self._delta_cache is not None:
                         from .delta import (function_dependency_digest,
-                                            replay_function)
+                                            replay_function,
+                                            replayed_counters)
                         # Key on the scheduler-effective solver config
                         # (max_steps layered on), never the raw base
                         # config: a PROVED under one budget must not be
@@ -381,7 +377,9 @@ class Scheduler:
                             static_tier=self.triage_mode == "on")
                         entry = self._delta_cache.lookup(digest)
                         if entry is not None:
-                            result.functions.append(replay_function(entry))
+                            replayed = replay_function(entry)
+                            self.stats.merge(replayed_counters(replayed))
+                            result.functions.append(replayed)
                             continue
                     plan = gen.plan_function(fn)
                     if self._delta_cache is not None:
@@ -550,7 +548,7 @@ class Scheduler:
                     self.stats.absint_fixpoint_iters += passes
             unsolved.append(task)
         if self.incremental:
-            # Warm contexts are in-process by design (the pooled solver
+            # Warm contexts are in-process by design (the shared solver
             # is the whole point), so incremental wins over `jobs`.
             groups: dict[int, list[_Task]] = {}
             for task in unsolved:
@@ -589,15 +587,16 @@ class Scheduler:
         return n
 
     def _run_warm_group(self, tasks: list[_Task]) -> None:
-        """Discharge one function's obligations in a pooled warm solver.
+        """Discharge one function's obligations in one warm solver.
 
         The shared prefix (context axioms + common path assumptions) is
         asserted once at scope 0; each goal's residue is added under a
         push/pop scope.  Learned clauses and E-graph/tableau state from
         earlier goals carry forward — scope-0 consequences survive the
-        pop, per-goal ones are retracted.  Reported per-goal stats are
-        snapshot deltas plus the shared base's query bytes, so results
-        (including ``query_bytes``) are byte-identical to fresh runs.
+        pop, per-goal ones are retracted.  The context lives for this
+        group only.  Reported per-goal stats are snapshot deltas plus
+        the shared base's query bytes, so results (including
+        ``query_bytes``) are byte-identical to fresh runs.
         """
         if len(tasks) == 1:
             # Nothing to amortize: a lone goal pays the scope-logging
@@ -606,51 +605,26 @@ class Scheduler:
             return self._run_fresh(tasks[0])
         prefix = self._common_prefix([t.assertions for t in tasks])
         config, = tasks[0].configs
-        pool = self.solver_pool
-        key = None
-        pooled = None
-        if pool is not None:
-            key = pool.group_key(tasks[0].assertions[:prefix], config)
-            pooled = pool.acquire(key)
-        if pooled is not None:
-            # Residency: the scope-0 context (learned clauses, E-graph,
-            # tableau) from an earlier request with the same prefix.
-            # base_qbytes is the entry's *original* prefix cost — the
-            # live query_bytes counter never decrements across pops, so
-            # per-goal reporting must use the recorded value to stay
-            # byte-identical to a fresh run.
-            solver, base_qbytes = pooled
-            self.stats.warm_pool_hits += 1
-        else:
-            solver = build_solver(config, tasks[0].assertions[:prefix],
-                                  incremental=True)
-            base_qbytes = solver.stats.query_bytes
-            if pool is not None:
-                self.stats.warm_pool_misses += 1
-        try:
-            for task in tasks:
-                t0 = time.perf_counter()
-                before = solver.stats.snapshot()
-                solver.push()
-                for a in task.assertions[prefix:]:
-                    solver.add(a)
-                verdict = solver.check(timeout=self.timeout)
-                stats = Stats.diff(before, solver.stats.snapshot())
-                qbytes = base_qbytes + stats.get("query_bytes", 0)
-                stats["query_bytes"] = qbytes
-                status = classify(solver, verdict, stats)
-                seconds = time.perf_counter() - t0
-                self._apply(task, status, stats, qbytes, seconds)
-                self._store(task, status, stats, qbytes)
-                solver.pop()
-        except BaseException:
-            key = None  # scope state unknown: never repool a damaged solver
-            raise
-        finally:
-            if pool is not None and key is not None:
-                # Back at scope 0 with exactly the prefix asserted.
-                pool.release(key, solver, base_qbytes,
-                             module=self._module_name)
+        solver = build_solver(config, tasks[0].assertions[:prefix],
+                              incremental=True)
+        base_qbytes = solver.stats.query_bytes
+        self.stats.warm_contexts += 1
+        self.stats.warm_reuses += len(tasks) - 1
+        for task in tasks:
+            t0 = time.perf_counter()
+            before = solver.stats.snapshot()
+            solver.push()
+            for a in task.assertions[prefix:]:
+                solver.add(a)
+            verdict = solver.check(timeout=self.timeout)
+            stats = Stats.diff(before, solver.stats.snapshot())
+            qbytes = base_qbytes + stats.get("query_bytes", 0)
+            stats["query_bytes"] = qbytes
+            status = classify(solver, verdict, stats)
+            seconds = time.perf_counter() - t0
+            self._apply(task, status, stats, qbytes, seconds)
+            self._store(task, status, stats, qbytes)
+            solver.pop()
 
     def _run_parallel(self, tasks: list[_Task]) -> list[_Task]:
         """Fan tasks out across processes; returns tasks that still need

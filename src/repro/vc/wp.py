@@ -90,8 +90,7 @@ class FunctionPlan:
 
     ``pending`` carries the labeled goals with their path assumptions;
     ``encoder``/``spec_axioms`` supply the context axioms every job ships
-    with.  The scheduler (or the eager :meth:`VcGen.verify_function`
-    path) turns the plan into a populated ``result``.
+    with.  The scheduler turns the plan into a populated ``result``.
     """
 
     __slots__ = ("fn", "result", "pending", "encoder", "spec_axioms",
@@ -155,27 +154,6 @@ class VcGen:
                             spec_axioms)
         plan.gen_seconds = time.perf_counter() - t0
         return plan
-
-    def verify_function(self, fn: A.Function) -> FunctionResult:
-        """Eagerly plan and discharge one function (serial, cache-less)."""
-        from .discharge import solve
-        t0 = time.perf_counter()
-        plan = self.plan_function(fn)
-        configs = self.solver_configs(self.config.make_solver_config())
-        for item in plan.pending:
-            ob = item.obligation
-            plan.result.obligations.append(ob)
-            if item.direct_result is not None:
-                ob.status = PROVED if item.direct_result else FAILED
-                continue
-            assertions, pruned = self.obligation_assertions(
-                item, plan.encoder, plan.spec_axioms)
-            ob.status, ob.stats, qbytes, ob.seconds = solve(configs,
-                                                            assertions)
-            ob.stats.update(pruned)
-            plan.result.query_bytes += qbytes
-        plan.result.seconds = time.perf_counter() - t0
-        return plan.result
 
     # --------------------------------------------------------- spec axioms
 

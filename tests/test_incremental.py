@@ -25,7 +25,7 @@ from repro.lang import (BOOL, INT, U64, Module, and_all, assert_, assign,
                         spec_fn, var, while_)
 from tests.helpers import verify_module
 from repro.smt import terms as T
-from repro.smt.solver import SAT, SmtSolver, UNSAT
+from repro.smt.solver import SAT, SmtSolver, SolverConfig, UNSAT
 from repro.vc.errors import PROVED, TIMEOUT
 
 from tests.test_diagnostics import (_broken_assert_conjunctive,
@@ -200,6 +200,35 @@ class TestSolverScopes:
                 warm.append(warm_solver.check())
                 warm_solver.pop()
             assert warm == fresh
+
+    def test_instantiation_budget_is_per_check(self):
+        """Goal 2 of a warm context gets the whole ``max_instantiations``
+        budget, as a fresh solver does, however much goal 1 used."""
+        xq = T.Var("xq", T.INT)
+        g = T.FuncDecl("g", [T.INT], T.INT)
+        ax = T.ForAll([xq], T.Ge(T.App(g, xq), xq),
+                      triggers=[[T.App(g, xq)]])
+        cs = [T.Var(f"c{i}", T.INT) for i in range(8)]
+        goal1 = T.Ge(T.Add(*[T.App(g, c) for c in cs]), T.IntVal(0))
+        abc = [T.Var(n, T.INT) for n in "abc"]
+        goal2 = T.Lt(T.Add(*[T.App(g, v) for v in abc]), T.Add(*abc))
+        cfg = SolverConfig(max_instantiations=10)
+        fresh = SmtSolver(cfg)
+        fresh.add(ax)
+        fresh.add(goal2)
+        assert fresh.check() == UNSAT
+        warm = SmtSolver(cfg, incremental=True)
+        warm.add(ax)
+        warm.push()
+        warm.add(goal1)       # eight instances: most of the budget
+        warm.check()
+        assert warm.stats.instantiations == 8
+        warm.pop()
+        warm.push()
+        warm.add(goal2)       # needs three more
+        assert warm.check() == UNSAT
+        assert not warm.last_resource_out
+        warm.pop()
 
     def test_learned_clause_retention_is_scoped(self):
         """A goal-scoped consequence must not leak into later goals."""

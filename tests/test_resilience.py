@@ -448,6 +448,22 @@ class TestLadderReplay:
         assert _records(warm) == _records(cold)
         assert any(escalation for _, _, escalation, _, _ in _records(cold))
 
+    @pytest.mark.parametrize("portfolio", [0, 2])
+    def test_delta_replay_keeps_the_escalation_counters(self, tmp_path,
+                                                        portfolio):
+        cdir = str(tmp_path / "pc")
+        keys = ("retries", "retry_recoveries", "portfolio_races",
+                "portfolio_wins")
+        cold, _ = _tight_run(retries=2, portfolio=portfolio,
+                             cache_dir=cdir, delta=True)
+        warm, _ = _tight_run(retries=2, portfolio=portfolio,
+                             cache_dir=cdir, delta=True)
+        assert warm.stats["delta_skips"] > 0
+        assert cold.stats["retry_recoveries"] == 11
+        assert cold.stats["portfolio_races"] == (11 if portfolio else 0)
+        assert {k: warm.stats[k] for k in keys} \
+            == {k: cold.stats[k] for k in keys}
+
 
 # ---------------------------------------------------------------------------
 # Acceptance: kill mid-run, resume from the proof cache

@@ -1,8 +1,8 @@
 """The verification service daemon: repro.server end to end.
 
-Unit layers first (protocol, fair queue, quota ledger, warm solver
-pool, Session lifecycle), then the daemon itself running on a real
-socket in a background thread, driven through :class:`ServerClient`.
+Unit layers first (protocol, fair queue, quota ledger), then the daemon
+itself running on a real socket in a background thread, driven through
+:class:`ServerClient`.
 
 The acceptance bar mirrors the batch pipeline's: a daemon serving
 concurrent clients must produce verdicts byte-identical (modulo timing
@@ -19,18 +19,15 @@ import json
 import random
 import threading
 import time
-import types
 
 import pytest
 
 from repro.api import Session, VerifyConfig
-from repro.server import ServerClient, ServerConfig, SolverPool, VerifyServer
+from repro.server import ServerClient, ServerConfig, VerifyServer
 from repro.server import protocol
 from repro.server.daemon import PATH_COLD, PATH_DELTA
 from repro.server.queue import FairQueue, FairQueueCore, QueueFull
 from repro.server.quota import QuotaExceeded, QuotaLedger, steps_spent
-from repro.smt import terms as T
-from repro.smt.solver import SolverConfig, solver_constructions
 
 from tests.test_incremental import _normalize
 
@@ -273,114 +270,6 @@ class TestQuotaLedger:
         assert steps_spent({}) == 0
 
 
-# ------------------------------------------------------------- solver pool
-
-
-class _FakeSolver:
-    def __init__(self, max_instantiations=0, instantiations=0):
-        self.config = types.SimpleNamespace(
-            max_instantiations=max_instantiations)
-        self.stats = types.SimpleNamespace(instantiations=instantiations)
-
-
-class TestSolverPool:
-    def test_group_key_content_addressed(self):
-        cfg = SolverConfig()
-        x = T.Const("x", T.INT)
-        a1 = [T.Eq(x, T.IntVal(1))]
-        a2 = [T.Eq(x, T.IntVal(2))]
-        k1 = SolverPool.group_key(a1, cfg)
-        assert k1 == SolverPool.group_key(list(a1), cfg)
-        assert k1 != SolverPool.group_key(a2, cfg)
-        assert k1 != SolverPool.group_key(a1, SolverConfig(max_rounds=7))
-
-    def test_acquire_miss_then_hit_is_exclusive(self):
-        pool = SolverPool(budget_bytes=1000)
-        assert pool.acquire("k") is None
-        s = _FakeSolver()
-        pool.release("k", s, 100, module="m")
-        assert len(pool) == 1
-        got, qbytes = pool.acquire("k")
-        assert got is s and qbytes == 100
-        assert pool.acquire("k") is None          # checked out = removed
-        stats = pool.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 2
-        assert stats["entries"] == 0 and stats["bytes"] == 0
-
-    def test_lru_eviction_under_byte_budget(self):
-        pool = SolverPool(budget_bytes=100)
-        pool.release("old", _FakeSolver(), 60)
-        pool.release("new", _FakeSolver(), 60)    # 120 > 100: evict LRU
-        assert len(pool) == 1
-        assert pool.acquire("old") is None
-        assert pool.acquire("new") is not None
-        assert pool.stats()["evictions"] == 1
-
-    def test_wear_retirement(self):
-        pool = SolverPool(budget_bytes=1000)
-        worn = _FakeSolver(max_instantiations=100, instantiations=50)
-        pool.release("k", worn, 10)
-        assert len(pool) == 0
-        assert pool.stats()["retired"] == 1
-        fresh = _FakeSolver(max_instantiations=100, instantiations=49)
-        pool.release("k", fresh, 10)
-        assert len(pool) == 1
-
-    def test_oversize_entry_retired(self):
-        pool = SolverPool(budget_bytes=100)
-        pool.release("k", _FakeSolver(), 101)
-        assert len(pool) == 0 and pool.stats()["retired"] == 1
-
-    def test_close_refuses_release(self):
-        pool = SolverPool(budget_bytes=1000)
-        pool.release("k", _FakeSolver(), 10)
-        pool.close()
-        assert len(pool) == 0
-        pool.release("k2", _FakeSolver(), 10)
-        assert len(pool) == 0
-
-
-# -------------------------------------------------- session + pool residency
-
-
-class TestSessionResidency:
-    def test_context_manager_closes_owned_pool(self):
-        with Session(VerifyConfig(incremental=True), warm_pool=True) as s:
-            s.verify_module(_build(CASE_STUDIES[0]))
-            pool = s.warm_pool
-            assert len(pool) > 0
-        assert s.warm_pool is None and len(pool) == 0
-
-    def test_borrowed_pool_survives_session_close(self):
-        pool = SolverPool()
-        with Session(VerifyConfig(incremental=True), warm_pool=pool) as s:
-            s.verify_module(_build(CASE_STUDIES[0]))
-        assert len(pool) > 0
-        pool.close()
-
-    def test_warm_reuse_builds_no_solver_and_matches_fresh(self):
-        dotted = CASE_STUDIES[0]
-        with Session(VerifyConfig(incremental=True)) as fresh:
-            expected = _normalize(fresh.verify_module(_build(dotted))
-                                  .to_json())
-        pool = SolverPool()
-        try:
-            with Session(VerifyConfig(incremental=True),
-                         warm_pool=pool) as s1:
-                first = s1.verify_module(_build(dotted))
-            built0 = solver_constructions()
-            with Session(VerifyConfig(incremental=True),
-                         warm_pool=pool) as s2:
-                second = s2.verify_module(_build(dotted))
-            built = solver_constructions() - built0
-        finally:
-            pool.close()
-        assert built == 0, "every warm group should check out a pooled solver"
-        assert second.stats.get("warm_pool_hits", 0) > 0
-        assert _normalize(first.to_json()) == expected
-        assert _normalize(second.to_json()) == expected
-
-
 # ------------------------------------------------------------------ daemon
 
 
@@ -454,7 +343,10 @@ class TestDaemon:
             assert status["paths"]["cold"] == 1
             assert status["paths"]["delta"] >= 1
             assert status["requests"]["verify"] == 3
-            assert status["warm"]["entries"] > 0
+            # Request-scoped warm contexts: the solved functions built
+            # them and checked their later goals in them.
+            assert status["warm"]["misses"] > 0
+            assert status["warm"]["hits"] > 0
             assert status["cache"]["dir"] == cfg.cache_dir
 
     def test_eight_concurrent_clients_match_batch(self, tmp_path):
@@ -639,13 +531,16 @@ class TestDaemon:
             assert "JSON" in reply["error"]
 
     def test_shutdown_releases_residency(self, tmp_path):
-        # Triage off so the verify actually populates the warm pool.
+        # No solver outlives a request; what a clean shutdown must
+        # release is the resident worker threads.
         cfg = VerifyConfig(cache_dir=str(tmp_path / "cache"),
                            triage="off")
         d = _Daemon(verify_cfg=cfg)
         with d, d.client() as c:
-            c.verify(source=MODULE_V1, builder="build")
-            assert len(d.server.pool) > 0
+            assert c.verify(source=MODULE_V1, builder="build")["result"]["ok"]
+            workers = [t for t in threading.enumerate()
+                       if t.name.startswith("repro-worker")]
+            assert workers
             reply = c.shutdown()
             assert reply["status"] == "ok"
-        assert len(d.server.pool) == 0
+        assert not any(t.is_alive() for t in workers)

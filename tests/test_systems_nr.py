@@ -6,7 +6,7 @@ import pytest
 
 from repro.sync import ProtocolViolation
 from repro.systems.nr.log import NodeReplicated, NrLog, Replica, SequentialDS
-from repro.systems.nr.model import build_nr_system
+from repro.systems.nr.model import build_nr_core_module
 
 
 class TestSequentialDS:
@@ -114,15 +114,15 @@ class TestNrModelObligations:
     """Verify a representative subset of the VerusSync obligations.
 
     The full model (all 7 transitions × 4 invariants) is checked by the
-    Figure 9 macrobenchmark; here we keep the quick core.
+    Figure 9 macrobenchmark; here we keep the quick core, verified once
+    per class.
     """
 
     @pytest.fixture(scope="class")
-    def module(self):
-        from repro.vc.wp import VcGen
-        sys_ = build_nr_system()
-        mod = sys_.obligations_module()
-        return mod, VcGen(mod)
+    def results(self):
+        from repro.api import Session, VerifyConfig
+        res = Session(VerifyConfig()).verify_module(build_nr_core_module())
+        return {f.name: f for f in res.functions}
 
     @pytest.mark.parametrize("fn_name", [
         "initialize#establishes",
@@ -133,10 +133,9 @@ class TestNrModelObligations:
         "reader_finish#fresh",
         "version_in_log#property",
     ])
-    def test_obligation(self, module, fn_name):
-        mod, gen = module
-        assert fn_name in mod.functions
-        result = gen.verify_function(mod.functions[fn_name])
+    def test_obligation(self, results, fn_name):
+        assert fn_name in results
+        result = results[fn_name]
         assert result.ok, result.failures()
 
     def test_broken_variant_caught(self):
