@@ -24,9 +24,6 @@ _CAPMAN = []
 _side_started = False
 _SIDE_FILE = os.path.join(os.path.dirname(__file__), "..",
                           "bench_figures.txt")
-_INCR_FILE = os.path.join(os.path.dirname(__file__), "..",
-                          "BENCH_incremental.json")
-_INCR_ROWS: list = []
 _SOLVER_FILE = os.path.join(os.path.dirname(__file__), "..",
                             "BENCH_solver.json")
 _SOLVER_ROWS: list = []
@@ -42,20 +39,15 @@ _CACHE_TIERS_ROWS: list = []
 _SOLVER_BASELINE = {
     "rows": [
         {"benchmark": "fig7a_single", "fresh_seconds": 0.1517,
-         "warm_seconds": 0.0744, "instantiations": 140,
-         "query_bytes": 162941},
+         "instantiations": 140, "query_bytes": 162941},
         {"benchmark": "fig7a_double", "fresh_seconds": 0.4529,
-         "warm_seconds": 0.376, "instantiations": 292,
-         "query_bytes": 207229},
+         "instantiations": 292, "query_bytes": 207229},
         {"benchmark": "fig10_delegation_map", "fresh_seconds": 0.7514,
-         "warm_seconds": 0.6254, "instantiations": 436,
-         "query_bytes": 312167},
+         "instantiations": 436, "query_bytes": 312167},
         {"benchmark": "fig10_marshal", "fresh_seconds": 0.4197,
-         "warm_seconds": 0.4081, "instantiations": 160,
-         "query_bytes": 119843},
+         "instantiations": 160, "query_bytes": 119843},
     ],
     "total_fresh_seconds": 1.7757,
-    "total_warm_seconds": 1.4839,
     "total_instantiations": 1028,
     "total_query_bytes": 802180,
 }
@@ -67,37 +59,17 @@ def pytest_configure(config):
     _CAPMAN.append(config.pluginmanager.getplugin("capturemanager"))
 
 
-def record_incremental(label: str, fresh_secs: float,
-                       warm_secs: float) -> None:
-    """Record one fresh-vs-warm wall-clock pair for BENCH_incremental.json.
-
-    Benchmarks that compare a fresh-solver run against a warm-context
-    (``incremental=True``) run call this; the accumulated comparison is
-    written once at session end.
-    """
-    _INCR_ROWS.append({
-        "benchmark": label,
-        "fresh_seconds": round(fresh_secs, 4),
-        "warm_seconds": round(warm_secs, 4),
-        "speedup": round(fresh_secs / warm_secs, 3) if warm_secs else None,
-    })
-
-
-def record_solver(label: str, fresh_secs: float, warm_secs: float,
-                  stats: dict, query_bytes: int) -> None:
+def record_solver(label: str, fresh_secs: float, stats: dict,
+                  query_bytes: int) -> None:
     """Record one solver-performance row for BENCH_solver.json.
 
-    ``fresh_secs``/``warm_secs`` should be best-of-N wall-clock (the
-    caller times the repeats); ``stats`` is the merged Stats snapshot of
-    the fresh run, from which instantiation counts and the pruning
-    counters are read.
+    ``fresh_secs`` should be best-of-N wall-clock (the caller times the
+    repeats); ``stats`` is the merged Stats snapshot of the run, from
+    which instantiation counts and the pruning counters are read.
     """
     _SOLVER_ROWS.append({
         "benchmark": label,
         "fresh_seconds": round(fresh_secs, 4),
-        "warm_seconds": round(warm_secs, 4),
-        "warm_speedup": round(fresh_secs / warm_secs, 3)
-        if warm_secs else None,
         "instantiations": stats.get("instantiations", 0),
         "query_bytes": query_bytes,
         "pruned_axioms": stats.get("pruned_axioms", 0),
@@ -119,23 +91,8 @@ def record_cache_tier(label: str, payload: dict) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _INCR_ROWS:
-        fresh = sum(r["fresh_seconds"] for r in _INCR_ROWS)
-        warm = sum(r["warm_seconds"] for r in _INCR_ROWS)
-        payload = {
-            "description": "fresh-solver vs warm-context "
-                           "(incremental=True) verification wall-clock",
-            "rows": _INCR_ROWS,
-            "total_fresh_seconds": round(fresh, 4),
-            "total_warm_seconds": round(warm, 4),
-            "total_speedup": round(fresh / warm, 3) if warm else None,
-        }
-        with open(_INCR_FILE, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
     if _SOLVER_ROWS:
         fresh = sum(r["fresh_seconds"] for r in _SOLVER_ROWS)
-        warm = sum(r["warm_seconds"] for r in _SOLVER_ROWS)
         insts = sum(r["instantiations"] for r in _SOLVER_ROWS)
         qbytes = sum(r["query_bytes"] for r in _SOLVER_ROWS)
         payload = {
@@ -148,7 +105,6 @@ def pytest_sessionfinish(session, exitstatus):
                        "benchmarks/test_fig10_ironkv.py -q",
             "rows": _SOLVER_ROWS,
             "total_fresh_seconds": round(fresh, 4),
-            "total_warm_seconds": round(warm, 4),
             "total_instantiations": insts,
             "total_query_bytes": qbytes,
             "baseline": _SOLVER_BASELINE,

@@ -13,9 +13,10 @@ of the engine:
 * the QI profiler shows which quantifier (dm_wf sortedness vs. the
   loop invariant) drove instantiation.
 
-The script also re-verifies with ``jobs=4`` and with warm incremental
-contexts and asserts the diagnostic output is identical to the serial
-run — the determinism guarantee.  Verification goes through the
+The script also re-verifies with ``jobs=4``, and again over the proof
+cache the serial run filled (every diagnostic replayed from the cache,
+no obligation re-solved), and asserts the diagnostic output is identical
+to the serial run — the determinism guarantee.  Verification goes through the
 :mod:`repro.api` ``Session`` front door.
 
 Run:  PYTHONPATH=src python scripts/diagnose_example.py
@@ -23,6 +24,7 @@ Run:  PYTHONPATH=src python scripts/diagnose_example.py
 
 import json
 import sys
+import tempfile
 
 from repro.api import Session, VerifyConfig
 from repro.lang import (BOOL, INT, U64, Module, SeqType, StructType, and_all,
@@ -94,7 +96,13 @@ def diag_signature(result):
 
 
 def main() -> int:
-    serial = Session(VerifyConfig(jobs=1)).diagnose(build_broken_module())
+    with tempfile.TemporaryDirectory(prefix="pv_diag_cache_") as cache_dir:
+        return run(cache_dir)
+
+
+def run(cache_dir: str) -> int:
+    serial = Session(VerifyConfig(jobs=1, cache_dir=cache_dir)).diagnose(
+        build_broken_module())
     print(serial.report())
     print()
 
@@ -107,13 +115,17 @@ def main() -> int:
     if diag_signature(serial) != diag_signature(parallel):
         print("FATAL: serial and jobs=4 diagnostics differ", file=sys.stderr)
         return 1
-    warm = Session(VerifyConfig(incremental=True)).diagnose(
+    warm = Session(VerifyConfig(cache_dir=cache_dir)).diagnose(
         build_broken_module())
+    if warm.stats.get("cache_misses", 0):
+        print(f"FATAL: cache-warm rerun re-solved "
+              f"{warm.stats['cache_misses']} obligations", file=sys.stderr)
+        return 1
     if diag_signature(serial) != diag_signature(warm):
-        print("FATAL: serial and incremental diagnostics differ",
+        print("FATAL: serial and cache-warm diagnostics differ",
               file=sys.stderr)
         return 1
-    print("determinism: serial, jobs=4, and incremental diagnostics "
+    print("determinism: serial, jobs=4, and cache-warm diagnostics "
           "are identical")
 
     if serial.ok:

@@ -180,8 +180,7 @@ def main() -> int:
                 result["quota"]["clients"]:
             return _fail(f"status payload incomplete: {result}", proc)
         print(f"status ok: paths={result['paths']}, "
-              f"warm contexts={result['warm']['misses']} built, "
-              f"{result['warm']['hits']} reused")
+              f"cache={result['cache']['hits']} hits")
 
         # 6. Clean shutdown.
         rc, reply, proc = _client(port, "shutdown")

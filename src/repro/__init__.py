@@ -15,8 +15,8 @@ Layers (bottom-up):
 * :mod:`repro.runtime` — executable substrates (network/pmem/scheduler).
 
 :mod:`repro.api` is the programmatic front door: ``Session`` +
-``VerifyConfig`` bundle parallelism, caching, diagnostics, and the
-incremental/delta solving strategies behind one surface.
+``VerifyConfig`` bundle parallelism, caching, diagnostics, and delta
+re-verification behind one surface.
 """
 
 __version__ = "1.0.0"

@@ -6,7 +6,7 @@ scheduler.  Obligations whose goals follow from their path assumptions
 under an interval × constant × congruence product are discharged as
 ``STATIC_PROVED`` — no SMT solver is ever constructed for them — and
 the residue flows to the scheduler completely unchanged (same digests,
-same cache keys, same warm-prefix grouping).
+same cache keys).
 
 Layout:
 

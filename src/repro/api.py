@@ -1,9 +1,9 @@
 """The unified programmatic front door: ``Session`` + ``VerifyConfig``.
 
 Everything tunable about a verification run — parallelism, proof cache,
-diagnostics, per-obligation timeouts, and the incremental/delta solving
-strategies — lives in one frozen :class:`VerifyConfig`.  The historical
-``REPRO_*`` environment knobs are parsed in exactly one place,
+diagnostics, per-obligation timeouts, and delta re-verification — lives
+in one frozen :class:`VerifyConfig`.  The historical ``REPRO_*``
+environment knobs are parsed in exactly one place,
 :meth:`VerifyConfig.from_env`; every other module (the scheduler, the
 proof cache, the lang helpers) asks this module instead of touching
 ``os.environ`` itself.
@@ -12,7 +12,7 @@ Typical usage::
 
     from repro.api import Session
 
-    session = Session(jobs=4, cache_dir=".pv_cache", incremental=True)
+    session = Session(jobs=4, cache_dir=".pv_cache", delta=True)
     result = session.verify_module(mod)     # detailed ModuleResult
     session.verify(mod)                     # raises VerificationFailure
     report = session.diagnose(mod)          # diagnostics forced on
@@ -26,7 +26,7 @@ The knob soup is collapsed behind **automation profiles**
 (:mod:`repro.profiles`): ``VerifyConfig.profile`` names a detent on the
 automation dial (``default`` / ``frugal`` / ``aggressive`` /
 ``nonlinear`` / ``bitvector`` / ``epr``), and the run-level fields it
-implies (``incremental``, ``retries``, ``max_steps``) default to the
+implies (``retries``, ``max_steps``, ``triage``) default to the
 profile's values unless set explicitly — an explicit field always wins.
 ``VerifyConfig.portfolio`` enables racing: stubborn obligations are
 re-discharged under that many alternative profiles.  Each attempt's
@@ -44,8 +44,6 @@ Environment knobs (all optional, read only by :meth:`from_env`):
 * ``REPRO_DIAG`` — truthy to diagnose every failed obligation.
 * ``REPRO_JOB_TIMEOUT`` — per-obligation soft deadline in seconds
   (parallel *and* serial runs honor it).
-* ``REPRO_INCREMENTAL`` — truthy to discharge each function's
-  obligations in one warm solver under push/pop scopes.
 * ``REPRO_DELTA`` — truthy to skip re-planning functions whose
   transitive spec dependencies are unchanged (requires the cache).
 * ``REPRO_ANALYZE`` — truthy to run the :mod:`repro.analysis` static
@@ -84,7 +82,6 @@ JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DIAG_ENV = "REPRO_DIAG"
 JOB_TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
-INCREMENTAL_ENV = "REPRO_INCREMENTAL"
 DELTA_ENV = "REPRO_DELTA"
 ANALYZE_ENV = "REPRO_ANALYZE"
 RETRIES_ENV = "REPRO_RETRIES"
@@ -99,16 +96,6 @@ _FALSY = ("", "0", "false", "no", "off")
 
 def _env_truthy(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() not in _FALSY
-
-
-def _env_flag(name: str):
-    """Tri-state env flag: None when unset/empty (let the profile
-    decide), else the parsed boolean (an explicit ``0`` really means
-    "off", even under a profile that defaults it on)."""
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return None
-    return raw.strip().lower() not in _FALSY
 
 
 def _parse_triage(raw) -> Optional[str]:
@@ -141,8 +128,8 @@ class VerifyConfig:
 
     ``profile``         automation-profile name (:mod:`repro.profiles`);
                         the profile supplies the solver knobs and the
-                        defaults for ``incremental``/``retries``/
-                        ``max_steps`` left unset.
+                        defaults for ``retries``/``max_steps``/
+                        ``triage`` left unset.
     ``portfolio``       portfolio race width: re-discharge stubborn
                         obligations under this many alternative
                         profiles (0 = off).
@@ -150,8 +137,6 @@ class VerifyConfig:
     ``cache_dir``       proof-cache directory, or None to disable.
     ``diagnostics``     attach a full Diagnostic to every failure.
     ``job_timeout``     per-obligation soft deadline in seconds.
-    ``incremental``     warm per-function solver contexts (push/pop);
-                        None = profile default.
     ``delta``           skip functions with unchanged dependency
                         fingerprints (needs ``cache_dir``).
     ``analyze``         run the static-analysis gate before planning;
@@ -182,7 +167,6 @@ class VerifyConfig:
     cache_dir: Optional[str] = None
     diagnostics: bool = False
     job_timeout: Optional[float] = None
-    incremental: Optional[bool] = None
     delta: bool = False
     analyze: bool = False
     retries: Optional[int] = None
@@ -237,7 +221,6 @@ class VerifyConfig:
                   cache_dir=os.environ.get(CACHE_DIR_ENV) or None,
                   diagnostics=_env_truthy(DIAG_ENV),
                   job_timeout=job_timeout,
-                  incremental=_env_flag(INCREMENTAL_ENV),
                   delta=_env_truthy(DELTA_ENV),
                   analyze=_env_truthy(ANALYZE_ENV),
                   retries=retries,
@@ -267,12 +250,6 @@ class VerifyConfig:
         return get_profile(self.profile)
 
     @property
-    def effective_incremental(self) -> bool:
-        if self.incremental is not None:
-            return self.incremental
-        return self.automation_profile.default_incremental
-
-    @property
     def effective_retries(self) -> int:
         if self.retries is not None:
             return self.retries
@@ -300,7 +277,7 @@ class Session:
     """One verification session: a config plus shared cache/stats state.
 
     ``Session(config)`` takes an explicit :class:`VerifyConfig`;
-    ``Session(jobs=4, incremental=True)`` layers keyword overrides over
+    ``Session(jobs=4, delta=True)`` layers keyword overrides over
     :meth:`VerifyConfig.from_env`.  The proof cache (when configured) is
     opened once and shared by every scheduler the session builds, so
     cross-module cache statistics accumulate like a single tool run.
@@ -390,9 +367,8 @@ class Session:
 
     # --------------------------------------------------------- lifecycle
 
-    # A session holds nothing that outlives a run (warm solver contexts
-    # live for one function group), so ``with Session(...)`` only scopes
-    # the name.
+    # A session holds nothing that outlives a run (every obligation gets
+    # a fresh solver), so ``with Session(...)`` only scopes the name.
 
     def __enter__(self) -> "Session":
         return self

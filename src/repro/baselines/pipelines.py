@@ -22,8 +22,8 @@ ivy               value      (MBQI)     yes       EPR only — rejects
 A retry strategy is a list of solver configs (``VcGen.solver_configs``):
 the scheduler tries each obligation under them in order and stops at the
 first proof, so a failure pays for the whole list.  Pipelines with such a
-list skip the static proving tier (``ABSINT_TRIAGE``), warm contexts and
-the profile race.
+list skip the static proving tier (``ABSINT_TRIAGE``) and the profile
+race.
 
 The wall-clock differences the millibenchmarks report therefore arise from
 *structural* causes (frame axioms, instantiation blowup, extra obligations),

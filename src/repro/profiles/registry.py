@@ -8,7 +8,7 @@ pruning, quantifier-instantiation machinery, and step budgets.  An
 of solver knobs (:class:`~repro.smt.solver.SolverConfig` overrides),
 context-pruning aggressiveness (``vc/prune.py``), E-matching-vs-MBQI
 preference, and the conjunct-splitting strategy the retry ladder may
-use — plus the run-level defaults (warm contexts, retry attempts) a
+use — plus the run-level defaults (retry attempts, static triage) a
 :class:`~repro.api.VerifyConfig` collapses into when the corresponding
 field is left unset.
 
@@ -17,9 +17,9 @@ Semantics that the rest of the pipeline depends on:
 * **Identity of ``default``** — every solver-facing field of the
   ``default`` profile is ``None`` ("inherit"), and
   :meth:`AutomationProfile.apply_solver` returns the *same* config
-  object when it has nothing to override.  Digests, cache keys, and
-  warm-prefix group keys under the default profile are therefore
-  byte-identical to a build without profiles at all.
+  object when it has nothing to override.  Digests and cache keys
+  under the default profile are therefore byte-identical to a build
+  without profiles at all.
 
 * **Digest keying** — a non-default profile overrides real
   ``SolverConfig`` attributes, and every attribute participates in
@@ -74,7 +74,7 @@ class AutomationProfile:
     default is".  ``prune_context`` overrides
     :class:`~repro.vc.wp.VcConfig.prune_context` the same way.
 
-    ``default_incremental`` / ``default_retries`` are the *run-level*
+    ``default_retries`` / ``default_triage`` are the *run-level*
     defaults this profile implies; an explicit
     :class:`~repro.api.VerifyConfig` field always wins over them.
     """
@@ -94,7 +94,6 @@ class AutomationProfile:
     prune_context: Optional[bool] = None
     split_strategy: str = "ladder"
     # --- run-level defaults (explicit VerifyConfig fields win) ---------
-    default_incremental: bool = False
     default_retries: int = 0
     # Static proving tier (repro.analysis.absint): whether obligations
     # entailed by their path assumptions under the interval/constant/
@@ -118,8 +117,8 @@ class AutomationProfile:
         """``cfg`` with this profile's solver knobs layered on a copy.
 
         Returns ``cfg`` itself (same object) when there is nothing to
-        override, so the ``default`` profile never perturbs digests,
-        warm-prefix keys, or shared-config identity.
+        override, so the ``default`` profile never perturbs digests or
+        shared-config identity.
         """
         overrides = self.solver_overrides()
         if not overrides or all(
@@ -136,7 +135,6 @@ class AutomationProfile:
                 "solver": self.solver_overrides(),
                 "prune_context": self.prune_context,
                 "split_strategy": self.split_strategy,
-                "default_incremental": self.default_incremental,
                 "default_retries": self.default_retries,
                 "default_triage": self.default_triage}
 
@@ -176,14 +174,12 @@ PROFILES: dict[str, AutomationProfile] = {p.name: p for p in (
         name="aggressive",
         doc="Maximal E-matching automation: broad trigger selection over "
             "the full (unpruned) context with 4x round/instantiation/"
-            "conflict budgets; warm contexts and one ladder retry by "
-            "default.",
+            "conflict budgets; one ladder retry by default.",
         trigger_policy=BROAD,
         max_rounds=240,
         max_instantiations=24000,
         sat_conflict_budget=1600000,
         prune_context=False,
-        default_incremental=True,
         default_retries=1),
     AutomationProfile(
         name="nonlinear",

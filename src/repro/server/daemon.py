@@ -6,14 +6,14 @@ Request lifecycle (also documented in DESIGN.md)::
         build module → Session(base config ⊕ request overrides,
                                shared cache root)
         → delta lookup → proof-cache lookup → solve the rest
-          (one warm solver context per function group)
+          (a fresh solver per obligation)
     → reply (out-of-order by design, matched by request id)
 
 Residency is the point: one proof-cache root is shared by every
 request, so a client re-submitting an edited module pays only for
 functions whose dependency fingerprints changed (``vc/delta.py``), and
-of those only for obligations whose query text changed.  Solvers do
-not outlive a request: a warm context lives for one function group.
+of those only for obligations whose query text changed.  No solver
+outlives its obligation: every obligation gets a fresh one.
 
 Concurrency model: the event loop owns all I/O (accept, queue,
 replies); verification itself runs on ``ServerConfig.workers``
@@ -76,11 +76,9 @@ class VerifyServer:
             else VerifyConfig.from_env()
         # Server invariants, whatever the env said: requests run inline
         # on their worker thread (jobs=1 — the daemon's parallelism *is*
-        # the worker pool), warm contexts on (one per function group),
-        # no fault plans (the injection registry is process-global
-        # and must not be armed under concurrent traffic).
-        base = dataclasses.replace(base, jobs=1, incremental=True,
-                                   fault_plan=None)
+        # the worker pool), no fault plans (the injection registry is
+        # process-global and must not be armed under concurrent traffic).
+        base = dataclasses.replace(base, jobs=1, fault_plan=None)
         if base.cache_dir:
             # Residency implies delta: with a cache root to store
             # fingerprints in, re-submissions ride the fast path.
@@ -394,11 +392,6 @@ class VerifyServer:
             hits, misses = totals.cache_hits, totals.cache_misses
             static_proved = totals.static_proved
             solvers_avoided = totals.solver_constructions_avoided
-            # Request-scoped warm contexts: one built per function group
-            # of two or more goals (a miss), every later goal of the
-            # group checked in it (a hit).
-            warm = {"hits": totals.warm_reuses,
-                    "misses": totals.warm_contexts}
             tier_totals = {"mem_hits": totals.mem_hits,
                            "disk_hits": totals.disk_hits,
                            "quarantined": totals.quarantined}
@@ -414,7 +407,10 @@ class VerifyServer:
                       else {"depth": 0,
                             "capacity": self.config.queue_depth,
                             "by_band": {}}),
-            "warm": warm,
+            # No solver is reused, so nothing is ever warm; the traced
+            # edit_daemon runner (perfbench/runners.py) still reads these
+            # two keys.
+            "warm": {"hits": 0, "misses": 0},
             "quota": self.ledger.snapshot(),
             "cache": {"hits": hits, "misses": misses,
                       "hit_rate": round(hits / total, 4) if total else None,

@@ -72,9 +72,9 @@ ERROR = "error"
 #: ``profile``/``portfolio`` are per-request automation choices: an
 #: unknown profile name passes validation here and becomes a structured
 #: ``error`` reply (listing the shipped names) at request time.
-ALLOWED_OVERRIDES = ("diagnostics", "job_timeout", "incremental", "delta",
-                     "analyze", "retries", "max_steps", "profile",
-                     "portfolio", "triage")
+ALLOWED_OVERRIDES = ("diagnostics", "job_timeout", "delta", "analyze",
+                     "retries", "max_steps", "profile", "portfolio",
+                     "triage")
 
 DEFAULT_CLIENT = "anon"
 

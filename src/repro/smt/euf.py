@@ -55,8 +55,10 @@ class EufSolver:
         self._pending: list[tuple] = []
         self.num_merges = 0
         # Undo log: one op list per open push(); ops are replayed in reverse
-        # by pop().  Empty when the solver is used non-incrementally, in
-        # which case no logging overhead is paid.
+        # by pop().  The SMT core opens no scopes (every obligation gets a
+        # fresh solver), so it stays empty and no logging overhead is paid;
+        # push/pop/commit remain because perfbench/layers.py (EUF_METHODS)
+        # times them by name.
         self._frames: list[list[tuple]] = []
         # Persistent E-matching index: uninterpreted applications grouped by
         # declaration, in registration order (the same order a scan of

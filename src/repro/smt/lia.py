@@ -384,8 +384,7 @@ class LiaSolver:
     """Integer-feasibility solver: simplex + GCD tests + branch-and-bound."""
 
     __slots__ = ("_constraints", "_int_vars", "branch_budget",
-                 "num_branches", "_root_simplex", "last_model", "_frames",
-                 "_dirty", "_checked_upto", "_gcd_upto")
+                 "num_branches", "_root_simplex", "last_model")
 
     def __init__(self, branch_budget: int = 400):
         self._constraints: list[tuple[str, LinExpr, Hashable]] = []
@@ -396,45 +395,6 @@ class LiaSolver:
         # Most recent satisfying integer model (model export for
         # counterexample diagnostics); None until check() succeeds.
         self.last_model: Optional[dict] = None
-        # Incremental scopes: (num constraints, num int vars) marks.
-        self._frames: list[tuple[int, int]] = []
-        # check() memo: False when the constraint set is unchanged since
-        # the last successful check, whose model is then still valid.
-        # Persistent theory contexts re-check after every literal feed, and
-        # most feeds assert nothing LIA-relevant — without this memo every
-        # such call rebuilds and re-solves the full tableau from scratch.
-        self._dirty = True
-        # Constraints already covered by last_model; the check() fast path
-        # only has to evaluate the suffix asserted since.
-        self._checked_upto = 0
-        # Constraints already covered by the GCD pre-test; old constraints
-        # cannot newly fail it, so each check only scans the fresh suffix.
-        self._gcd_upto = 0
-
-    # -- incremental scopes -------------------------------------------------
-
-    def push(self) -> None:
-        """Open a scope; constraints asserted after this can be popped."""
-        self._frames.append((len(self._constraints), len(self._int_vars)))
-
-    def pop(self, n: int = 1) -> None:
-        """Drop every constraint asserted in the ``n`` innermost scopes."""
-        target = len(self._frames) - n
-        n_cons, n_vars = self._frames[target]
-        del self._frames[target:]
-        del self._constraints[n_cons:]
-        if n_vars < len(self._int_vars):
-            for v in list(self._int_vars)[n_vars:]:
-                del self._int_vars[v]
-        self._root_simplex = None
-        self.last_model = None
-        self._dirty = True
-        self._checked_upto = 0
-        self._gcd_upto = min(self._gcd_upto, len(self._constraints))
-
-    def commit(self) -> None:
-        """Close the innermost scope, keeping its constraints."""
-        self._frames.pop()
 
     def _note_vars(self, expr: LinExpr) -> None:
         for v in expr.coeffs:
@@ -444,61 +404,29 @@ class LiaSolver:
         """expr <= 0."""
         self._constraints.append(("le", expr, reason))
         self._note_vars(expr)
-        self._apply_root("le", expr, reason)
-        self._dirty = True
+        self._root_simplex = None
 
     def assert_ge0(self, expr: LinExpr, reason: Hashable) -> None:
         self._constraints.append(("ge", expr, reason))
         self._note_vars(expr)
-        self._apply_root("ge", expr, reason)
-        self._dirty = True
+        self._root_simplex = None
 
     def assert_eq0(self, expr: LinExpr, reason: Hashable) -> None:
         self._constraints.append(("eq", expr, reason))
         self._note_vars(expr)
-        self._apply_root("eq", expr, reason)
-        self._dirty = True
+        self._root_simplex = None
 
     def assert_lt0(self, expr: LinExpr, reason: Hashable) -> None:
         """expr < 0; over integers this is expr + 1 <= 0 after scaling."""
         scaled = _integerize(expr) + LinExpr.constant(1)
         self._constraints.append(("le", scaled, reason))
         self._note_vars(expr)
-        self._apply_root("le", scaled, reason)
-        self._dirty = True
-
-    def _apply_root(self, kind: str, expr: LinExpr, reason: Hashable) -> None:
-        """Fold a new constraint into the persistent root tableau, if alive.
-
-        Keeping the tableau in sync with the constraint list means check()
-        and lp_probe never rebuild it mid-scope: each new bound costs only
-        the slack-row addition and local value repair.  A bound clash is not
-        reported here — asserts never raised historically — the tableau is
-        simply dropped and the conflict rediscovered by the next check().
-        """
-        simplex = self._root_simplex
-        if simplex is None or expr.is_constant():
-            return
-        try:
-            if kind == "le":
-                simplex.assert_upper(expr, reason)
-            elif kind == "ge":
-                simplex.assert_lower(expr, reason)
-            else:
-                simplex.assert_upper(expr, reason)
-                simplex.assert_lower(expr, reason)
-        except LiaConflict:
-            self._root_simplex = None
+        self._root_simplex = None
 
     # -- solving ------------------------------------------------------------
 
     def check(self) -> dict:
         """Return an integer model, or raise LiaConflict / LiaUnknown."""
-        if not self._dirty and self.last_model is not None:
-            return self.last_model
-        if self.last_model is not None and self._model_extends():
-            self._dirty = False
-            return self.last_model
         for kind, expr, reason in self._constraints:
             if expr.is_constant():
                 val = expr.const
@@ -518,34 +446,7 @@ class LiaSolver:
             # rebuilding is cheaper than repairing a pathological state.
             self._root_simplex = None
             raise
-        self._checked_upto = len(self._constraints)
-        self._dirty = False
         return self.last_model
-
-    def _model_extends(self) -> bool:
-        """Does the last model already satisfy the constraints asserted
-        since it was computed?  New variables default to 0; on success the
-        model is extended in place.  This is the incremental fast path:
-        most feeds from the DPLL(T) loop assert bounds the current model
-        already meets, and skipping the rebuild turns those checks into a
-        linear evaluation of the new suffix."""
-        model = self.last_model
-        ext: dict = {}
-        for kind, expr, _reason in self._constraints[self._checked_upto:]:
-            total = expr.const
-            for v, c in expr.coeffs.items():
-                val = model.get(v)
-                if val is None:
-                    val = ext.setdefault(v, 0)
-                total += c * val
-            ok = (total <= 0 if kind == "le" else
-                  total >= 0 if kind == "ge" else total == 0)
-            if not ok:
-                return False
-        if ext:
-            model.update(ext)
-        self._checked_upto = len(self._constraints)
-        return True
 
     def model_value(self, v: Hashable) -> Optional[int]:
         """Value of one variable in the last satisfying model, if any."""
@@ -554,7 +455,7 @@ class LiaSolver:
         return self.last_model.get(v)
 
     def _gcd_tests(self) -> None:
-        for kind, expr, reason in self._constraints[self._gcd_upto:]:
+        for kind, expr, reason in self._constraints:
             if kind != "eq" or not expr.coeffs:
                 continue
             e = _integerize(expr)
@@ -563,16 +464,16 @@ class LiaSolver:
                 g = math.gcd(g, abs(int(c)))
             if g > 1 and int(e.const) % g != 0:
                 raise LiaConflict(frozenset([reason]))
-        self._gcd_upto = len(self._constraints)
 
     def _root(self) -> Simplex:
-        """Build (or return) the persistent root tableau.
+        """Build (or return) the root tableau.
 
-        The tableau holds every non-constant asserted constraint as a bound
-        and is kept in sync by :meth:`_apply_root`; it is only rebuilt after
-        a pop or an assert-time bound clash.  The initial ``check()`` leaves
-        it feasibility-repaired, so later probes and solves start from a
-        near-feasible state.  Raises LiaConflict / LiaUnknown (and caches
+        The tableau holds every non-constant asserted constraint as a bound;
+        a new assertion or an unresolved ``check()`` drops it, so it is
+        built once per constraint set (the SMT core asserts everything
+        before its first check).  The initial ``check()`` leaves it
+        feasibility-repaired, so later probes start from a near-feasible
+        state.  Raises LiaConflict / LiaUnknown (and caches
         nothing) when the base constraints cannot be repaired.
         """
         simplex = self._root_simplex
@@ -595,7 +496,7 @@ class LiaSolver:
     def lp_probe_infeasible(self, kind: str, expr: LinExpr) -> bool:
         """Is (constraints + kind(expr)) LP-infeasible?  Sound for ILP.
 
-        Uses the persistent root tableau with bound save/restore, so a probe
+        Uses the root tableau with bound save/restore, so a probe
         costs only the pivots needed to repair the new bound.  ``kind`` is
         one of ``le`` (expr<=0), ``lt`` (expr<0), ``eq`` (expr==0).
         Strict constraints are integer-tightened to ``<= -1``, so most

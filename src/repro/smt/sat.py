@@ -5,12 +5,6 @@ first-UIP conflict analysis with clause learning, VSIDS-style activity
 decision heuristic with phase saving, Luby restarts, and learned-clause
 garbage collection.
 
-Incremental use: :meth:`SatSolver.push` opens an assertion scope and
-:meth:`SatSolver.pop` removes every clause and variable introduced since the
-matching push.  Each clause carries the *scope* its validity depends on, and
-conflict analysis propagates scopes into learned clauses, so pop can retain
-any learned clause whose derivation only used surviving material.
-
 Literal encoding: variable ``v`` (0-based int) has positive literal ``2*v``
 and negative literal ``2*v + 1``; ``lit ^ 1`` negates.
 """
@@ -40,13 +34,12 @@ def neg(l: int) -> int:
 
 
 class _Clause:
-    __slots__ = ("lits", "learned", "activity", "scope")
+    __slots__ = ("lits", "learned", "activity")
 
-    def __init__(self, lits: list[int], learned: bool, scope: int = 0):
+    def __init__(self, lits: list[int], learned: bool):
         self.lits = lits
         self.learned = learned
         self.activity = 0.0
-        self.scope = scope
 
 
 def _luby(i: int) -> int:
@@ -82,13 +75,6 @@ class SatSolver:
         # Why the last solve() returned None: conflict budget vs deadline.
         # The SMT layer reads this to tell RESOURCE_OUT from TIMEOUT.
         self.budget_exhausted = False
-        # Incremental state: one frame per open push(); per-variable creation
-        # scope and, for root (level-0) assignments, the scope the assignment
-        # depends on.
-        self._frames: list[tuple[int, int, bool, int]] = []
-        self._var_scope: list[int] = []
-        self._assign_scope: list[int] = []
-        self._ok_scope = 0  # scope at which unsatisfiability was established
 
     # -- variables and clauses ----------------------------------------------
 
@@ -101,26 +87,7 @@ class SatSolver:
         self._phase.append(False)
         self._watches.append([])
         self._watches.append([])
-        self._var_scope.append(len(self._frames))
-        self._assign_scope.append(0)
         return v
-
-    @property
-    def scope(self) -> int:
-        """Number of open assertion scopes."""
-        return len(self._frames)
-
-    def scope_for(self, lits: Iterable[int]) -> int:
-        """The shallowest scope at which every variable in ``lits`` exists.
-
-        Theory-valid lemmas may be added at this scope so they survive pops.
-        """
-        s = 0
-        for l in lits:
-            vs = self._var_scope[l >> 1]
-            if vs > s:
-                s = vs
-        return s
 
     @property
     def num_vars(self) -> int:
@@ -133,92 +100,42 @@ class SatSolver:
             return -1
         return a ^ (l & 1)
 
-    def add_clause(self, lits: Iterable[int], learned: bool = False,
-                   scope: Optional[int] = None) -> bool:
+    def add_clause(self, lits: Iterable[int], learned: bool = False) -> bool:
         """Add a clause. Returns False if the formula became trivially unsat.
 
         Must be called at decision level 0 (external API); learned clauses are
-        added internally through conflict analysis instead.
-
-        ``scope`` requests the assertion scope the clause belongs to (default:
-        the current scope).  Valid lemmas may pass a shallower scope (see
-        :meth:`scope_for`) so they are retained across :meth:`pop`; the
-        effective scope is bumped by any root simplification that relied on
-        deeper-scope assignments, keeping retention sound.
+        added internally through conflict analysis instead.  A clause already
+        satisfied at the root is dropped, as are its root-falsified literals.
         """
         if not self._ok:
             return False
         self._backtrack(0)  # clear any assignment left over from a prior solve
-        cur = len(self._frames)
-        eff = cur if scope is None else min(scope, cur)
         seen: set[int] = set()
         out: list[int] = []
-        sat_scope: Optional[int] = None
         for l in lits:
             if neg(l) in seen:
                 return True  # tautology
             if l in seen:
                 continue
             seen.add(l)
-            v = l >> 1
             val = self.value(l)
-            if val >= 0 and self._level[v] == 0:
-                s = self._assign_scope[v]
-                if val == 1:
-                    # Satisfied at root.  Only safe to drop the whole clause
-                    # if the satisfying assignment outlives the clause.
-                    if sat_scope is None or s < sat_scope:
-                        sat_scope = s
-                    out.append(l)
-                    if self._var_scope[v] > eff:
-                        eff = self._var_scope[v]
-                else:
-                    # Falsified at root: dropping the literal is only valid
-                    # while that assignment survives, so bump the scope.
-                    if s > eff:
-                        eff = s
-            else:
+            if val == 1:
+                return True  # satisfied at the root
+            if val == -1:
                 out.append(l)
-                if self._var_scope[v] > eff:
-                    eff = self._var_scope[v]
-        if sat_scope is not None and sat_scope <= eff:
-            return True  # already satisfied for the clause's whole lifetime
         if not out:
             self._ok = False
-            self._ok_scope = eff
             return False
         if len(out) == 1:
-            l0 = out[0]
-            v0 = l0 >> 1
-            if self.value(l0) == 0:
+            self._enqueue(out[0], None)
+            if self._propagate() is not None:
                 self._ok = False
-                self._ok_scope = max(eff, self._assign_scope[v0])
                 return False
-            if self.value(l0) == -1:
-                self._enqueue(l0, None)
-                self._assign_scope[v0] = eff
-                conflict = self._propagate()
-                if conflict is not None:
-                    self._ok = False
-                    self._ok_scope = self._root_conflict_scope(conflict)
-                    return False
-            elif self._assign_scope[v0] > eff:
-                # Already true, but our unit pins it at a shallower scope.
-                self._assign_scope[v0] = eff
             return True
-        clause = _Clause(out, learned, eff)
+        clause = _Clause(out, learned)
         self._attach(clause)
         self._clauses.append(clause)
         return True
-
-    def _root_conflict_scope(self, c: _Clause) -> int:
-        """Scope a root-level conflict depends on (clause + its assignments)."""
-        s = c.scope
-        for l in c.lits:
-            a = self._assign_scope[l >> 1]
-            if a > s:
-                s = a
-        return s
 
     def _attach(self, c: _Clause) -> None:
         self._watches[neg(c.lits[0])].append(c)
@@ -233,20 +150,6 @@ class SatSolver:
         self._reason[v] = reason
         self._phase[v] = lit_sign(l)
         self._trail.append(l)
-        if not self._trail_lim:
-            # Root assignment: record the scope it depends on so pop() can
-            # decide whether it survives.
-            if reason is None:
-                s = len(self._frames)
-            else:
-                s = reason.scope
-                ascope = self._assign_scope
-                for q in reason.lits:
-                    if q != l:
-                        s2 = ascope[q >> 1]
-                        if s2 > s:
-                            s = s2
-            self._assign_scope[v] = s
 
     def _decision_level(self) -> int:
         return len(self._trail_lim)
@@ -319,7 +222,7 @@ class SatSolver:
                 self._activity[i] *= 1e-100
             self._var_inc *= 1e-100
 
-    def _analyze(self, conflict: _Clause) -> tuple[list[int], int, int]:
+    def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
         learnt: list[int] = [0]  # reserve slot for the asserting literal
         seen = [False] * self.num_vars
         counter = 0
@@ -327,16 +230,9 @@ class SatSolver:
         index = len(self._trail) - 1
         cur_level = self._decision_level()
         c: Optional[_Clause] = conflict
-        # The learned clause's derivation depends on every clause traversed
-        # and every root (level-0) assignment skipped; track the deepest
-        # scope among them so pop() knows whether it can be retained.
-        track = bool(self._frames)
-        scope = 0
         while True:
             assert c is not None
             c.activity += self._cla_inc
-            if track and c.scope > scope:
-                scope = c.scope
             for q in c.lits:
                 if skip_lit is not None and q == skip_lit:
                     continue
@@ -348,9 +244,6 @@ class SatSolver:
                         counter += 1
                     else:
                         learnt.append(q)
-                elif track and self._level[v] == 0:
-                    if self._assign_scope[v] > scope:
-                        scope = self._assign_scope[v]
             while not seen[self._trail[index] >> 1]:
                 index -= 1
             pl = self._trail[index]
@@ -371,30 +264,16 @@ class SatSolver:
             if r is None or any((x >> 1) not in marked and self._level[x >> 1] > 0
                                 for x in r.lits if x != neg(q)):
                 kept.append(q)
-            elif track:
-                # Dropping q relied on its reason clause and that clause's
-                # root-assigned literals.
-                if r.scope > scope:
-                    scope = r.scope
-                for x in r.lits:
-                    if self._level[x >> 1] == 0 and \
-                            self._assign_scope[x >> 1] > scope:
-                        scope = self._assign_scope[x >> 1]
         learnt = kept
-        if track:
-            # The clause must not outlive any of its own variables.
-            for q in learnt:
-                if self._var_scope[q >> 1] > scope:
-                    scope = self._var_scope[q >> 1]
         if len(learnt) == 1:
-            return learnt, 0, scope
+            return learnt, 0
         # Find backtrack level = second-highest level in learnt clause.
         max_i = 1
         for i in range(2, len(learnt)):
             if self._level[learnt[i] >> 1] > self._level[learnt[max_i] >> 1]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self._level[learnt[1] >> 1], scope
+        return learnt, self._level[learnt[1] >> 1]
 
     # -- decisions ----------------------------------------------------------------
 
@@ -463,16 +342,13 @@ class SatSolver:
                     return None
                 if self._decision_level() == 0:
                     self._ok = False
-                    self._ok_scope = self._root_conflict_scope(conflict)
                     return False
-                learnt, bt_level, scope = self._analyze(conflict)
+                learnt, bt_level = self._analyze(conflict)
                 self._backtrack(bt_level)
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
-                    if bt_level == 0:
-                        self._assign_scope[learnt[0] >> 1] = scope
                 else:
-                    c = _Clause(learnt, True, scope)
+                    c = _Clause(learnt, True)
                     self._attach(c)
                     self._learned.append(c)
                     self._enqueue(learnt[0], c)
@@ -516,81 +392,6 @@ class SatSolver:
         if var < 0 or var >= len(self._assign) or self._assign[var] < 0:
             return None
         return self._assign[var] == 1
-
-    # -- incremental scopes ---------------------------------------------------
-
-    def push(self) -> None:
-        """Open an assertion scope (checkpoints trail and variable counts)."""
-        self._backtrack(0)
-        self._frames.append((self.num_vars, len(self._trail), self._ok,
-                             self._ok_scope))
-
-    def pop(self, n: int = 1) -> None:
-        """Close the ``n`` innermost scopes.
-
-        Removes variables and clauses introduced since the matching push, but
-        retains learned clauses (and root units) whose recorded scope shows
-        their derivation only used surviving clauses and variables — that is
-        what makes retention sound: a clause tagged with scope ``s`` is a
-        logical consequence of the scope-``s`` prefix of the assertion stack
-        alone.
-        """
-        target = len(self._frames) - n
-        if target < 0:
-            raise ValueError("pop without matching push")
-        n_vars, n_trail, was_ok, was_ok_scope = self._frames[target]
-        del self._frames[target:]
-        self._backtrack(0)
-        if not was_ok:
-            self._ok = False
-            self._ok_scope = was_ok_scope
-        elif not self._ok:
-            if self._ok_scope > target:
-                self._ok = True
-                self._ok_scope = 0
-        # Root units made since the push survive if their scope is shallow
-        # enough and their variable still exists.
-        revive: list[tuple[int, int]] = []
-        for l in self._trail[n_trail:]:
-            v = l >> 1
-            if v < n_vars and self._assign_scope[v] <= target:
-                revive.append((l, self._assign_scope[v]))
-            self._assign[v] = -1
-            self._reason[v] = None
-        del self._trail[n_trail:]
-        del self._assign[n_vars:]
-        del self._level[n_vars:]
-        del self._reason[n_vars:]
-        del self._activity[n_vars:]
-        del self._phase[n_vars:]
-        del self._var_scope[n_vars:]
-        del self._assign_scope[n_vars:]
-        del self._watches[2 * n_vars:]
-        removed = set()
-        for c in self._clauses:
-            if c.scope > target:
-                removed.add(id(c))
-        for c in self._learned:
-            if c.scope > target:
-                removed.add(id(c))
-        if removed:
-            self._clauses = [c for c in self._clauses if id(c) not in removed]
-            self._learned = [c for c in self._learned if id(c) not in removed]
-            for w in self._watches:
-                w[:] = [c for c in w if id(c) not in removed]
-        for l, s in revive:
-            v = l >> 1
-            self._assign[v] = 1 - (l & 1)
-            self._level[v] = 0
-            self._phase[v] = lit_sign(l)
-            self._trail.append(l)
-            self._assign_scope[v] = s
-        self._qhead = len(self._trail) - len(revive)
-        if self._ok:
-            conflict = self._propagate()
-            if conflict is not None:
-                self._ok = False
-                self._ok_scope = self._root_conflict_scope(conflict)
 
     def root_forced(self) -> Optional[set[int]]:
         """Literals forced by unit propagation at decision level 0.

@@ -48,10 +48,6 @@ class _DeadlineReached(Exception):
     :meth:`SmtSolver.check`, never escapes the solver."""
 
 
-def _no_poll() -> None:
-    """Deadline poll stand-in for contexts that must not abort."""
-
-
 class _ThreadConstructions(threading.local):
     """Per-thread count of SmtSolver instances built."""
 
@@ -70,7 +66,7 @@ def solver_constructions() -> int:
     The verification daemon runs each request's scheduler inline on one
     worker thread, so diffing this counter around a request measures how
     many solvers that request actually paid for — the observable that
-    distinguishes the delta/warm fast paths from a cold verify.
+    distinguishes the delta and cache fast paths from a cold verify.
     """
     return _thread_constructions.count
 
@@ -138,11 +134,6 @@ class Stats:
         self.retries = 0              # escalation-ladder attempts
         self.retry_recoveries = 0     # obligations rescued by the ladder
         self.faults_injected = 0      # FaultPlan firings during the run
-        # Warm contexts (the scheduler's incremental mode, one per
-        # function group of two or more goals): contexts built, and goals
-        # checked in a context an earlier goal of the group built.
-        self.warm_contexts = 0
-        self.warm_reuses = 0
         # Portfolio racing (repro.profiles + the race candidates of the
         # scheduler's attempt plan); all stay 0 when racing is off.  A
         # race replayed from the proof cache still counts as a race.
@@ -181,32 +172,6 @@ class Stats:
                 continue
             setattr(self, k, getattr(self, k, 0) + v)
 
-    @staticmethod
-    def diff(before: dict, after: dict) -> dict:
-        """Per-goal delta between two snapshots of one warm solver.
-
-        Counters on a warm solver are cumulative across goals; the warm
-        scheduler snapshots around each check and reports the difference so
-        per-obligation numbers stay comparable to fresh-solver runs.
-        """
-        out: dict = {}
-        for k, v in after.items():
-            if k == "inst_profile":
-                delta: dict = {}
-                prior = before.get(k) or {}
-                for q, per in v.items():
-                    pq = prior.get(q) or {}
-                    for trig, n in per.items():
-                        d = n - pq.get(trig, 0)
-                        if d:
-                            delta.setdefault(q, {})[trig] = d
-                out[k] = delta
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                continue
-            out[k] = v - before.get(k, 0)
-        return out
-
 
 class SolverConfig:
     """Tunables; defaults model Verus's settings."""
@@ -243,8 +208,7 @@ class SolverConfig:
 class SmtSolver:
     """An SMT solver for quantified formulas over EUF + LIA."""
 
-    def __init__(self, config: Optional[SolverConfig] = None,
-                 incremental: bool = False):
+    def __init__(self, config: Optional[SolverConfig] = None):
         _thread_constructions.count += 1
         with _constructions_lock:
             _total_constructions[0] += 1
@@ -258,19 +222,17 @@ class SmtSolver:
         self._proxy_quant: dict[int, T.Term] = {}
         self._instances_seen: set = set()
         # Substitution tuples actually asserted per quantifier, for the
-        # congruent-instance skip (see Stats.congruent_skips).  Scoped
-        # with push/pop like _instances_seen.
+        # congruent-instance skip (see Stats.congruent_skips).
         self._inst_subs: dict = {}
         # Fired-set memo: (quant, trigger group, congruence-root tuple) ->
         # (class fingerprints, instance key).  A match whose root tuple and
         # class fingerprints are unchanged since it last fired is skipped
         # before canonicalization/substitution — the late _instances_seen
-        # filter would have discarded it anyway.  Scoped with push/pop like
-        # _instances_seen so popped instances are re-derivable.
+        # filter would have discarded it anyway.
         self._fired: dict = {}
         self._fired_key: Optional[tuple] = None   # transient probe state
         self._fired_fps: Optional[tuple] = None
-        self._lemmas_seen: dict = {}   # lemma key -> assertion scope
+        self._lemmas_seen: set = set()
         self._divmod_done: set = set()
         self._ite_cache: dict[T.Term, T.Term] = {}
         # Int term -> its linear form (see _TheoryModel._linearize).
@@ -280,13 +242,6 @@ class SmtSolver:
         self._probed_none: dict[T.Term, tuple] = {}
         self._max_ground_size = 8
         self._guard_limit = 200
-        # Incremental mode: push()/pop() assertion scopes with a persistent
-        # root theory whose E-graph merges and simplex constraints survive
-        # across checks.  Off by default — the fresh-solver code path is
-        # byte-for-byte the non-incremental one.
-        self.incremental = incremental
-        self._frames: list[dict] = []
-        self._root: Optional[_TheoryModel] = None
         self.last_deadline_exceeded = False
         # Set when the last check() returned UNKNOWN because a resource
         # budget (max_steps, max_instantiations, sat_conflict_budget,
@@ -295,7 +250,8 @@ class SmtSolver:
         self.last_resource_out = False
         # Instantiation count when the current check() started: the
         # max_instantiations budget, like max_steps, is per check, so a
-        # warm solver's later goals get the budget a fresh solver would.
+        # solver checked again after more ``add`` calls gets the budget a
+        # fresh solver would.
         self._inst_base = 0
         # Soft-deadline polling state: single rounds over a large ground
         # universe (MBQI) can take seconds, so the hot inner loops poll
@@ -312,78 +268,6 @@ class SmtSolver:
         self.stats.query_bytes += query_size_bytes([assertion])
         root = self._preprocess(assertion)
         self._sat.add_clause([root])
-
-    def push(self) -> None:
-        """Open an assertion scope (incremental mode).
-
-        The persistent root theory is *settled* first — every currently
-        root-forced literal is fed into the shared E-graph/simplex — so all
-        base reasoning sits below the checkpoint and is reused by every goal
-        checked inside the scope.
-        """
-        self.incremental = True
-        if self._root is None:
-            self._root = _TheoryModel(self, None, set(), persistent=True)
-        for _ in range(self.config.max_rounds):
-            forced = self._sat.root_forced()
-            if forced is None:
-                break
-            res = self._root.update(forced)
-            if res != "restart":
-                break
-        self._sat.push()
-        self._root.euf.push()
-        self._root.lia.push()
-        self._frames.append({
-            "n_assertions": len(self._assertions),
-            "instances": set(self._instances_seen),
-            "inst_subs": {q: list(v) for q, v in self._inst_subs.items()},
-            "fired": dict(self._fired),
-            "lemmas": dict(self._lemmas_seen),
-            "divmod": set(self._divmod_done),
-            "probed": dict(self._probed_none),
-            "max_ground": self._max_ground_size,
-            "fed": set(self._root._fed_vars),
-            "xprop": set(self._root._xprop_done),
-        })
-
-    def pop(self) -> None:
-        """Close the innermost scope, dropping its assertions and state.
-
-        Learned clauses whose derivation only used base-scope material are
-        retained by the SAT core (see :meth:`SatSolver.pop`); the theory
-        undo logs restore the E-graph and constraint stack exactly.
-        """
-        frame = self._frames.pop()
-        self._sat.pop()
-        kept_vars = self._sat.num_vars
-        root = self._root
-        assert root is not None
-        root.euf.pop()
-        root.lia.pop()
-        root._fed_vars = frame["fed"]
-        root._xprop_done = frame["xprop"]
-        root._lia_model = None
-        del self._assertions[frame["n_assertions"]:]
-        self._instances_seen = frame["instances"]
-        self._inst_subs = frame["inst_subs"]
-        self._fired = frame["fired"]
-        # Lemmas hoisted to a surviving scope keep their SAT clause across
-        # the pop; keep their dedup keys too so they are not re-learned.
-        target = self._sat.scope
-        lemmas = frame["lemmas"]
-        for k, s in self._lemmas_seen.items():
-            if s <= target and k not in lemmas:
-                lemmas[k] = s
-        self._lemmas_seen = lemmas
-        self._divmod_done = frame["divmod"]
-        self._probed_none = frame["probed"]
-        self._max_ground_size = frame["max_ground"]
-        for v in [v for v in self._var_atom if v >= kept_vars]:
-            del self._atom_var[self._var_atom.pop(v)]
-        for v in [v for v in self._proxy_quant if v >= kept_vars]:
-            del self._quant_proxy[self._proxy_quant.pop(v)]
-        self._last_model = None
 
     def check(self, timeout: Optional[float] = None) -> str:
         """Check satisfiability of the asserted formulas.
@@ -423,7 +307,7 @@ class SmtSolver:
         """Cheap inner-loop deadline check: reads the clock every 256th
         call and raises :class:`_DeadlineReached` past the deadline.
         Only sound abort points may call this — aborting yields UNKNOWN,
-        never a wrong verdict, but must not tear persistent state."""
+        never a wrong verdict."""
         if self._deadline is None:
             return
         self._poll_tick += 1
@@ -830,17 +714,8 @@ class SmtSolver:
         forced = self._sat.root_forced()
         if forced is None:
             return UNSAT
-        if self.incremental:
-            # Persistent root theory: E-graph merges and LIA constraints
-            # from earlier rounds (and, under a warm scope, earlier goals)
-            # carry forward; only newly forced literals are fed.
-            if self._root is None:
-                self._root = _TheoryModel(self, None, set(), persistent=True)
-            theory = self._root
-            conflict = theory.update(forced)
-        else:
-            theory = _TheoryModel(self, None, forced)
-            conflict = theory.check()
+        theory = _TheoryModel(self, None, forced)
+        conflict = theory.check()
         if conflict == "restart":
             return True
         if conflict is not None:
@@ -905,12 +780,8 @@ class SmtSolver:
         clause = tuple(sorted(set(neg(l) for l in conflict_lits)))
         if clause in self._lemmas_seen:
             return False
-        # Theory lemmas are T-valid (true in every model of the theory), so
-        # they may be hoisted to the shallowest scope where all their atoms
-        # exist — that is what lets them survive pop() in warm contexts.
-        scope = self._sat.scope_for(clause) if self._frames else 0
-        self._lemmas_seen[clause] = scope
-        self._sat.add_clause(list(clause), scope=scope)
+        self._lemmas_seen.add(clause)
+        self._sat.add_clause(list(clause))
         return True
 
     # ------------------------------------------------------ instantiation
@@ -1031,7 +902,7 @@ class SmtSolver:
                             # Entailed by an asserted instance plus the
                             # current congruences.  Deliberately not
                             # recorded in _fired/_instances_seen: if a
-                            # pop() breaks the congruence the rebuilt
+                            # later round breaks the congruence the
                             # matcher re-derives this match.
                             self.stats.congruent_skips += 1
                             continue
@@ -1072,8 +943,8 @@ class SmtSolver:
         A hit requires (a) the same congruence-root tuple as when the
         instance fired, (b) unchanged class fingerprints — so the
         canonical substitution is provably the one recorded — and (c) the
-        recorded instance still asserted in the current scope (or an
-        unchanged generation-guard skip).  Side effect on miss: stores the
+        recorded instance already asserted (or an unchanged
+        generation-guard skip).  Side effect on miss: stores the
         pending key in ``_fired_key`` for :meth:`_fired_record`.
         """
         roots = []
@@ -1259,23 +1130,16 @@ class _TheoryModel:
     """Checks one full SAT model against EUF + LIA; holds the theory state."""
 
     __slots__ = ("solver", "sat_model", "relevant", "euf", "lia",
-                 "_lia_model", "persistent", "_fed_vars", "_xprop_done",
-                 "_splits_added")
+                 "_lia_model", "_splits_added")
 
     def __init__(self, solver: SmtSolver, sat_model: list[bool],
-                 relevant: Optional[set] = None, persistent: bool = False):
+                 relevant: Optional[set] = None):
         self.solver = solver
         self.sat_model = sat_model
         self.relevant = relevant
         self.euf = EufSolver()
         self.lia = LiaSolver()
         self._lia_model: Optional[dict] = None
-        # Persistent mode (incremental solving): the model survives across
-        # rounds/goals; only literals not yet fed are asserted, and feeds
-        # are transactional (theory push/commit, pop on conflict).
-        self.persistent = persistent
-        self._fed_vars: set[int] = set()
-        self._xprop_done: set = set()
 
     def _atom_value(self, var: int) -> Optional[bool]:
         """Atom polarity to assert, or None when the model doesn't need it."""
@@ -1288,16 +1152,12 @@ class _TheoryModel:
         return None
 
     def _pending_items(self) -> list[tuple]:
-        """(atom, var, value) triples the model asserts and we haven't fed."""
+        """(atom, var, value) triples the model asserts."""
         out = []
-        fed = self._fed_vars
         for atom, var in list(self.solver._atom_var.items()):
             value = self._atom_value(var)
-            if value is None:
-                continue
-            if self.persistent and var in fed:
-                continue
-            out.append((atom, var, value))
+            if value is not None:
+                out.append((atom, var, value))
         return out
 
     def check(self, allow_interface_split: bool = True):
@@ -1320,39 +1180,6 @@ class _TheoryModel:
             return "restart"
         return None
 
-    def update(self, forced: set[int]):
-        """Incrementally re-check against a grown forced-literal set.
-
-        Persistent-mode counterpart of :meth:`check`: feeds only new
-        literals, inside a theory-level scope that is committed on success
-        and rolled back on conflict so the shared state is never corrupted.
-        """
-        self.relevant = forced
-        self._splits_added = False
-        items = self._pending_items()
-        xprop_before = set(self._xprop_done)
-        self.euf.push()
-        self.lia.push()
-        try:
-            self._feed_euf(items)
-            self._feed_lia(items)
-        except (EufConflict, LiaConflict) as cf:
-            self.euf.pop()
-            self.lia.pop()
-            self._xprop_done = xprop_before
-            self._lia_model = None
-            return self._flatten(cf.reasons)
-        except LiaUnknown:
-            pass  # optimistic; keep the feeds
-        self.euf.commit()
-        self.lia.commit()
-        self._fed_vars.update(var for _, var, _v in items)
-        if self._splits_added:
-            return "restart"
-        if self._interface_split():
-            return "restart"
-        return None
-
     def _flatten(self, reasons: Iterable) -> set[int]:
         out: set[int] = set()
         for r in reasons:
@@ -1365,10 +1192,9 @@ class _TheoryModel:
 
     def _feed_euf(self, items: list[tuple]) -> None:
         euf = self.euf
-        # Persistent (warm) theories feed transactionally and must not
-        # be torn mid-update; throwaway models rebuild next round, so
-        # aborting them on deadline is safe.
-        poll = _no_poll if self.persistent else self.solver._poll_deadline
+        # A model is rebuilt from scratch every round, so aborting its
+        # feed on the deadline is safe.
+        poll = self.solver._poll_deadline
         for atom, var, value in items:
             poll()
             lit_true = mk_lit(var, value)
@@ -1392,7 +1218,7 @@ class _TheoryModel:
         euf.flush()  # settle congruences queued by late registrations
 
     def _feed_lia(self, items: list[tuple]) -> None:
-        poll = _no_poll if self.persistent else self.solver._poll_deadline
+        poll = self.solver._poll_deadline
         for atom, var, value in items:
             poll()
             lit_true = mk_lit(var, value)
@@ -1417,18 +1243,12 @@ class _TheoryModel:
                 else:
                     self._request_diseq_split(atom)
         # Propagate EUF equalities between int-valued terms into LIA.
-        persistent = self.persistent
         for cls in list(self.euf.classes()):
             ints = [t for t in cls if t.sort is INT]
             if len(ints) > 1:
                 base = ints[0]
                 base_e = self._linearize(base)
                 for other in ints[1:]:
-                    if persistent:
-                        pair = frozenset((base, other))
-                        if pair in self._xprop_done:
-                            continue
-                        self._xprop_done.add(pair)
                     reason = self.euf.explain(base, other)
                     self.lia.assert_eq0(base_e - self._linearize(other),
                                         frozenset(reason))
@@ -1441,9 +1261,7 @@ class _TheoryModel:
         lemma = T.Or(eq_atom, T.Lt(a, b), T.Lt(b, a))
         key = ("diseq", eq_atom)
         if key not in solver._lemmas_seen:
-            # The split clause goes through Tseitin, so it lives (and dies)
-            # with the current scope; record the same scope on the key.
-            solver._lemmas_seen[key] = solver._sat.scope
+            solver._lemmas_seen.add(key)
             solver._sat.add_clause([solver._tseitin(lemma)])
             self._splits_added = True
 

@@ -17,10 +17,9 @@ from ..smt.solver import SmtSolver, SolverConfig
 from .errors import PROVED, RESOURCE_OUT, TIMEOUT, status_from_solver
 
 
-def build_solver(config: SolverConfig, assertions: Sequence,
-                 incremental: bool = False) -> SmtSolver:
+def build_solver(config: SolverConfig, assertions: Sequence) -> SmtSolver:
     """A fresh solver under ``config`` with ``assertions`` added."""
-    solver = SmtSolver(config, incremental=incremental)
+    solver = SmtSolver(config)
     for a in assertions:
         solver.add(a)
     return solver

@@ -60,8 +60,7 @@ def prune_axioms(axioms: Sequence[T.Term],
     mention ``g``.  A dropped axiom's necessary symbol then occurs nowhere
     the obligation can reach, leaving it a fresh unconstrained symbol —
     dropping its axioms is a conservative extension, so the verdict is
-    preserved even under MBQI.  ``kept`` preserves the input order so
-    warm-context groups keep their shared assertion prefix.
+    preserved even under MBQI.  ``kept`` preserves the input order.
     """
     by_decl: dict[T.FuncDecl, list] = {}
     for ax in axioms:

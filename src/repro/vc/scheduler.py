@@ -10,8 +10,8 @@ never need re-solving.  This layer supplies both halves:
   through :func:`repro.vc.discharge.solve`: the obligation's planned
   assertion list, tried under the pipeline's solver configs
   (:meth:`~repro.vc.wp.VcGen.solver_configs`) in order until one proves
-  it.  The same planned query runs in this process (serially, or in a
-  warm context) or in a ``ProcessPoolExecutor`` worker (``jobs > 1``),
+  it.  Every obligation gets a fresh solver: the same planned query runs
+  in this process or in a ``ProcessPoolExecutor`` worker (``jobs > 1``),
   under the same soft per-obligation deadline, with an in-process
   fallback when a worker dies.
 
@@ -22,14 +22,7 @@ never need re-solving.  This layer supplies both halves:
   re-run over the same cache directory replays every goal it finished
   and re-solves only the rest.
 
-Two further strategies stack on top (both off by default):
-
-* **Warm contexts** (``incremental=True``) — each function's obligations
-  share one :class:`~repro.smt.solver.SmtSolver`: the common assertion
-  prefix (context axioms and shared path assumptions) is asserted once,
-  and each goal is checked under a ``push()``/``pop()`` scope, so
-  learned clauses and E-graph merges from earlier goals carry forward.
-  The context lives for that one function group of one ``run_module``.
+One further strategy stacks on top (off by default):
 
 * **Delta re-verification** (``delta=True``, needs the cache) — a
   function whose dependency fingerprint (:mod:`repro.vc.delta`) is
@@ -84,7 +77,7 @@ from ..resilience.faults import FaultPlan, InjectedCrash
 from ..smt.fingerprint import (deserialize_terms, obligation_digest,
                                serialize_terms, solver_config_key)
 from ..smt.solver import SolverConfig, Stats
-from .discharge import build_solver, classify, solve
+from .discharge import build_solver, solve
 from .errors import (FAILED, PROVED, RESOURCE_OUT, STATIC_PROVED, TIMEOUT,
                      ModuleResult)
 
@@ -270,10 +263,10 @@ class Scheduler:
     ``job_timeout`` soft per-obligation deadline; ``diagnostics`` re-solves
     every failure post hoc in the parent process, so the diagnostic
     output is identical whether the verdict came from a worker, the
-    serial path, or a warm cache entry; ``incremental`` warm contexts;
-    ``delta`` fingerprint skips (needs the cache); ``analyze`` rejects a
-    module with error findings before any solver exists; the automation
-    ``profile`` layers its solver knobs onto every discharge config.
+    serial path, or a warm cache entry; ``delta`` fingerprint skips
+    (needs the cache); ``analyze`` rejects a module with error findings
+    before any solver exists; the automation ``profile`` layers its
+    solver knobs onto every discharge config.
 
     Stubborn obligations run the run's attempt lineup (see
     :meth:`_lineup`): ``portfolio`` race candidates, then up to
@@ -289,7 +282,6 @@ class Scheduler:
         self.portfolio = max(0, config.portfolio)
         self.timeout = config.job_timeout
         self.diagnostics = config.diagnostics
-        self.incremental = config.effective_incremental
         self.delta = config.delta
         self.analyze = config.analyze
         self.retries = max(0, config.effective_retries)
@@ -547,20 +539,6 @@ class Scheduler:
                     self.stats.static_proved += 1
                     self.stats.absint_fixpoint_iters += passes
             unsolved.append(task)
-        if self.incremental:
-            # Warm contexts are in-process by design (the shared solver
-            # is the whole point), so incremental wins over `jobs`.
-            groups: dict[int, list[_Task]] = {}
-            for task in unsolved:
-                if len(task.configs) > 1:
-                    # A multi-config task runs under several configs: no
-                    # warm prefix to share with the group.
-                    self._run_fresh(task)
-                    continue
-                groups.setdefault(id(task.plan), []).append(task)
-            for group in groups.values():
-                self._run_warm_group(group)
-            return
         if len(unsolved) > 1 and self.jobs > 1:
             unsolved = self._run_parallel(unsolved)
         for task in unsolved:
@@ -573,58 +551,6 @@ class Scheduler:
             task.configs, task.assertions, self.timeout)
         self._apply(task, status, stats, qbytes, seconds)
         self._store(task, status, stats, qbytes)
-
-    @staticmethod
-    def _common_prefix(lists: list[list]) -> int:
-        """Length of the longest shared assertion prefix (hash-consed
-        terms make ``is`` the structural-equality check)."""
-        n = min(len(lst) for lst in lists)
-        first = lists[0]
-        for i in range(n):
-            a = first[i]
-            if any(lst[i] is not a for lst in lists[1:]):
-                return i
-        return n
-
-    def _run_warm_group(self, tasks: list[_Task]) -> None:
-        """Discharge one function's obligations in one warm solver.
-
-        The shared prefix (context axioms + common path assumptions) is
-        asserted once at scope 0; each goal's residue is added under a
-        push/pop scope.  Learned clauses and E-graph/tableau state from
-        earlier goals carry forward — scope-0 consequences survive the
-        pop, per-goal ones are retracted.  The context lives for this
-        group only.  Reported per-goal stats are snapshot deltas plus
-        the shared base's query bytes, so results (including
-        ``query_bytes``) are byte-identical to fresh runs.
-        """
-        if len(tasks) == 1:
-            # Nothing to amortize: a lone goal pays the scope-logging
-            # overhead for no reuse, so give it a plain fresh solver
-            # (identical verdict and stats by construction).
-            return self._run_fresh(tasks[0])
-        prefix = self._common_prefix([t.assertions for t in tasks])
-        config, = tasks[0].configs
-        solver = build_solver(config, tasks[0].assertions[:prefix],
-                              incremental=True)
-        base_qbytes = solver.stats.query_bytes
-        self.stats.warm_contexts += 1
-        self.stats.warm_reuses += len(tasks) - 1
-        for task in tasks:
-            t0 = time.perf_counter()
-            before = solver.stats.snapshot()
-            solver.push()
-            for a in task.assertions[prefix:]:
-                solver.add(a)
-            verdict = solver.check(timeout=self.timeout)
-            stats = Stats.diff(before, solver.stats.snapshot())
-            qbytes = base_qbytes + stats.get("query_bytes", 0)
-            stats["query_bytes"] = qbytes
-            status = classify(solver, verdict, stats)
-            seconds = time.perf_counter() - t0
-            self._apply(task, status, stats, qbytes, seconds)
-            self._store(task, status, stats, qbytes)
-            solver.pop()
 
     def _run_parallel(self, tasks: list[_Task]) -> list[_Task]:
         """Fan tasks out across processes; returns tasks that still need

@@ -1,11 +1,12 @@
-"""Incremental solving: push/pop scopes, warm contexts, delta, repro.api.
+"""Re-verification: solver reuse, cache-warm reruns, delta, repro.api.
 
-The acceptance bar for the warm-context strategy is *differential*:
-verdicts, failure sets, diagnostics, and the machine-readable report
-(modulo timing fields and aggregate solver-effort counters, which
-legitimately shrink when work is shared) must be identical between
-fresh-solver and warm-context runs — across every broken-module fixture
-of the diagnostics suite and a couple of fully verified modules.
+Every obligation is discharged on a fresh solver, so the acceptance bar
+for each path that skips the solver is *differential*: verdicts, failure
+sets, diagnostics, and the machine-readable report (modulo timing fields
+and aggregate solver-effort counters) must be identical between a cold
+run and a cache-warm rerun — across every broken-module fixture of the
+diagnostics suite and a couple of fully verified modules — and between
+the in-process and worker-process paths.
 """
 
 import json
@@ -25,7 +26,8 @@ from repro.lang import (BOOL, INT, U64, Module, and_all, assert_, assign,
                         spec_fn, var, while_)
 from tests.helpers import verify_module
 from repro.smt import terms as T
-from repro.smt.solver import SAT, SmtSolver, SolverConfig, UNSAT
+from repro.smt.solver import (SAT, SmtSolver, SolverConfig, UNSAT,
+                              solver_constructions)
 from repro.vc.errors import PROVED, TIMEOUT
 
 from tests.test_diagnostics import (_broken_assert_conjunctive,
@@ -88,64 +90,10 @@ def _normalize(payload: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# SMT layer: push/pop scopes
+# SMT layer: one solver checked again after more assertions
 # ---------------------------------------------------------------------------
 
 class TestSolverScopes:
-    def test_push_pop_basic(self):
-        x, y = T.Var("x", T.INT), T.Var("y", T.INT)
-        f = T.FuncDecl("f", [T.INT], T.INT)
-        s = SmtSolver(incremental=True)
-        s.add(T.Eq(x, y))
-        s.push()
-        s.add(T.Not(T.Eq(T.App(f, x), T.App(f, y))))
-        assert s.check() == UNSAT
-        s.pop()
-        s.push()
-        s.add(T.Ge(x, T.IntVal(3)))
-        s.add(T.Le(y, T.IntVal(10)))
-        assert s.check() == SAT
-        s.pop()
-        s.push()
-        s.add(T.Lt(x, T.IntVal(0)))
-        s.add(T.Gt(y, T.IntVal(0)))
-        assert s.check() == UNSAT
-        s.pop()
-
-    def test_nested_scopes(self):
-        x = T.Var("x", T.INT)
-        s = SmtSolver(incremental=True)
-        s.add(T.Ge(x, T.IntVal(0)))
-        s.push()
-        s.add(T.Le(x, T.IntVal(5)))
-        s.push()
-        s.add(T.Gt(x, T.IntVal(5)))
-        assert s.check() == UNSAT
-        s.pop()
-        assert s.check() == SAT
-        s.pop()
-        assert s.check() == SAT
-
-    def test_quantifier_state_respects_scopes(self):
-        xq = T.Var("xq", T.INT)
-        g = T.FuncDecl("g", [T.INT], T.INT)
-        ax = T.ForAll([xq], T.Ge(T.App(g, xq), xq),
-                      triggers=[[T.App(g, xq)]])
-        a = T.Var("a", T.INT)
-        goals = [T.Lt(T.App(g, a), a),
-                 T.And(T.Ge(a, T.IntVal(5)),
-                       T.Lt(T.App(g, a), T.IntVal(5)))]
-        warm = SmtSolver(incremental=True)
-        warm.add(ax)
-        for goal in goals:
-            fresh = SmtSolver()
-            fresh.add(ax)
-            fresh.add(goal)
-            warm.push()
-            warm.add(goal)
-            assert warm.check() == fresh.check()
-            warm.pop()
-
     def test_randomized_differential(self):
         rng = random.Random(20260806)
         ivars = [T.Var(f"v{i}", T.INT) for i in range(5)]
@@ -179,31 +127,31 @@ class TestSolverScopes:
                 return T.Not(formula(depth - 1))
             return atom()
 
+        # One solver checked after each batch of assertions keeps the
+        # learned clauses, lemmas and instances of its earlier checks; its
+        # verdicts must still be those of a fresh solver on each prefix.
         for _ in range(25):
-            base = [formula() for _ in range(rng.randrange(1, 4))]
-            goals = [[formula() for _ in range(rng.randrange(1, 3))]
-                     for _ in range(rng.randrange(2, 5))]
+            batches = [[formula() for _ in range(rng.randrange(1, 3))]
+                       for _ in range(rng.randrange(2, 5))]
             fresh = []
-            for goal in goals:
+            for k in range(1, len(batches) + 1):
                 s = SmtSolver()
-                for a in base + goal:
-                    s.add(a)
+                for batch in batches[:k]:
+                    for a in batch:
+                        s.add(a)
                 fresh.append(s.check())
-            warm_solver = SmtSolver(incremental=True)
-            for a in base:
-                warm_solver.add(a)
-            warm = []
-            for goal in goals:
-                warm_solver.push()
-                for a in goal:
-                    warm_solver.add(a)
-                warm.append(warm_solver.check())
-                warm_solver.pop()
-            assert warm == fresh
+            reused_solver = SmtSolver()
+            reused = []
+            for batch in batches:
+                for a in batch:
+                    reused_solver.add(a)
+                reused.append(reused_solver.check())
+            assert reused == fresh
 
     def test_instantiation_budget_is_per_check(self):
-        """Goal 2 of a warm context gets the whole ``max_instantiations``
-        budget, as a fresh solver does, however much goal 1 used."""
+        """A second check on one solver gets the whole
+        ``max_instantiations`` budget, as a fresh solver does, however
+        much the first check used."""
         xq = T.Var("xq", T.INT)
         g = T.FuncDecl("g", [T.INT], T.INT)
         ax = T.ForAll([xq], T.Ge(T.App(g, xq), xq),
@@ -217,32 +165,14 @@ class TestSolverScopes:
         fresh.add(ax)
         fresh.add(goal2)
         assert fresh.check() == UNSAT
-        warm = SmtSolver(cfg, incremental=True)
-        warm.add(ax)
-        warm.push()
-        warm.add(goal1)       # eight instances: most of the budget
-        warm.check()
-        assert warm.stats.instantiations == 8
-        warm.pop()
-        warm.push()
-        warm.add(goal2)       # needs three more
-        assert warm.check() == UNSAT
-        assert not warm.last_resource_out
-        warm.pop()
-
-    def test_learned_clause_retention_is_scoped(self):
-        """A goal-scoped consequence must not leak into later goals."""
-        x = T.Var("x", T.INT)
-        s = SmtSolver(incremental=True)
-        s.push()
-        s.add(T.Ge(x, T.IntVal(10)))
-        assert s.check() == SAT
-        s.pop()
-        s.push()
-        # If anything from the popped scope survived, this would be UNSAT.
-        s.add(T.Le(x, T.IntVal(-10)))
-        assert s.check() == SAT
-        s.pop()
+        reused = SmtSolver(cfg)
+        reused.add(ax)
+        reused.add(goal1)     # eight instances: most of the budget
+        assert reused.check() != UNSAT
+        assert reused.stats.instantiations == 8
+        reused.add(goal2)     # needs three more
+        assert reused.check() == UNSAT
+        assert not reused.last_resource_out
 
     def test_check_timeout_sets_flag(self):
         x = T.Var("x", T.INT)
@@ -256,53 +186,66 @@ class TestSolverScopes:
 
 
 # ---------------------------------------------------------------------------
-# Warm contexts vs fresh solvers: the differential guarantee
+# Cold runs vs cache-warm reruns and worker runs: the differential guarantee
 # ---------------------------------------------------------------------------
 
 class TestWarmDifferential:
     @pytest.mark.parametrize("builder", BROKEN_BUILDERS,
                              ids=lambda b: b.__name__)
-    def test_broken_fixture_identical(self, builder):
-        fresh = Session(VerifyConfig(diagnostics=True)).verify_module(
-            builder())
-        warm = Session(VerifyConfig(diagnostics=True,
-                                    incremental=True)).verify_module(
-            builder())
-        assert not fresh.ok and not warm.ok
-        assert _diag_signature(fresh) == _diag_signature(warm)
-        assert _normalize(fresh.to_json()) == _normalize(warm.to_json())
+    def test_broken_fixture_identical(self, builder, tmp_path):
+        cfg = VerifyConfig(diagnostics=True, cache_dir=str(tmp_path))
+        cold = Session(cfg).verify_module(builder())
+        before = solver_constructions()
+        warm = Session(cfg).verify_module(builder())
+        assert not cold.ok and not warm.ok
+        assert solver_constructions() == before
+        assert warm.stats.get("cache_misses", 0) == 0
+        assert _diag_signature(cold) == _diag_signature(warm)
+        assert _normalize(cold.to_json()) == _normalize(warm.to_json())
 
     @pytest.mark.parametrize("builder", [_verified_module,
                                          _quantified_module],
                              ids=lambda b: b.__name__)
-    def test_verified_module_identical(self, builder):
-        fresh = Session(VerifyConfig()).verify_module(builder())
-        warm = Session(VerifyConfig(incremental=True)).verify_module(
-            builder())
-        assert fresh.ok and warm.ok
-        assert fresh.query_bytes == warm.query_bytes
-        assert _normalize(fresh.to_json()) == _normalize(warm.to_json())
+    def test_verified_module_identical(self, builder, tmp_path):
+        cfg = VerifyConfig(cache_dir=str(tmp_path), triage="off")
+        cold = Session(cfg).verify_module(builder())
+        before = solver_constructions()
+        warm = Session(cfg).verify_module(builder())
+        assert cold.ok and warm.ok
+        assert solver_constructions() == before
+        assert cold.query_bytes == warm.query_bytes
+        assert _normalize(cold.to_json()) == _normalize(warm.to_json())
 
     def test_warm_composes_with_cache(self, tmp_path):
-        cold = Session(VerifyConfig(cache_dir=str(tmp_path),
-                                    incremental=True))
-        r1 = cold.verify_module(_verified_module())
+        """A delta run over a proof cache that a plain run filled plans
+        every function (no function entries yet) and replays every
+        obligation; the next delta run skips the functions outright."""
+        plain = Session(VerifyConfig(cache_dir=str(tmp_path)))
+        r1 = plain.verify_module(_verified_module())
         assert r1.ok and r1.stats.get("cache_hits", 0) == 0
-        rewarm = Session(VerifyConfig(cache_dir=str(tmp_path),
-                                      incremental=True))
-        r2 = rewarm.verify_module(_verified_module())
-        assert r2.ok and r2.stats.get("cache_hits", 0) > 0
-        assert _normalize(r1.to_json()) == _normalize(r2.to_json())
+        cfg = VerifyConfig(cache_dir=str(tmp_path), delta=True)
+        r2 = Session(cfg).verify_module(_verified_module())
+        assert r2.ok and not r2.stats.get("delta_skips")
+        assert r2.stats.get("cache_misses", 0) == 0
+        r3 = Session(cfg).verify_module(_verified_module())
+        assert r3.ok and r3.stats.get("delta_skips") == 2
+        assert _normalize(r1.to_json()) == _normalize(r2.to_json()) \
+            == _normalize(r3.to_json())
 
     def test_warm_and_fresh_share_cache_digests(self, tmp_path):
-        """Warm runs hit entries a fresh run stored, and vice versa."""
-        Session(VerifyConfig(cache_dir=str(tmp_path))).verify_module(
-            _verified_module())
-        warm = Session(VerifyConfig(cache_dir=str(tmp_path),
-                                    incremental=True))
-        result = warm.verify_module(_verified_module())
-        assert result.ok
-        assert result.stats.get("cache_misses", 0) == 0
+        """In-process and worker discharges key the same cache entries:
+        each run hits every entry the other stored."""
+        for first, second in ((1, 2), (2, 1)):
+            cache = str(tmp_path / f"cache{first}")
+            cold = Session(VerifyConfig(cache_dir=cache, jobs=first,
+                                        triage="off"))
+            r1 = cold.verify_module(_verified_module())
+            warm = Session(VerifyConfig(cache_dir=cache, jobs=second,
+                                        triage="off"))
+            r2 = warm.verify_module(_verified_module())
+            assert r1.ok and r2.ok
+            assert r2.stats.get("cache_misses", 0) == 0
+            assert _normalize(r1.to_json()) == _normalize(r2.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +260,7 @@ class TestSerialDeadline:
         # answer obligations before any deadline is consulted) must not
         # leak in.
         for name in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_DIAG",
-                     "REPRO_JOB_TIMEOUT", "REPRO_INCREMENTAL",
-                     "REPRO_DELTA"):
+                     "REPRO_JOB_TIMEOUT", "REPRO_DELTA"):
             monkeypatch.delenv(name, raising=False)
         # The static proving tier would discharge these obligations
         # before any solver deadline is consulted; force them all onto
@@ -349,15 +291,6 @@ class TestSerialDeadline:
         assert r2.ok  # no stale TIMEOUT entries were replayed
         assert r2.stats.get("cache_hits", 0) == 0
 
-    def test_warm_deadline_also_soft(self):
-        session = Session(VerifyConfig(incremental=True, job_timeout=0.0,
-                                       triage="off"))
-        result = session.verify_module(_verified_module())
-        assert not result.ok
-        statuses = {o.status for f in result.functions
-                    for o in f.obligations}
-        assert statuses == {TIMEOUT}
-
     def test_workers_honour_job_timeout(self, tmp_path, monkeypatch):
         """jobs=2: each worker enforces the soft deadline inside its own
         solver, so slow obligations come back as TIMEOUT on time instead
@@ -374,8 +307,8 @@ class TestSerialDeadline:
 
         monkeypatch.setattr(SmtSolver, "_check_loop", slow_loop)
         cache = str(tmp_path / "cache")
-        cfg = VerifyConfig(jobs=2, incremental=False, job_timeout=0.2,
-                           triage="off", cache_dir=cache)
+        cfg = VerifyConfig(jobs=2, job_timeout=0.2, triage="off",
+                           cache_dir=cache)
         t0 = time.perf_counter()
         result = Session(cfg).verify_module(_verified_module())
         wall = time.perf_counter() - t0
@@ -569,27 +502,24 @@ class TestApi:
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_DIAG", "1")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "2.5")
-        monkeypatch.setenv("REPRO_INCREMENTAL", "yes")
         monkeypatch.setenv("REPRO_DELTA", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/pvcache-test")
         cfg = VerifyConfig.from_env()
         assert cfg == VerifyConfig(jobs=3, cache_dir="/tmp/pvcache-test",
                                    diagnostics=True, job_timeout=2.5,
-                                   incremental=True, delta=True)
+                                   delta=True)
 
     def test_from_env_garbage_tolerant(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "junk")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "junk")
-        monkeypatch.setenv("REPRO_INCREMENTAL", "off")
         cfg = VerifyConfig.from_env()
         assert cfg.jobs == 1
         assert cfg.job_timeout is None
-        assert not cfg.incremental
 
     def test_overrides_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
-        cfg = VerifyConfig.from_env(jobs=2, incremental=True)
-        assert cfg.jobs == 2 and cfg.incremental
+        cfg = VerifyConfig.from_env(jobs=2, delta=True)
+        assert cfg.jobs == 2 and cfg.delta
 
     def test_config_is_frozen(self):
         cfg = VerifyConfig()
@@ -597,6 +527,9 @@ class TestApi:
             cfg.jobs = 5
         with pytest.raises(TypeError):
             cfg.replace(bogus=1)
+        # Warm solver contexts are gone: the knob is an unknown field.
+        with pytest.raises(TypeError):
+            cfg.replace(incremental=True)
 
     def test_session_verify_raises_on_failure(self):
         from repro.vc.errors import VerificationFailure

@@ -82,11 +82,10 @@ def _signature(res) -> tuple:
 
 class TestPipelineMatrix:
     """Every shipped pipeline discharges through the same scheduler
-    path, so serial, ``jobs=2``, warm-context and cache cold/warm runs
-    must agree per obligation, query bytes included."""
+    path, so serial, ``jobs=2`` and cache cold/warm runs must agree per
+    obligation, query bytes included."""
 
-    MODES = {"serial": {}, "jobs2": {"REPRO_JOBS": "2"},
-             "incremental": {"REPRO_INCREMENTAL": "1"}}
+    MODES = {"serial": {}, "jobs2": {"REPRO_JOBS": "2"}}
 
     @pytest.mark.parametrize("name", ["verus", "dafny", "fstar", "creusot",
                                       "prusti"])

@@ -138,16 +138,14 @@ class TestConfigApi:
 
     def test_knobs_default_from_profile(self):
         cfg = VerifyConfig()
-        assert cfg.incremental is None and cfg.retries is None
-        assert (cfg.effective_incremental, cfg.effective_retries) == (False, 0)
+        assert cfg.retries is None and cfg.triage is None
+        assert (cfg.effective_retries, cfg.effective_triage) == (0, "on")
         aggr = VerifyConfig(profile="aggressive")
-        assert (aggr.effective_incremental, aggr.effective_retries) == (True, 1)
+        assert aggr.effective_retries == 1
         assert VerifyConfig(profile="frugal").effective_max_steps == 200000
 
     def test_explicit_override_beats_profile(self):
-        cfg = VerifyConfig(profile="aggressive", incremental=False,
-                           retries=0, max_steps=123)
-        assert cfg.effective_incremental is False
+        cfg = VerifyConfig(profile="aggressive", retries=0, max_steps=123)
         assert cfg.effective_retries == 0
         assert cfg.effective_max_steps == 123
 
@@ -196,13 +194,15 @@ class TestProfileGaps:
 
 
 class TestPortfolioDeterminism:
-    def test_race_results_identical_across_modes(self):
-        """serial / jobs=2 / incremental must adopt the same winner and
-        produce byte-identical reports (timing aside)."""
+    def test_race_results_identical_across_modes(self, tmp_path):
+        """serial / jobs=2 / a cache-warm rerun must adopt the same winner
+        and produce byte-identical reports (timing aside; the rerun
+        replays the race, so it does not re-pay its query bytes)."""
+        cache = str(tmp_path / "cache")
         arms = {
-            "serial": VerifyConfig(portfolio=2),
+            "serial": VerifyConfig(portfolio=2, cache_dir=cache),
             "jobs2": VerifyConfig(portfolio=2, jobs=2),
-            "warm": VerifyConfig(portfolio=2, incremental=True),
+            "warm": VerifyConfig(portfolio=2, cache_dir=cache),
         }
         reports = {}
         for label, cfg in arms.items():
@@ -213,8 +213,10 @@ class TestPortfolioDeterminism:
             for ob in raced:
                 assert ob.stats["portfolio"]["winner"] == "epr"
                 assert ob.stats["profile"] == "epr"
-            reports[label] = _normalize(result.to_json())
-        assert reports["serial"] == reports["jobs2"] == reports["warm"]
+            reports[label] = result.to_json()
+        assert _normalize(reports["serial"]) == _normalize(reports["jobs2"])
+        assert _strip_race_bytes(reports["serial"]) == \
+            _strip_race_bytes(reports["warm"])
 
     def test_cache_warm_replays_race(self, tmp_path):
         cfg = VerifyConfig(portfolio=2, cache_dir=str(tmp_path / "cache"))
@@ -325,9 +327,9 @@ class TestRaceReplay:
         budgets = []
         real_init = SmtSolver.__init__
 
-        def spy(solver, config=None, incremental=False):
+        def spy(solver, config=None):
             budgets.append(config.max_steps)
-            real_init(solver, config, incremental)
+            real_init(solver, config)
 
         monkeypatch.setattr(SmtSolver, "__init__", spy)
         cfg = VerifyConfig(portfolio=2, max_steps=cap,

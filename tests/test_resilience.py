@@ -262,7 +262,7 @@ class TestInjection:
     def test_worker_crash_cause_recorded(self):
         clean = VcGen(_mk_module()).verify_module()
         sched = Scheduler(
-            VerifyConfig.from_env(jobs=2, incremental=False,
+            VerifyConfig.from_env(jobs=2,
                                   fault_plan="pool.worker:crash@1"))
         res = VcGen(_mk_module()).verify_module(sched)
         assert res.ok and _signature(clean) == _signature(res)
@@ -333,8 +333,7 @@ class TestRetryLadder:
         ``retries`` is; the ladder then sees only its verdict."""
         clean = VcGen(_mk_module()).verify_module()
         sched = Scheduler(VerifyConfig.from_env(
-            jobs=2, incremental=False, retries=2,
-            fault_plan="pool.worker:crash@1"))
+            jobs=2, retries=2, fault_plan="pool.worker:crash@1"))
         res = VcGen(_mk_module()).verify_module(sched)
         assert res.ok and _signature(clean) == _signature(res)
         assert res.stats["retry_recoveries"] == 0
@@ -492,15 +491,15 @@ class TestJournalResume:
         # "Kill" the run at the 4th solver check: the injected crash
         # escapes verify_module exactly like a SIGKILL would, leaving
         # the cache with the 3 already-discharged goals.
-        chaos = Session(jobs=1, incremental=False,
-                        fault_plan="solver.check:crash@4", cache_dir=cdir)
+        chaos = Session(jobs=1, fault_plan="solver.check:crash@4",
+                        cache_dir=cdir)
         with pytest.raises(RuntimeError):
             chaos.verify_module(build_default_module())
         assert len(list(ProofCache(cdir).iter_entries())) == 3
 
         counts = _count_solver_builds(monkeypatch)
-        resumed = Session(jobs=1, incremental=False,
-                          cache_dir=cdir).verify_module(build_default_module())
+        resumed = Session(jobs=1, cache_dir=cdir).verify_module(
+            build_default_module())
         assert resumed.ok
         assert _signature(resumed) == _signature(clean)
         assert resumed.stats["cache_hits"] == 3
@@ -509,8 +508,8 @@ class TestJournalResume:
         # The resumed run stored what it solved: a third pass over the
         # same cache replays everything and builds no solver at all.
         counts["n"] = 0
-        replayed = Session(jobs=1, incremental=False,
-                           cache_dir=cdir).verify_module(build_default_module())
+        replayed = Session(jobs=1, cache_dir=cdir).verify_module(
+            build_default_module())
         assert replayed.ok and _signature(replayed) == _signature(clean)
         assert replayed.stats["cache_hits"] == total
         assert counts["n"] == 0
@@ -562,8 +561,8 @@ class TestChaosAcceptance:
         clean = Session(jobs=1).verify_module(build_default_module())
         plan = ("seed=5; pool.worker:crash@1; cache.store:io@1; "
                 "solver.check:resource_out@2")
-        chaos = Session(jobs=2, incremental=False, retries=3,
-                        fault_plan=plan, cache_dir=str(tmp_path / "pc"))
+        chaos = Session(jobs=2, retries=3, fault_plan=plan,
+                        cache_dir=str(tmp_path / "pc"))
         res = chaos.verify_module(build_default_module())
         assert res.ok and _signature(res) == _signature(clean)
         assert res.stats["pool_failures"] == 1

@@ -83,7 +83,6 @@ class TestMatcherDifferential:
             ref = self._reference(builder)
             modes = {
                 "serial": VerifyConfig(diagnostics=True),
-                "warm": VerifyConfig(diagnostics=True, incremental=True),
                 "jobs": VerifyConfig(diagnostics=True, jobs=2),
             }
             for mode, cfg in modes.items():
