@@ -47,6 +47,7 @@ import time
 from typing import Optional, Sequence
 
 from ..vc import ast as A
+from ..vc.ast import walk_expr, walk_stmts
 
 # Finding severities.
 ERROR = "error"
@@ -150,42 +151,6 @@ class AnalysisReport:
 # Shared AST helpers (the passes all walk the same structures)
 # ---------------------------------------------------------------------------
 
-def walk_stmts(body):
-    """Iterate all statements of a function body, nested blocks included."""
-    if body is None or isinstance(body, A.Expr):
-        return
-    stack = list(body)[::-1]
-    while stack:
-        stmt = stack.pop()
-        yield stmt
-        if isinstance(stmt, A.SIf):
-            stack.extend(list(stmt.then)[::-1] + list(stmt.els)[::-1])
-        elif isinstance(stmt, A.SWhile):
-            stack.extend(list(stmt.body)[::-1])
-
-
-def walk_expr(e: A.Expr):
-    """Iterate all sub-expressions of an AST expression (including e)."""
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for attr in ("lhs", "rhs", "operand", "cond", "then", "els", "base",
-                     "seq", "idx", "value", "n", "m", "key", "body"):
-            child = getattr(cur, attr, None)
-            if isinstance(child, A.Expr):
-                stack.append(child)
-        for attr in ("args", "items"):
-            children = getattr(cur, attr, None)
-            if children:
-                stack.extend(c for c in children if isinstance(c, A.Expr))
-        for attr in ("fields", "updates"):
-            mapping = getattr(cur, attr, None)
-            if isinstance(mapping, dict):
-                stack.extend(v for v in mapping.values()
-                             if isinstance(v, A.Expr))
-
-
 def spec_exprs_of(fn: A.Function):
     """``(expr, what)`` pairs for every spec-mode position of a function:
     requires/ensures/decreases plus assert/assume/invariant/loop-decreases
@@ -224,15 +189,8 @@ def called_names(fn: A.Function) -> set[str]:
     for stmt in walk_stmts(fn.body):
         if isinstance(stmt, A.SCall):
             names.add(stmt.fn_name)
-        for attr in ("expr", "cond", "decreases"):
-            e = getattr(stmt, attr, None)
-            if isinstance(e, A.Expr):
-                scan(e)
-        for attr in ("invariants", "args", "by_premises"):
-            es = getattr(stmt, attr, None)
-            for e in es or ():
-                if isinstance(e, A.Expr):
-                    scan(e)
+        for e in A.stmt_exprs(stmt):
+            scan(e)
     return names
 
 

@@ -11,14 +11,10 @@ same cache keys).
 Layout:
 
 * :mod:`.domains` — the three numeric domains and their reduced product;
-* :mod:`.transfer` — term-level transfer functions over
-  :mod:`repro.smt.terms` plus the per-obligation entailment check the
-  scheduler trusts (assumption-terms only: see the soundness note
-  there);
-* :mod:`.engine` — an AST-level abstract interpreter mirroring
-  :mod:`repro.vc.interp` semantics, with widening/narrowing loop
-  fixpoints seeded from declared invariants; powers previews and the
-  differential test harness.
+* :mod:`.transfer` — the one interpreter: term-level transfer
+  functions over :mod:`repro.smt.terms` plus the per-obligation
+  entailment check the scheduler trusts (assumption-terms only: see
+  the soundness note there).
 
 Modes (``VerifyConfig.triage`` / ``REPRO_TRIAGE``):
 
@@ -31,15 +27,8 @@ Modes (``VerifyConfig.triage`` / ``REPRO_TRIAGE``):
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .domains import (BOT_VAL, CONG_BOT, CONG_TOP, CONST_BOT, CONST_TOP,
-                      EMPTY_INTERVAL, FALSE_VAL, TOP_INTERVAL, TOP_VAL,
-                      TRUE_VAL, Congruence, Const, Interval, Val, cmp_eq,
-                      cmp_le, cmp_lt, euc_div, euc_mod)
-from .engine import (AbsState, AbstractInterp, FunctionReport,
-                     FunctionSummary, analyze_function, module_summaries,
-                     type_range)
+from .domains import (Congruence, Const, Interval, Val, cmp_eq, cmp_le,
+                      cmp_lt, euc_div, euc_mod)
 from .transfer import MAX_PASSES, AbsEnv, build_env, entails
 
 TRIAGE_MODES = ("on", "off", "shadow")
@@ -59,7 +48,7 @@ class TriageDisagreement(Exception):
 
 
 class Triage:
-    """Per-run triage state: mode + counters.
+    """Per-run triage state: the validated mode.
 
     ``check`` is the only entry point the scheduler calls; it inspects a
     single pending obligation (already planned, already translated) and
@@ -67,31 +56,19 @@ class Triage:
     always safe — a ``False`` just means the solver runs as before.
     """
 
-    __slots__ = ("mode", "checked", "claimed", "fixpoint_iters")
+    __slots__ = ("mode",)
 
     def __init__(self, mode: str = "on"):
         if mode not in TRIAGE_MODES:
             raise ValueError(f"triage mode must be one of {TRIAGE_MODES}, "
                              f"got {mode!r}")
         self.mode = mode
-        self.checked = 0
-        self.claimed = 0
-        self.fixpoint_iters = 0
-
-    @property
-    def active(self) -> bool:
-        return self.mode != "off"
 
     def check(self, item) -> tuple[bool, int]:
         """``(claimed, fixpoint_passes)`` for one pending obligation."""
         if item.goal is None or item.direct_result is not None:
             return False, 0
-        self.checked += 1
-        proved, passes = entails(item.assumptions, item.goal)
-        self.fixpoint_iters += passes
-        if proved:
-            self.claimed += 1
-        return proved, passes
+        return entails(item.assumptions, item.goal)
 
 
 def triage_preview(module, vc_config=None) -> dict:
@@ -99,8 +76,8 @@ def triage_preview(module, vc_config=None) -> dict:
 
     Powers ``scripts/analyze_module.py --triage`` and the daemon's
     ``analyze`` verb.  Per function: obligation count, how many the
-    entailment check discharges, how many the planner resolved directly,
-    plus the AST engine's loop fixpoint iterations.
+    scheduler's own entailment check (:meth:`Triage.check`) discharges,
+    and how many the planner resolved directly.
     """
     from ...vc.wp import VcGen
     from ...vc import ast as A
@@ -109,11 +86,6 @@ def triage_preview(module, vc_config=None) -> dict:
     triage = Triage("on")
     functions = []
     total = static = direct = errors = 0
-    summaries = None
-    try:
-        summaries = module_summaries(module)
-    except Exception:
-        summaries = None
     for name, fn in module.functions.items():
         if fn.mode not in (A.EXEC, A.PROOF) or fn.body is None:
             continue
@@ -137,11 +109,6 @@ def triage_preview(module, vc_config=None) -> dict:
         entry["obligations"] = fn_total
         entry["static_proved"] = fn_static
         entry["direct"] = fn_direct
-        try:
-            report = analyze_function(module, fn, summaries)
-            entry["fixpoint_iters"] = report.loop_iters
-        except Exception:
-            entry["fixpoint_iters"] = None
         total += fn_total
         static += fn_static
         direct += fn_direct
@@ -158,10 +125,7 @@ def triage_preview(module, vc_config=None) -> dict:
 
 
 __all__ = [
-    "AbsEnv", "AbsState", "AbstractInterp", "Congruence", "Const",
-    "FunctionReport", "FunctionSummary", "Interval", "MAX_PASSES",
-    "Triage", "TriageDisagreement", "TRIAGE_MODES", "Val",
-    "analyze_function", "build_env", "cmp_eq", "cmp_le", "cmp_lt",
-    "entails", "euc_div", "euc_mod", "module_summaries", "triage_preview",
-    "type_range",
+    "AbsEnv", "Congruence", "Const", "Interval", "MAX_PASSES", "Triage",
+    "TriageDisagreement", "TRIAGE_MODES", "Val", "build_env", "cmp_eq",
+    "cmp_le", "cmp_lt", "entails", "euc_div", "euc_mod", "triage_preview",
 ]

@@ -11,9 +11,10 @@ sharpen the others (a constant pins the interval, a singleton interval
 becomes a constant, a congruence snaps interval endpoints inward).
 
 All transfer functions follow the *Euclidean* division/remainder
-semantics of :mod:`repro.vc.interp` and the SMT-LIB ``div``/``mod``
-the solver implements — ``a mod b`` lands in ``[0, |b|)`` — so abstract
-and concrete evaluation agree and can be differentially tested.
+semantics of the SMT-LIB ``div``/``mod`` the solver implements (and
+:mod:`repro.smt.compute` evaluates) — ``a mod b`` lands in
+``[0, |b|)`` — so abstract and concrete evaluation agree and can be
+differentially tested.
 
 Soundness convention: every operation over-approximates.  ``None`` as an
 interval endpoint means unbounded; a ``Val`` with any bottom component is
@@ -130,26 +131,6 @@ class Interval:
             (other.lo if self.lo is None else max(self.lo, other.lo))
         hi = self.hi if other.hi is None else \
             (other.hi if self.hi is None else min(self.hi, other.hi))
-        return Interval(lo, hi)
-
-    def widen(self, other: "Interval") -> "Interval":
-        """Standard interval widening: unstable bounds jump to infinity."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        lo = self.lo if (self.lo is not None and other.lo is not None
-                         and other.lo >= self.lo) else None
-        hi = self.hi if (self.hi is not None and other.hi is not None
-                         and other.hi <= self.hi) else None
-        return Interval(lo, hi)
-
-    def narrow(self, other: "Interval") -> "Interval":
-        """Narrowing: refine only the bounds widening threw to infinity."""
-        if self.is_empty or other.is_empty:
-            return EMPTY_INTERVAL
-        lo = other.lo if self.lo is None else self.lo
-        hi = other.hi if self.hi is None else self.hi
         return Interval(lo, hi)
 
     # -- arithmetic ---------------------------------------------------------
@@ -288,13 +269,6 @@ class Const:
     def __repr__(self) -> str:
         return {"bot": "⊥", "top": "⊤"}.get(self.state, repr(self.value))
 
-    def le(self, other: "Const") -> bool:
-        if self.state == "bot" or other.state == "top":
-            return True
-        if other.state == "bot" or self.state == "top":
-            return False
-        return self.value == other.value
-
     def join(self, other: "Const") -> "Const":
         if self.state == "bot":
             return other
@@ -314,11 +288,6 @@ class Const:
                 and self.value == other.value):
             return self
         return CONST_BOT
-
-    # The flat lattice has finite chains: widening is just join, and
-    # narrowing is meet.
-    widen = join
-    narrow = meet
 
 
 CONST_TOP = Const("top")
@@ -381,17 +350,6 @@ class Congruence:
             return "⊤"
         return f"≡{self.res} (mod {self.mod})"
 
-    def le(self, other: "Congruence") -> bool:
-        if self.is_bottom or other.is_top:
-            return True
-        if other.is_bottom:
-            return False
-        if other.mod == 0:
-            return self.mod == 0 and self.res == other.res
-        if self.mod == 0:
-            return other.contains(self.res)
-        return self.mod % other.mod == 0 and self.res % other.mod == other.res
-
     def join(self, other: "Congruence") -> "Congruence":
         if self.is_bottom:
             return other
@@ -417,11 +375,6 @@ class Congruence:
         m2g = other.mod // g
         t = ((other.res - self.res) // g * pow(self.mod // g, -1, m2g)) % m2g
         return Congruence(lcm, self.res + self.mod * t)
-
-    # Divisor chains are finite, so widening can stay join (terminating);
-    # narrowing is meet.
-    widen = join
-    narrow = meet
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -595,14 +548,6 @@ class Val:
 
     # -- lattice ------------------------------------------------------------
 
-    def le(self, other: "Val") -> bool:
-        if self.is_bottom:
-            return True
-        if other.is_bottom:
-            return False
-        return (self.itv.le(other.itv) and self.cst.le(other.cst)
-                and self.cong.le(other.cong))
-
     def join(self, other: "Val") -> "Val":
         if self.is_bottom:
             return other
@@ -615,20 +560,6 @@ class Val:
         v = Val(self.itv.meet(other.itv), self.cst.meet(other.cst),
                 self.cong.meet(other.cong))
         return v.reduce()
-
-    def widen(self, other: "Val") -> "Val":
-        if self.is_bottom:
-            return other
-        if other.is_bottom:
-            return self
-        return Val(self.itv.widen(other.itv), self.cst.widen(other.cst),
-                   self.cong.widen(other.cong))
-
-    def narrow(self, other: "Val") -> "Val":
-        if self.is_bottom or other.is_bottom:
-            return BOT_VAL
-        return Val(self.itv.narrow(other.itv), self.cst.narrow(other.cst),
-                   self.cong.narrow(other.cong))
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -3,16 +3,12 @@
 Three passes used to rebuild the same networkx scaffolding from scratch:
 :mod:`repro.analysis.termination` and :mod:`repro.analysis.triggers` both
 materialize a ``DiGraph`` and filter the non-recursive singleton SCCs, and
-:mod:`repro.epr` wraps ``nx.find_cycle`` in a try/except.  The abstract
-interpreter (:mod:`repro.analysis.absint`) additionally needs a bottom-up
-(callees-first) SCC order for interprocedural summaries.  This module is
+:mod:`repro.epr` wraps ``nx.find_cycle`` in a try/except.  This module is
 the one home for all of it.
 
-Everything here is deterministic for a fixed construction order: node and
-edge insertion follow dict order, and the SCC condensation is traversed
-with a stable topological sort, so downstream consumers (summary
-computation, byte-identical verdict replay) see the same order on every
-run.
+Graph construction is deterministic for a fixed construction order: node
+and edge insertion follow dict order, so SCC and cycle reports come out
+in the same order on every run.
 """
 
 from __future__ import annotations
@@ -56,31 +52,3 @@ def find_cycle(graph: nx.DiGraph) -> Optional[list[tuple]]:
         return list(nx.find_cycle(graph))
     except nx.NetworkXNoCycle:
         return None
-
-
-def scc_order(adjacency: Mapping[object, Iterable[object]],
-              callees_first: bool = True) -> list[list]:
-    """SCCs of a call graph in dependency order, each sorted for stability.
-
-    With ``callees_first`` (the default), an SCC appears after every SCC
-    it calls into — the order interprocedural summary computation wants:
-    by the time a function is summarized, all of its callees already are,
-    and only members of a genuinely recursive SCC see an unfinished
-    summary.
-    """
-    graph = build_digraph(adjacency)
-    cond = nx.condensation(graph)
-    order = list(nx.topological_sort(cond))
-    if callees_first:
-        order.reverse()
-    return [sorted(cond.nodes[c]["members"]) for c in order]
-
-
-def is_recursive(adjacency: Mapping[object, Iterable[object]],
-                 members: Iterable[object]) -> bool:
-    """Whether an SCC (as returned by :func:`scc_order`) is cyclic."""
-    members = list(members)
-    if len(members) > 1:
-        return True
-    node = members[0]
-    return node in adjacency.get(node, ())

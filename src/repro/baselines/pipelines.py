@@ -275,9 +275,8 @@ class PrustiFnCtx(HeapFnCtx):
 
 
 def _mentions(stmt: A.Stmt, name: str) -> bool:
-    from ..vc.wp import _stmt_exprs, _walk_expr
-    for e in _stmt_exprs(stmt):
-        for sub in _walk_expr(e):
+    for e in A.stmt_exprs(stmt):
+        for sub in A.walk_expr(e):
             if isinstance(sub, (A.VarE, A.Old)) and sub.name == name:
                 return True
     if isinstance(stmt, (A.SLet, A.SAssign)) and stmt.name == name:

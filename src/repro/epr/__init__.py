@@ -69,7 +69,7 @@ def _is_epr_type(t: VT.VType) -> bool:
 
 def _expr_violations(e: A.Expr, where: str, out: list[EprViolation],
                      span=None) -> None:
-    for sub in _walk(e):
+    for sub in A.walk_expr(e):
         if isinstance(sub, A.BinOp) and sub.op in _ARITH_OPS:
             out.append(EprViolation(
                 where, f"arithmetic operator {sub.op!r} is outside EPR "
@@ -82,25 +82,6 @@ def _expr_violations(e: A.Expr, where: str, out: list[EprViolation],
             out.append(EprViolation(
                 where, "Seq operations require integer indices, outside EPR",
                 span))
-
-
-def _walk(e: A.Expr):
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for attr in ("lhs", "rhs", "operand", "cond", "then", "els", "base",
-                     "seq", "idx", "value", "n", "m", "key", "body"):
-            child = getattr(cur, attr, None)
-            if isinstance(child, A.Expr):
-                stack.append(child)
-        for attr in ("args", "items"):
-            children = getattr(cur, attr, None)
-            if children:
-                stack.extend(c for c in children if isinstance(c, A.Expr))
-        fields = getattr(cur, "fields", None)
-        if isinstance(fields, dict):
-            stack.extend(v for v in fields.values() if isinstance(v, A.Expr))
 
 
 def _quantifier_edges(e: A.Expr, positive: bool, graph: nx.DiGraph,

@@ -532,6 +532,63 @@ class SReturn(Stmt):
 
 
 # ---------------------------------------------------------------------------
+# Walking (the one traversal the planner, the analysis passes and the
+# EPR check share)
+# ---------------------------------------------------------------------------
+
+
+def walk_expr(e: Expr):
+    """Iterate all sub-expressions of an AST expression (including e)."""
+    stack = [e]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        for attr in ("lhs", "rhs", "operand", "cond", "then", "els", "base",
+                     "seq", "idx", "value", "n", "m", "key", "body"):
+            child = getattr(cur, attr, None)
+            if isinstance(child, Expr):
+                stack.append(child)
+        for attr in ("args", "items"):
+            children = getattr(cur, attr, None)
+            if children:
+                stack.extend(c for c in children if isinstance(c, Expr))
+        for attr in ("fields", "updates"):
+            mapping = getattr(cur, attr, None)
+            if isinstance(mapping, dict):
+                stack.extend(v for v in mapping.values()
+                             if isinstance(v, Expr))
+
+
+def walk_stmts(body):
+    """Iterate all statements of a function body, nested blocks included,
+    in source order: an ``if``'s then-block and else-block, or a loop's
+    body, come before the statement after it.  An expression body (spec
+    function) has no statements."""
+    if body is None or isinstance(body, Expr):
+        return
+    stack = list(body)[::-1]
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        if isinstance(stmt, SIf):
+            stack.extend(list(stmt.els)[::-1] + list(stmt.then)[::-1])
+        elif isinstance(stmt, SWhile):
+            stack.extend(list(stmt.body)[::-1])
+
+
+def stmt_exprs(stmt: Stmt):
+    """The expressions a statement holds directly (not its nested blocks)."""
+    for attr in ("expr", "cond", "decreases"):
+        e = getattr(stmt, attr, None)
+        if isinstance(e, Expr):
+            yield e
+    for attr in ("invariants", "args", "by_premises"):
+        es = getattr(stmt, attr, None)
+        if es:
+            yield from (e for e in es if isinstance(e, Expr))
+
+
+# ---------------------------------------------------------------------------
 # Functions and modules
 # ---------------------------------------------------------------------------
 

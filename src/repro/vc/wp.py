@@ -180,7 +180,7 @@ class VcGen:
         self._scan_body(fn.body, scan_expr)
         while work:
             e = work.pop()
-            for sub in _walk_expr(e):
+            for sub in A.walk_expr(e):
                 if isinstance(sub, A.Call) and sub.fn_name not in seen:
                     try:
                         callee = self.module.lookup(sub.fn_name)
@@ -195,20 +195,13 @@ class VcGen:
         return list(seen.values())
 
     def _scan_body(self, body, sink: Callable) -> None:
-        if body is None:
-            return
         if isinstance(body, A.Expr):
             sink(body)
             return
-        for stmt in body:
-            for e in _stmt_exprs(stmt):
+        for stmt in A.walk_stmts(body):
+            for e in A.stmt_exprs(stmt):
                 sink(e)
-            if isinstance(stmt, A.SIf):
-                self._scan_body(stmt.then, sink)
-                self._scan_body(stmt.els, sink)
-            elif isinstance(stmt, A.SWhile):
-                self._scan_body(stmt.body, sink)
-            elif isinstance(stmt, A.SCall):
+            if isinstance(stmt, A.SCall):
                 try:
                     callee = self.module.lookup(stmt.fn_name)
                 except KeyError:
@@ -1087,43 +1080,6 @@ class _BvTranslator:
             return body
         raise EncodeError(
             f"bit_vector mode cannot translate {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# AST walking helpers
-# ---------------------------------------------------------------------------
-
-def _walk_expr(e: A.Expr):
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for attr in ("lhs", "rhs", "operand", "cond", "then", "els", "base",
-                     "seq", "idx", "value", "n", "m", "key", "body"):
-            child = getattr(cur, attr, None)
-            if isinstance(child, A.Expr):
-                stack.append(child)
-        for attr in ("args", "items"):
-            children = getattr(cur, attr, None)
-            if children:
-                stack.extend(c for c in children if isinstance(c, A.Expr))
-        fields = getattr(cur, "fields", None)
-        if isinstance(fields, dict):
-            stack.extend(v for v in fields.values() if isinstance(v, A.Expr))
-        updates = getattr(cur, "updates", None)
-        if isinstance(updates, dict):
-            stack.extend(v for v in updates.values() if isinstance(v, A.Expr))
-
-
-def _stmt_exprs(stmt: A.Stmt):
-    for attr in ("expr", "cond", "decreases"):
-        e = getattr(stmt, attr, None)
-        if isinstance(e, A.Expr):
-            yield e
-    for attr in ("invariants", "args", "by_premises"):
-        es = getattr(stmt, attr, None)
-        if es:
-            yield from (e for e in es if isinstance(e, A.Expr))
 
 
 # Default wiring; baseline pipelines substitute subclasses.

@@ -1,21 +1,20 @@
 """Static proving tier tests (repro.analysis.absint).
 
-Four layers, mirroring the tier's soundness argument:
+Three layers, mirroring the tier's soundness argument:
 
 1. **domain lattices** — interval/constant/congruence algebra: join is
    an upper bound, meet is sound (never loses members of both sides),
-   widening reaches a post-fixpoint, narrowing refines without losing
-   the concrete value, and the abstract arithmetic over-approximates
-   the concrete arithmetic on sampled members;
-2. **term-level differential** — whenever ``entails`` claims an
+   and the abstract arithmetic over-approximates the concrete
+   arithmetic on sampled members;
+2. **term-level differentials** — whenever ``entails`` claims an
    obligation, a fresh :class:`SmtSolver` on ``assumptions ∧ ¬goal``
    must answer UNSAT (the tier is a sound pre-filter, never a
    disagreeing oracle), fuzzed over randomized integer-fragment
-   obligations;
-3. **AST-level differential** — the engine's abstract ``eval`` must
-   contain the concrete ``Interp`` value on random environments drawn
-   from the abstract state;
-4. **scheduler integration** — verdict signatures are byte-identical
+   obligations; and the abstract value ``build_env`` gives a random
+   composed term must contain the term's concrete value
+   (:func:`repro.smt.compute.evaluate`) under any substitution drawn
+   inside the assumed bounds;
+3. **scheduler integration** — verdict signatures are byte-identical
    with triage on vs off, serial vs jobs=2, cold vs cache-warm; static
    cache entries replay only in ``on`` mode; shadow mode actually runs
    the solver and raises ``TriageDisagreement`` when a (fault-injected)
@@ -31,16 +30,15 @@ from repro.analysis.absint import (Triage, TriageDisagreement,
 from repro.analysis.absint.domains import (BOT_VAL, TOP_VAL, Congruence,
                                            Const, Interval, Val, cmp_eq,
                                            cmp_le, cmp_lt)
-from repro.analysis.absint.engine import AbsState, AbstractInterp
 from repro.analysis.absint.transfer import build_env, entails
 from repro.api import Session, VerifyConfig
 from repro.lang import *
 from repro.smt import terms as T
+from repro.smt.compute import evaluate
 from repro.smt.solver import (SAT, UNSAT, SmtSolver,
                               total_solver_constructions)
 from repro.smt.sorts import INT as SINT
 from repro.vc.errors import PROVED, STATIC_PROVED
-from repro.vc.interp import Interp
 
 # ---------------------------------------------------------------------------
 # 1. domain lattices
@@ -69,19 +67,6 @@ def test_interval_meet_exact():
     m = a.meet(b)
     assert m == Interval(5, 10)
     assert Interval(0, 3).meet(Interval(5, 9)).is_empty
-
-
-def test_interval_widen_post_fixpoint():
-    a, b = Interval(0, 5), Interval(0, 9)
-    w = a.widen(b)
-    # Widening jumps the unstable bound to infinity and is a post-
-    # fixpoint of both arguments.
-    assert a.le(w) and b.le(w)
-    assert w.hi is None and w.lo == 0
-    # Narrowing may pull an infinite bound back but never drops members
-    # of the (smaller) narrowing argument.
-    n = w.narrow(Interval(0, 9))
-    assert Interval(0, 9).le(n)
 
 
 def test_interval_euclidean_mod_nonnegative():
@@ -162,7 +147,8 @@ def test_val_reduce_congruence_tightens_interval():
 
 
 # ---------------------------------------------------------------------------
-# 2. term-level differential: entails ⇒ solver UNSAT on ¬goal
+# 2. term-level differentials: entails ⇒ solver UNSAT on ¬goal, and
+#    abstract eval contains concrete eval
 # ---------------------------------------------------------------------------
 
 def _random_obligation(rng):
@@ -278,83 +264,49 @@ def test_build_env_congruence_refinement():
     assert v.cong.contains(56) and not v.cong.contains(57)
 
 
-# ---------------------------------------------------------------------------
-# 3. AST-level differential: abstract eval contains concrete eval
-# ---------------------------------------------------------------------------
-
-def _random_int_expr(rng, names, depth):
+def _random_int_term(rng, xs, depth):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
-            return var(rng.choice(names), INT)
-        return lit(rng.randint(-6, 6))
-    a = _random_int_expr(rng, names, depth - 1)
-    b = _random_int_expr(rng, names, depth - 1)
-    op = rng.choice(["+", "-", "*", "/", "%", "ite"])
+            return rng.choice(xs)
+        return T.IntVal(rng.randint(-6, 6))
+    a = _random_int_term(rng, xs, depth - 1)
+    op = rng.choice(["add", "sub", "mul", "div", "mod", "ite"])
+    if op in ("div", "mod"):
+        # Nonzero literal divisors: the solver leaves division by zero
+        # uninterpreted, so it has no concrete value to compare against.
+        k = T.IntVal(rng.choice([2, 3, 4, 6, -3, -4, 5]))
+        return T.Div(a, k) if op == "div" else T.Mod(a, k)
+    b = _random_int_term(rng, xs, depth - 1)
     if op == "ite":
-        c = _random_bool_expr(rng, names, depth - 1)
-        return ite(c, a, b)
-    if op in ("/", "%"):
-        # Keep divisors concrete and non-zero so the concrete interpreter
-        # cannot fault; the abstract side handles arbitrary divisors.
-        b = lit(rng.choice([2, 3, 4, -3, 5]))
-    return a + b if op == "+" else (
-        a - b if op == "-" else (
-            a * b if op == "*" else (
-                a // b if op == "/" else a % b)))
+        c = rng.choice([T.Lt, T.Le, T.Eq])(
+            _random_int_term(rng, xs, depth - 1),
+            _random_int_term(rng, xs, depth - 1))
+        return T.Ite(c, a, b)
+    return {"add": T.Add, "sub": T.Sub, "mul": T.Mul}[op](a, b)
 
 
-def _random_bool_expr(rng, names, depth):
-    a = _random_int_expr(rng, names, max(depth - 1, 0))
-    b = _random_int_expr(rng, names, max(depth - 1, 0))
-    return rng.choice([a < b, a <= b, a.eq(b)])
-
-
-def test_engine_eval_contains_concrete_eval():
+def test_env_eval_contains_concrete_value():
     rng = random.Random(99)
-    names = ["p", "q", "r"]
-    for _ in range(250):
-        expr = _random_int_expr(rng, names, 3)
-        # Concrete env drawn from the abstract one.
-        state = AbsState()
-        env = {}
-        for n in names:
+    xs = [T.Var(n, SINT) for n in ("p", "q", "r")]
+    for _ in range(2000):
+        t = _random_int_term(rng, xs, 3)
+        assumptions, sub = [], {}
+        for x in xs:
             lo, hi = sorted(rng.sample(range(-9, 10), 2))
-            state.set(n, Val.range(lo, hi))
-            env[n] = rng.randint(lo, hi)
-        concrete = Interp().eval(expr, env)
-        abstract = AbstractInterp().eval(expr, state)
-        assert abstract.itv.contains(concrete), (expr, env, abstract)
-        assert abstract.cong.contains(concrete), (expr, env, abstract)
+            assumptions += [T.Le(T.IntVal(lo), x), T.Le(x, T.IntVal(hi))]
+            sub[x] = T.IntVal(rng.randint(lo, hi))
+        abstract = build_env(assumptions)[0].eval(t)
+        concrete = evaluate(T.substitute(t, sub))
+        assert concrete.kind == T.INT_CONST, (t, sub, concrete)
+        got = concrete.payload
+        assert abstract.itv.contains(got), (t, sub, abstract)
+        assert abstract.cong.contains(got), (t, sub, abstract)
         if abstract.as_const() is not None:
-            assert abstract.as_const() == concrete
-
-
-def test_engine_loop_invariant_bounds():
-    # The fixpoint over a counted loop must respect declared invariants:
-    # after `while i < n invariant 0 <= i <= n`, i == n is containable.
-    mod = Module("absint_loop")
-    n = var("n", INT)
-    i = var("i", INT)
-    exec_fn(mod, "count", [("n", INT)], ret=("r", INT),
-            requires=[n >= lit(0), n <= lit(100)],
-            ensures=[var("r", INT).eq(n)],
-            body=[
-                let_("i", lit(0)),
-                while_(i < n, [i >= lit(0), i <= n],
-                       [assign("i", i + 1)]),
-                ret(i),
-            ])
-    from repro.analysis.absint.engine import analyze_function
-    fn = mod.functions["count"]
-    report = analyze_function(mod, fn)
-    iv = report.state.get("i")
-    assert not iv.is_bottom
-    assert iv.itv.lo is not None and iv.itv.lo >= 0
-    assert report.loop_iters >= 1
+            assert abstract.as_const() == got, (t, sub, abstract)
 
 
 # ---------------------------------------------------------------------------
-# 4. scheduler integration
+# 3. scheduler integration
 # ---------------------------------------------------------------------------
 
 def _case_module():
@@ -519,8 +471,8 @@ def test_triage_preview_counts():
 def test_triage_mode_validation():
     with pytest.raises(ValueError):
         Triage("sideways")
-    assert Triage("on").active and Triage("shadow").active
-    assert not Triage("off").active
+    for mode in ("on", "off", "shadow"):
+        assert Triage(mode).mode == mode
 
 
 def test_render_marks_static_obligations():

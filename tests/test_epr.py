@@ -89,6 +89,25 @@ def test_seq_rejected():
     assert check_epr_module(mod)
 
 
+def test_record_update_values_checked_like_literal_fields():
+    # A functional record update holds field values just as a struct
+    # literal does; the EPR check must see arithmetic and integer
+    # literals in either position.
+    Rec = StructType("TERec").declare([("b", BOOL), ("c", BOOL)])
+    one_lt_two = lit(1) < lit(2)
+
+    def reasons(body):
+        mod = Module("te_rec", epr_mode=True)
+        spec_fn(mod, "f", [("x", Rec)], Rec, body)
+        return sorted(v.reason for v in check_epr_module(mod))
+
+    built = reasons(struct(Rec, b=one_lt_two, c=lit(True)))
+    updated = reasons(struct_update(var("x", Rec), b=one_lt_two))
+    assert any("arithmetic" in r for r in built)
+    assert any("integer literal" in r for r in built)
+    assert updated == built
+
+
 def test_function_cycle_rejected():
     A_ = StructType("TEA")
     B_ = StructType("TEB")

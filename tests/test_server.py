@@ -422,6 +422,15 @@ class TestDaemon:
             assert reply["result"]["ok"]
             assert reply["server"]["path"] == "analyze"
             assert reply["server"]["solvers_built"] == 0
+            # The daemon folds a failing preview into an "error" key, so
+            # check the preview itself ran.
+            triage = reply["result"]["triage"]
+            assert "error" not in triage
+            assert triage["obligations"] >= triage["static_proved"] >= 0
+            assert triage["functions"]
+            for entry in triage["functions"]:
+                assert "error" not in entry
+                assert {"obligations", "static_proved", "direct"} <= set(entry)
 
     def test_quota_exhaustion_busy(self):
         server_cfg = ServerConfig(port=0, workers=1, client_quota=5)
