@@ -11,14 +11,23 @@ lemmas, instantiations, E-matching counters, ...), and prints the
 snapshot as sorted JSON.  The pagetable entry module keeps the divmod
 level that seed ``SEED`` selects, as ``cold_idiom`` does.
 
-The snapshot is a function of the solver's search, not of timing or
-of ``PYTHONHASHSEED``.  A change that
+The snapshot is a function of the solver's search, not of timing, of
+``PYTHONHASHSEED`` or of where objects sit in memory.  A change that
 only makes the SMT core faster must leave it byte-identical, which
 ``--check`` asserts against ``tests/data/solver_effort.json``.  A change
 that means to change the solver's search regenerates that file with
 ``--write`` and says so in CHANGES.md.
 
+Terms, declarations and sorts hash by identity in dicts and sets, so a
+set of terms iterates in an order that follows memory addresses.
+``--ballast N`` shifts the heap: it allocates one term-sized object next
+to every N-th new term, so terms land at other addresses than in a plain
+run.  A ``--check`` that still passes under ballast shows that no set
+iteration order reaches the search.  ``--module NAME`` (repeatable)
+restricts the run, and ``--check``, to the named modules.
+
 Run:  PYTHONPATH=src python scripts/solver_effort.py [--check | --write]
+          [--ballast N] [--module NAME ...]
 """
 
 import argparse
@@ -33,7 +42,30 @@ SNAPSHOT = os.path.join(ROOT, "tests", "data", "solver_effort.json")
 SEED = 1
 
 
-def snapshot() -> dict:
+def install_ballast(every: int) -> None:
+    """Allocate one term-sized ballast object after every ``every``-th
+    new ``Term``, shifting the addresses (and so the identity hashes)
+    of the terms that follow.  The ballast lives as long as the
+    process."""
+    from repro.smt import terms as T
+
+    class Ballast:
+        __slots__ = T.Term.__slots__
+
+    kept: list = []
+    made = [0]
+    intern = T.Term.__new__
+
+    def new(cls, kind, sort, args=(), payload=None):
+        made[0] += 1
+        if made[0] % every == 0:
+            kept.append(Ballast())
+        return intern(cls, kind, sort, args, payload)
+
+    T.Term.__new__ = staticmethod(new)
+
+
+def snapshot(names=None) -> dict:
     sys.path.insert(0, ROOT)
     from perfbench import workloads as W
     from repro.api import Session, VerifyConfig
@@ -41,6 +73,8 @@ def snapshot() -> dict:
     config = VerifyConfig(analyze=True)
     out = {}
     for spec in W.COLD_SMT + W.COLD_IDIOM:
+        if names and spec.name not in names:
+            continue
         mod = W.build_idiom_module(spec, SEED)
         built0 = solver_constructions()
         with Session(config) as session:
@@ -70,8 +104,25 @@ def main(argv=None) -> int:
                            "committed one")
     mode.add_argument("--write", action="store_true",
                       help="overwrite the committed snapshot")
+    ap.add_argument("--ballast", type=int, default=0, metavar="N",
+                    help="allocate a term-sized object after every N-th "
+                         "new term (shifts the heap; 0 = off)")
+    ap.add_argument("--module", action="append", default=[],
+                    metavar="NAME",
+                    help="snapshot (and check) only this module; "
+                         "repeatable")
     args = ap.parse_args(argv)
-    text = json.dumps(snapshot(), indent=1, sort_keys=True) + "\n"
+    if args.ballast < 0:
+        ap.error("--ballast must be >= 0")
+    if args.write and args.module:
+        ap.error("--write snapshots every module; drop --module")
+    if args.ballast:
+        install_ballast(args.ballast)
+    snap = snapshot(args.module)
+    missing = sorted(set(args.module) - set(snap))
+    if missing:
+        ap.error(f"unknown module(s): {', '.join(missing)}")
+    text = json.dumps(snap, indent=1, sort_keys=True) + "\n"
     if args.write:
         with open(SNAPSHOT, "w") as fh:
             fh.write(text)
@@ -82,6 +133,8 @@ def main(argv=None) -> int:
         return 0
     with open(SNAPSHOT) as fh:
         want = json.load(fh)
+    if args.module:
+        want = {n: want.get(n) for n in args.module}
     got = json.loads(text)
     changed = sorted(n for n in set(want) | set(got)
                      if want.get(n) != got.get(n))

@@ -106,16 +106,6 @@ class Interval:
 
     # -- lattice ------------------------------------------------------------
 
-    def le(self, other: "Interval") -> bool:
-        """Partial order: ``self`` included in ``other``."""
-        if self.is_empty:
-            return True
-        if other.is_empty:
-            return False
-        lo_ok = other.lo is None or (self.lo is not None and self.lo >= other.lo)
-        hi_ok = other.hi is None or (self.hi is not None and self.hi <= other.hi)
-        return lo_ok and hi_ok
-
     def join(self, other: "Interval") -> "Interval":
         if self.is_empty:
             return other
@@ -453,14 +443,6 @@ class Val:
         self.cong = cong
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def top(cls) -> "Val":
-        return TOP_VAL
-
-    @classmethod
-    def bottom(cls) -> "Val":
-        return BOT_VAL
 
     @classmethod
     def const(cls, v) -> "Val":

@@ -141,17 +141,20 @@ class MatchingLoopPass(AnalysisPass):
                 f"may be brittle", span=fn.span,
                 suggestion="supply an explicit trigger group "
                            "(triggers=[[...]])"))
+        # Edges go into the graph in subterm and trigger order (never set
+        # order, which follows identity hashes): node order decides the
+        # order the loop check visits components in.
         bound = frozenset(quant.bound_vars)
         trigger_subterms: set[T.Term] = set()
-        trigger_roots: set[T.FuncDecl] = set()
+        trigger_roots: dict[T.FuncDecl, None] = {}
         for group in groups:
             for pattern in group:
                 trigger_subterms.update(pattern.subterms())
                 if pattern.kind == T.APP:
-                    trigger_roots.add(pattern.payload)
+                    trigger_roots[pattern.payload] = None
         if not trigger_roots:
             return
-        for s in set(quant.body.subterms()):
+        for s in quant.body.subterms():
             if (s.kind != T.APP or not (s.free_vars() & bound)
                     or s in trigger_subterms):
                 continue

@@ -41,14 +41,15 @@ def witness_terms(goal: T.Term, limit: int = 24) -> list[T.Term]:
     small ground applications (e.g. ``len(s)``, ``sel(m, k)``)."""
     seen: set[T.Term] = set()
     out: list[T.Term] = []
-    for v in sorted(goal.free_vars(), key=lambda t: t.payload):
+    # ``_hash`` breaks ties (same name, other sort): set order must not.
+    for v in sorted(goal.free_vars(), key=lambda t: (t.payload, t._hash)):
         if v not in seen:
             seen.add(v)
             out.append(v)
     apps = [t for t in goal.subterms()
             if t.kind == T.APP and t.sort in (INT, BOOL)
             and not t.free_vars() - goal.free_vars() and t.size() <= 8]
-    for t in sorted(set(apps), key=lambda t: (t.size(), term_to_str(t))):
+    for t in sorted(apps, key=lambda t: (t.size(), term_to_str(t), t._hash)):
         if t not in seen:
             seen.add(t)
             out.append(t)

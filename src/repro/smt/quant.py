@@ -129,7 +129,7 @@ def select_triggers(quant: T.Term, policy: str = CONSERVATIVE,
         if covered >= bound:
             return (tuple(group),)
     raise TriggerError(
-        f"bound variables {[v.payload for v in bound - covered]} "
+        f"bound variables {sorted(v.payload for v in bound - covered)} "
         f"not covered by any pattern")
 
 

@@ -807,23 +807,28 @@ class SmtSolver:
         per[trigger_label] = per.get(trigger_label, 0) + 1
 
     def _instantiate(self, quant: T.Term, sub: dict,
-                     trigger_label: str = MBQI_TRIGGER) -> bool:
+                     trigger_label: str = MBQI_TRIGGER) -> Optional[T.Term]:
+        """Assert the instance of ``quant`` under ``sub``.
+
+        Returns the substituted body, or None when the instance was
+        already asserted or the instantiation budget is spent.
+        """
         key = (quant, tuple(sub.get(v) for v in quant.bound_vars))
         if key in self._instances_seen:
-            return False
+            return None
         if self._instantiation_budget_spent():
-            return False
+            return None
         self._instances_seen.add(key)
         self._inst_subs.setdefault(quant, []).append(key[1])
         self.stats.instantiations += 1
         self._record_instantiation(quant, trigger_label)
         body = T.substitute(quant.body, sub)
-        body = self._nnf(body, True, ())
-        body = self._lift_ground(body)
-        inst_lit = self._tseitin(body)
+        clausal = self._nnf(body, True, ())
+        clausal = self._lift_ground(clausal)
+        inst_lit = self._tseitin(clausal)
         proxy = mk_lit(self._proxy_for(quant))
         self._sat.add_clause([neg(proxy), inst_lit])
-        return True
+        return body
 
     def _ematch_round(self, theory: "_TheoryModel", active: list) -> bool:
         """Saturating E-matching over an *optimistic* e-graph.
@@ -841,6 +846,15 @@ class SmtSolver:
         # across passes, so each pass only rescans what changed.  (Naive
         # mode gets a fresh full-rescan matcher per pass, as before.)
         matcher = EMatcher(match_euf, incremental=incremental)
+        # Congruent-instance skip: quant -> congruence-root tuples (see
+        # _roots) of its asserted substitutions in the *real* e-graph,
+        # never the scratch one, whose merges are conjectural.  A match
+        # with a known root tuple is pairwise equal to an asserted
+        # instance, so its body is entailed under the current
+        # congruences.  Built lazily per quantifier and extended per new
+        # instance; exact for the round, since theory.euf takes no
+        # merges during it.
+        asserted_roots: dict[T.Term, set] = {}
         added_any = False
         for _pass in range(16):  # noqa: B007
             if not incremental:
@@ -897,20 +911,27 @@ class SmtSolver:
                             continue
                         sub_key = tuple(full.get(v)
                                         for v in quant.bound_vars)
-                        if incremental and self._congruent_seen(
-                                theory.euf, quant, sub_key):
-                            # Entailed by an asserted instance plus the
-                            # current congruences.  Deliberately not
-                            # recorded in _fired/_instances_seen: if a
-                            # later round breaks the congruence the
-                            # matcher re-derives this match.
-                            self.stats.congruent_skips += 1
-                            continue
                         if incremental:
+                            roots = _roots(theory.euf, sub_key)
+                            seen = asserted_roots.get(quant)
+                            if seen is None:
+                                seen = asserted_roots[quant] = {
+                                    _roots(theory.euf, prev) for prev
+                                    in self._inst_subs.get(quant, ())}
+                            if roots in seen:
+                                # Entailed by an asserted instance plus
+                                # the current congruences.  Deliberately
+                                # not recorded in _fired/_instances_seen:
+                                # if a later round breaks the congruence
+                                # the matcher re-derives this match.
+                                self.stats.congruent_skips += 1
+                                continue
                             self._fired_record(quant, (quant, sub_key))
-                        if self._instantiate(quant, full, trigger_label):
+                        body = self._instantiate(quant, full, trigger_label)
+                        if body is not None:
                             added = True
-                            body = T.substitute(quant.body, full)
+                            if incremental:
+                                seen.add(roots)
                             self._optimistic_assert(match_euf, body)
             if not added:
                 break
@@ -920,21 +941,6 @@ class SmtSolver:
         self.stats.ematch_index_hits += matcher.index_hits
         self.stats.ematch_rescans_avoided += matcher.rescans_avoided
         return added_any, match_euf
-
-    def _congruent_seen(self, euf: EufSolver, quant: T.Term,
-                        sub_key: tuple) -> bool:
-        """True if an asserted instance of ``quant`` has a substitution
-        pairwise equal to ``sub_key`` in the *real* e-graph (never the
-        optimistic scratch graph — those merges are conjectural).  Such
-        an instance body is entailed by the recorded one under the
-        current congruences, so asserting it again adds nothing."""
-        for prev in self._inst_subs.get(quant, ()):
-            for a, b in zip(sub_key, prev):
-                if a is not b and not euf.are_equal(a, b):
-                    break
-            else:
-                return True
-        return False
 
     def _fired_hit(self, match_euf: EufSolver, quant: T.Term, group: tuple,
                    sub: dict) -> bool:
@@ -1079,11 +1085,13 @@ class SmtSolver:
         Instantiates incrementally (``per_round_cap`` per call) so an UNSAT
         goal surfaces long before saturation.
         """
+        # sort -> class roots, insertion-ordered (dicts, not sets, so the
+        # _hash sort below breaks any tie by e-graph order, not identity).
         universe: dict = {}
         for t in theory.euf.all_terms():
             if t.sort is BOOL:
                 continue
-            universe.setdefault(t.sort, set()).add(theory.euf.find(t))
+            universe.setdefault(t.sort, {})[theory.euf.find(t)] = None
         added = 0
         complete = True
         for quant in active:
@@ -1092,7 +1100,7 @@ class SmtSolver:
                 dom = universe.get(v.sort)
                 if not dom:
                     witness = T.Var(T.fresh_name(f"w_{v.sort.name}"), v.sort)
-                    dom = {witness}
+                    dom = {witness: None}
                     universe[v.sort] = dom
                 dom = sorted(dom, key=lambda t: t._hash)
                 if len(dom) > self.config.mbqi_max_universe:
@@ -1104,12 +1112,20 @@ class SmtSolver:
                 if self._instantiation_budget_spent():
                     return added > 0, False
                 sub = dict(zip(quant.bound_vars, combo))
-                if self._instantiate(quant, sub):
+                if self._instantiate(quant, sub) is not None:
                     self.stats.mbqi_instantiations += 1
                     added += 1
                     if added >= per_round_cap:
                         return True, complete
         return added > 0, complete
+
+
+def _roots(euf: EufSolver, terms: tuple) -> tuple:
+    """Congruence roots of ``terms`` (a term outside ``euf`` is its own
+    root): two tuples are pairwise ``euf.are_equal`` iff their root
+    tuples are identical."""
+    r = euf._repr
+    return tuple(euf.find(t) if t in r else t for t in terms)
 
 
 def _product(domains: list) -> Iterable[tuple]:

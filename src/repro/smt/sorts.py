@@ -17,14 +17,22 @@ import zlib
 
 
 def _dhash(text: str) -> int:
-    """Deterministic string hash (PYTHONHASHSEED randomizes str hashing,
-    which would make solver iteration orders — and hence verification
-    times and occasionally outcomes near budget limits — vary per run)."""
+    """Deterministic string hash, the seed of every structural ``_hash``.
+
+    ``_hash`` is the ordering key of sorts, declarations and terms; it is
+    not their Python hash (lookups hash by identity, see
+    :mod:`repro.smt.terms`).  CRC32 because PYTHONHASHSEED randomizes
+    ``hash(str)`` per process."""
     return zlib.crc32(text.encode())
 
 
 class Sort:
-    """Base class for all sorts. Instances are interned: ``a is b`` iff equal."""
+    """Base class for all sorts. Instances are interned: ``a is b`` iff equal.
+
+    Dict and set lookups use the inherited identity hash; ``_hash`` is
+    the deterministic structural hash, for ordering only (see the
+    hashing contract in :mod:`repro.smt.terms`).
+    """
 
     __slots__ = ("name", "_hash")
     _interned: dict[tuple, "Sort"] = {}
@@ -42,9 +50,6 @@ class Sort:
 
     def __repr__(self) -> str:
         return self.name
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def is_bool(self) -> bool:
         return self is BOOL

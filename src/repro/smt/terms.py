@@ -5,6 +5,16 @@ so equality tests and dict lookups are O(1) identity operations.  This is the
 single most important performance property of the solver stack — congruence
 closure, E-matching, and the VC generator all lean on it.
 
+Hashing contract: :class:`Term`, :class:`FuncDecl` and
+:class:`~repro.smt.sorts.Sort` keep ``object.__hash__``, so every dict and
+set lookup hashes by identity in C without calling Python code.  Each
+object also carries ``_hash``, a deterministic structural hash; it is the
+only key for ordering decisions (canonical members, sorted universes,
+scope keys).  Identity hashes differ between runs, so iteration order of
+a ``set`` of terms must never reach the search, a printed query, a digest
+or a finding: iterate a list or an insertion-ordered dict, or sort by
+``_hash``.
+
 Terms are built through the module-level smart constructors (:func:`And`,
 :func:`Eq`, :func:`ForAll`, ...) which perform light, always-sound
 simplification (constant folding, flattening, double-negation) so that the
@@ -102,7 +112,10 @@ QUANT_KINDS = frozenset({FORALL, EXISTS})
 
 
 class FuncDecl:
-    """An uninterpreted function (or constant) declaration; interned."""
+    """An uninterpreted function (or constant) declaration; interned.
+
+    Lookups hash by identity; ``_hash`` orders (see the module docstring).
+    """
 
     __slots__ = ("name", "arg_sorts", "ret_sort", "_hash")
     _interned: dict[tuple, "FuncDecl"] = {}
@@ -122,9 +135,6 @@ class FuncDecl:
         # setdefault is atomic under the GIL: concurrent threads interning
         # the same key all receive one canonical object (`is` stays sound).
         return cls._interned.setdefault(key, obj)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return self.name
@@ -147,6 +157,10 @@ class Term:
         payload: kind-specific data — the variable name for ``VAR``, the
             Python value for constants, the :class:`FuncDecl` for ``APP``,
             and ``(bound_vars, triggers)`` for quantifiers.
+
+    Interned, so ``a is b`` iff equal.  Dict and set lookups use the
+    inherited identity hash; ``_hash`` is the deterministic structural
+    hash, used only to order terms (see the module docstring).
     """
 
     __slots__ = ("kind", "sort", "args", "payload", "_hash", "_free",
@@ -171,9 +185,6 @@ class Term:
         obj._quant = None
         # Atomic under the GIL; losers of a racy double-construct are dropped.
         return cls._interned.setdefault(key, obj)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         from .printer import term_to_str

@@ -57,7 +57,11 @@ def test_interval_join_upper_bound():
         a = Interval(rng.randint(-10, 5), rng.randint(-4, 15))
         b = Interval(rng.randint(-10, 5), rng.randint(-4, 15))
         j = a.join(b)
-        assert a.le(j) and b.le(j)
+        # Finite bounds throughout: a non-empty input's bounds lie
+        # within the join's.
+        for itv in (a, b):
+            if not itv.is_empty:
+                assert j.lo <= itv.lo and itv.hi <= j.hi
         for v in _members(a) + _members(b):
             assert j.contains(v)
 

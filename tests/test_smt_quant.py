@@ -64,6 +64,16 @@ class TestTriggerSelection:
         with pytest.raises(TriggerError):
             select_triggers(q, CONSERVATIVE)
 
+    def test_uncovered_variables_listed_sorted(self):
+        # The message names the uncovered variables in sorted order, not
+        # in set order (which follows identity hashes).
+        x, c, b, a = (T.Var(n, INT) for n in "xcba")
+        q = _q([x, c, b, a],
+               T.Le(h(x), T.Add(T.Add(c, b), a)))
+        with pytest.raises(TriggerError,
+                           match=r"\['a', 'b', 'c'\] not covered"):
+            select_triggers(q, CONSERVATIVE)
+
     def test_interpreted_roots_not_patterns(self):
         i = T.Var("i", INT)
         # h(i) is matchable; i+1 is not a pattern root

@@ -18,6 +18,19 @@ def test_hash_consing_identity():
     assert T.IntVal(5) is T.IntVal(5)
 
 
+def test_interned_objects_hash_by_identity():
+    # Interning makes identity equality, so dict/set lookups use the
+    # C-level object hash; a Python __hash__ would be called on every
+    # lookup in the SMT core.  _hash stays, for ordering only.
+    from repro.smt.sorts import BitVecSort, Sort, UninterpretedSort
+    for cls in (T.Term, T.FuncDecl, Sort, BitVecSort, UninterpretedSort):
+        assert cls.__hash__ is object.__hash__, cls
+    f = T.FuncDecl("f", [INT], INT)
+    for obj in (T.Add(x, y), f, INT, bv(8), uninterpreted("S")):
+        assert hash(obj) == object.__hash__(obj)
+        assert isinstance(obj._hash, int)
+
+
 def test_and_simplification():
     assert T.And() is T.TRUE
     assert T.And(T.TRUE, T.Lt(x, y)) is T.Lt(x, y)

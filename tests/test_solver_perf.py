@@ -1,6 +1,6 @@
 """The profile-driven solver performance pass, differentially.
 
-Three guarantees, each with its own section:
+Four guarantees, each with its own section:
 
 * **Matcher differential** — the incremental E-matcher (persistent
   apps-by-decl index + watermarks + fired-set memo + congruent-instance
@@ -19,9 +19,18 @@ Three guarantees, each with its own section:
   the same taxonomy (never crash, never flip to PROVED), and obligations
   that need an axiom reachable only through another axiom's body must
   keep both.
+
+* **Identity hashing** — terms hash by identity in dicts and sets, so
+  the search must not depend on where terms sit in memory: the solver
+  effort snapshot is unchanged under a shifted heap, and the
+  congruent-instance skip's root tuples decide exactly what pairwise
+  ``are_equal`` decides.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 from hypothesis import given, settings
 
@@ -34,7 +43,8 @@ from repro.smt import terms as T
 from repro.smt.euf import EufSolver
 from repro.smt.quant import EMatcher
 from repro.smt.lia import LinExpr
-from repro.smt.solver import SmtSolver, SolverConfig, _TheoryModel
+from repro.smt.solver import SmtSolver, SolverConfig, _roots, _TheoryModel
+from repro.smt.sorts import uninterpreted
 from repro.systems.ironkv.delegation_map import build_default_module
 from repro.systems.ironkv.marshal_verified import build_u64_roundtrip_module
 from repro.systems.mimalloc.verified import build_bit_tricks_module
@@ -359,3 +369,50 @@ class TestMemoizedTraversals:
         solver.check(timeout=5)
         for t, e in solver._linear.items():
             assert _lin_key(e) == _lin_key(_ref_linearize(t))
+
+
+# ---------------------------------------------------------------------------
+# Identity hashing
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestIdentityHashing:
+    FAST_MODULES = ("fig7a.singly", "fig7a.doubly", "ironkv.marshal")
+
+    def test_snapshot_unchanged_under_shifted_heap(self):
+        # Ballast allocations interleaved with term creation move every
+        # later term to another address, so term sets iterate in another
+        # order; the committed snapshot must match under both layouts.
+        cmd = [sys.executable, os.path.join(ROOT, "scripts",
+                                            "solver_effort.py"), "--check"]
+        for name in self.FAST_MODULES:
+            cmd += ["--module", name]
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        for ballast in ("7", "101"):
+            proc = subprocess.run(cmd + ["--ballast", ballast], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, (ballast, proc.stdout[-3000:],
+                                          proc.stderr[-3000:])
+            assert "identical on all 3 modules" in proc.stdout
+
+    def test_root_tuples_decide_pairwise_equality(self):
+        S = uninterpreted("S")
+        a, b, c, d = (T.Var(n, S) for n in "abcd")
+        outside = T.Var("outside", S)
+        euf = EufSolver()
+        for t in (a, b, c, d):
+            euf.add_term(t)
+        euf.assert_eq(a, b, 1)
+        euf.assert_eq(c, d, 2)
+        terms = (a, b, c, d, outside)
+        for p in terms:
+            for q in terms:
+                for r in terms:
+                    for s in terms:
+                        pairwise = (euf.are_equal(p, r)
+                                    and euf.are_equal(q, s))
+                        same = _roots(euf, (p, q)) == _roots(euf, (r, s))
+                        assert pairwise == same, (p, q, r, s)
