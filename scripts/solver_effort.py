@@ -5,11 +5,14 @@ Verifies the 11 modules of the ``cold_smt`` and ``cold_idiom`` benchmark
 workloads (``perfbench/workloads.py``, imported read-only) one after
 another, each cold in a fresh cache-less ``Session(VerifyConfig(
 analyze=True))`` as a benchmark pass does.  For each module it records
-the verdict, the obligation statuses, the solvers built, the query bytes
-and every non-timing ``Stats`` counter (SAT conflicts, rounds, theory
-lemmas, instantiations, E-matching counters, ...), and prints the
-snapshot as sorted JSON.  The pagetable entry module keeps the divmod
-level that seed ``SEED`` selects, as ``cold_idiom`` does.
+the verdict, the obligation statuses, the solvers built, the query
+bytes, every non-timing ``Stats`` counter (SAT conflicts, rounds, theory
+lemmas, instantiations, E-matching counters, ...) and the CNF size of
+its ``by(bit_vector)`` queries (``bv_vars`` / ``bv_clauses``: variables
+and attached problem clauses, summed over every ``BitBlaster`` built),
+and prints the snapshot as sorted JSON.  The pagetable entry module
+keeps the divmod level that seed ``SEED`` selects, as ``cold_idiom``
+does.
 
 The snapshot is a function of the solver's search, not of timing, of
 ``PYTHONHASHSEED`` or of where objects sit in memory.  A change that
@@ -65,12 +68,28 @@ def install_ballast(every: int) -> None:
     T.Term.__new__ = staticmethod(new)
 
 
+def track_blasters() -> list:
+    """Wrap ``BitBlaster.__init__`` so every blaster built from now on
+    is appended to the returned list (the caller reads and clears it)."""
+    from repro.smt.bitvec import BitBlaster
+    built: list = []
+    init = BitBlaster.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    BitBlaster.__init__ = tracked
+    return built
+
+
 def snapshot(names=None) -> dict:
     sys.path.insert(0, ROOT)
     from perfbench import workloads as W
     from repro.api import Session, VerifyConfig
     from repro.smt.solver import solver_constructions
     config = VerifyConfig(analyze=True)
+    blasters = track_blasters()
     out = {}
     for spec in W.COLD_SMT + W.COLD_IDIOM:
         if names and spec.name not in names:
@@ -89,10 +108,13 @@ def snapshot(names=None) -> dict:
             "statuses": statuses,
             "solvers": solver_constructions() - built0,
             "query_bytes": res.query_bytes,
+            "bv_vars": sum(b.sat.num_vars for b in blasters),
+            "bv_clauses": sum(len(b.sat._clauses) for b in blasters),
             # Every Stats counter except the wall-clock ones.
             "stats": {k: v for k, v in (res.stats or {}).items()
                       if not k.endswith("seconds")},
         }
+        blasters.clear()
     return out
 
 

@@ -20,99 +20,145 @@ from .sat import SatSolver, lit, neg
 
 
 class BitBlaster:
-    """Translate a BV/bool formula into CNF over a SatSolver."""
+    """Translate a BV/bool formula into CNF over a SatSolver.
+
+    The primitive gates (``gate_and``, ``gate_xor``, ``gate_ite``) fold
+    and hash: a gate whose output is determined by constant, equal or
+    complementary inputs returns an existing literal, and any other gate
+    is built once per normalised input tuple.  Every circuit above them
+    (adders, multiplier, shifter, comparators, divrem) is made of these
+    gates, so constant operands and repeated subcircuits cost no
+    variables and no clauses.
+    """
 
     def __init__(self):
         self.sat = SatSolver()
         self._bool_cache: dict[T.Term, int] = {}
         self._bits_cache: dict[T.Term, list[int]] = {}
-        self._true_lit: Optional[int] = None
+        # Structural hash tables: normalised inputs -> output literal.
+        self._and_gates: dict[tuple[int, int], int] = {}
+        self._xor_gates: dict[tuple[int, int], int] = {}
+        self._ite_gates: dict[tuple[int, int, int], int] = {}
+        self.true_lit = self._new_lit()
+        self.sat.add_clause([self.true_lit])
+        self.false_lit = neg(self.true_lit)
 
     # -- primitive gates ------------------------------------------------------
 
     def _new_lit(self) -> int:
         return lit(self.sat.new_var())
 
-    def true_lit(self) -> int:
-        if self._true_lit is None:
-            self._true_lit = self._new_lit()
-            self.sat.add_clause([self._true_lit])
-        return self._true_lit
-
-    def false_lit(self) -> int:
-        return neg(self.true_lit())
-
     def gate_and(self, a: int, b: int) -> int:
-        o = self._new_lit()
-        self.sat.add_clause([neg(o), a])
-        self.sat.add_clause([neg(o), b])
-        self.sat.add_clause([o, neg(a), neg(b)])
+        if a == b or b == self.true_lit:
+            return a
+        if a == self.true_lit:
+            return b
+        if a == neg(b) or a == self.false_lit or b == self.false_lit:
+            return self.false_lit
+        if a > b:
+            a, b = b, a
+        o = self._and_gates.get((a, b))
+        if o is None:
+            o = self._new_lit()
+            self.sat.add_clause([neg(o), a])
+            self.sat.add_clause([neg(o), b])
+            self.sat.add_clause([o, neg(a), neg(b)])
+            self._and_gates[(a, b)] = o
         return o
 
     def gate_or(self, a: int, b: int) -> int:
         return neg(self.gate_and(neg(a), neg(b)))
 
     def gate_xor(self, a: int, b: int) -> int:
-        o = self._new_lit()
-        self.sat.add_clause([neg(o), a, b])
-        self.sat.add_clause([neg(o), neg(a), neg(b)])
-        self.sat.add_clause([o, neg(a), b])
-        self.sat.add_clause([o, a, neg(b)])
-        return o
+        # Strip both input polarities into one output flip: a ^ b with
+        # a, b positive.  The true literal is positive, so a false input
+        # arrives here as true plus a flip.
+        flip = (a ^ b) & 1
+        a &= ~1
+        b &= ~1
+        if a == b:
+            return self.false_lit ^ flip
+        if a == self.true_lit:
+            return neg(b) ^ flip
+        if b == self.true_lit:
+            return neg(a) ^ flip
+        if a > b:
+            a, b = b, a
+        o = self._xor_gates.get((a, b))
+        if o is None:
+            o = self._new_lit()
+            self.sat.add_clause([neg(o), a, b])
+            self.sat.add_clause([neg(o), neg(a), neg(b)])
+            self.sat.add_clause([o, neg(a), b])
+            self.sat.add_clause([o, a, neg(b)])
+            self._xor_gates[(a, b)] = o
+        return o ^ flip
 
     def gate_iff(self, a: int, b: int) -> int:
         return neg(self.gate_xor(a, b))
 
     def gate_ite(self, c: int, t: int, e: int) -> int:
-        o = self._new_lit()
-        self.sat.add_clause([neg(c), neg(t), o])
-        self.sat.add_clause([neg(c), t, neg(o)])
-        self.sat.add_clause([c, neg(e), o])
-        self.sat.add_clause([c, e, neg(o)])
+        if c == self.true_lit or t == e:
+            return t
+        if c == self.false_lit:
+            return e
+        if c & 1:  # ite(~c, t, e) = ite(c, e, t)
+            c, t, e = neg(c), e, t
+        if t & 1:  # ite(c, ~t, ~e) = ~ite(c, t, e)
+            return neg(self.gate_ite(c, neg(t), neg(e)))
+        # A constant branch, or a branch that is the condition itself,
+        # makes the mux an and/or gate.
+        if t == self.true_lit or t == c:
+            return self.gate_or(c, e)
+        if e == self.true_lit or e == neg(c):
+            return self.gate_or(neg(c), t)
+        if e == self.false_lit or e == c:
+            return self.gate_and(c, t)
+        o = self._ite_gates.get((c, t, e))
+        if o is None:
+            o = self._new_lit()
+            self.sat.add_clause([neg(c), neg(t), o])
+            self.sat.add_clause([neg(c), t, neg(o)])
+            self.sat.add_clause([c, neg(e), o])
+            self.sat.add_clause([c, e, neg(o)])
+            self._ite_gates[(c, t, e)] = o
         return o
 
     def gate_big_and(self, lits: list[int]) -> int:
-        if not lits:
-            return self.true_lit()
-        o = lits[0]
-        for l in lits[1:]:
+        o = self.true_lit
+        for l in lits:
             o = self.gate_and(o, l)
         return o
 
     # -- arithmetic circuits ------------------------------------------------------
 
     def _full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
-        s = self.gate_xor(self.gate_xor(a, b), cin)
-        cout = self.gate_or(self.gate_and(a, b),
-                            self.gate_and(cin, self.gate_xor(a, b)))
+        ab = self.gate_xor(a, b)
+        s = self.gate_xor(ab, cin)
+        cout = self.gate_or(self.gate_and(a, b), self.gate_and(cin, ab))
         return s, cout
 
     def add_bits(self, xs: list[int], ys: list[int],
                  carry_in: Optional[int] = None) -> list[int]:
-        carry = carry_in if carry_in is not None else self.false_lit()
+        carry = carry_in if carry_in is not None else self.false_lit
         out = []
         for a, b in zip(xs, ys):
             s, carry = self._full_adder(a, b, carry)
             out.append(s)
         return out
 
-    def negate_bits(self, xs: list[int]) -> list[int]:
-        inv = [neg(x) for x in xs]
-        one = [self.true_lit()] + [self.false_lit()] * (len(xs) - 1)
-        return self.add_bits(inv, one)
-
     def mul_bits(self, xs: list[int], ys: list[int]) -> list[int]:
         width = len(xs)
-        acc = [self.false_lit()] * width
+        acc = [self.false_lit] * width
         for i, y in enumerate(ys):
-            partial = ([self.false_lit()] * i +
+            partial = ([self.false_lit] * i +
                        [self.gate_and(x, y) for x in xs[: width - i]])
             acc = self.add_bits(acc, partial)
         return acc
 
     def ule_bits(self, xs: list[int], ys: list[int]) -> int:
         """xs <= ys unsigned (bit 0 = LSB)."""
-        le = self.true_lit()
+        le = self.true_lit
         for a, b in zip(xs, ys):  # LSB to MSB
             # le' = (a < b) | (a == b) & le  with a<b == ~a & b
             lt = self.gate_and(neg(a), b)
@@ -136,7 +182,7 @@ class BitBlaster:
             shifted = []
             for i in range(width):
                 src = i - amount if left else i + amount
-                bit = cur[src] if 0 <= src < width else self.false_lit()
+                bit = cur[src] if 0 <= src < width else self.false_lit
                 shifted.append(self.gate_ite(sel, bit, cur[i]))
             cur = shifted
             if amount >= width:
@@ -161,7 +207,7 @@ class BitBlaster:
         k = t.kind
         if k == T.BV_CONST:
             v = t.payload
-            out = [self.true_lit() if (v >> i) & 1 else self.false_lit()
+            out = [self.true_lit if (v >> i) & 1 else self.false_lit
                    for i in range(width)]
         elif k in (T.VAR, T.APP):
             out = [self._new_lit() for _ in range(width)]
@@ -177,7 +223,7 @@ class BitBlaster:
         elif k == T.BVSUB:
             out = self.add_bits(self.bits(t.args[0]),
                                 [neg(b) for b in self.bits(t.args[1])],
-                                carry_in=self.true_lit())
+                                carry_in=self.true_lit)
         elif k == T.BVMUL:
             out = self.mul_bits(self.bits(t.args[0]), self.bits(t.args[1]))
         elif k in (T.BVUDIV, T.BVUREM):
@@ -212,20 +258,22 @@ class BitBlaster:
             b_nonzero = bb[0]
             for x in bb[1:]:
                 b_nonzero = self.gate_or(b_nonzero, x)
-            # Widen to 2w to rule out overflow in b*q + r.
-            w2 = width * 2
-            f = self.false_lit()
-            ab2, bb2, qb2, rb2 = (xs + [f] * width for xs in (ab, bb, qb, rb))
-            prod = self.mul_bits(bb2, qb2)[:w2]
-            total = self.add_bits(prod, rb2)
-            ok = self.gate_and(self.eq_bits(total, ab2),
-                               self.ult_bits(rb, bb))
-            # b == 0 cases per SMT-LIB: q = all ones, r = a.
-            q_ones = self.eq_bits(qb, [self.true_lit()] * width)
-            r_is_a = self.eq_bits(rb, ab)
-            zero_ok = self.gate_and(q_ones, r_is_a)
-            self.sat.add_clause([neg(b_nonzero), ok])
-            self.sat.add_clause([b_nonzero, zero_ok])
+            # A divisor that folds to a constant needs only its own case.
+            if b_nonzero != self.false_lit:
+                # Widen to 2w to rule out overflow in b*q + r.
+                pad = [self.false_lit] * width
+                ab2, bb2, qb2, rb2 = (xs + pad for xs in (ab, bb, qb, rb))
+                prod = self.mul_bits(bb2, qb2)
+                total = self.add_bits(prod, rb2)
+                ok = self.gate_and(self.eq_bits(total, ab2),
+                                   self.ult_bits(rb, bb))
+                self.sat.add_clause([neg(b_nonzero), ok])
+            if b_nonzero != self.true_lit:
+                # b == 0 cases per SMT-LIB: q = all ones, r = a.
+                q_ones = self.eq_bits(qb, [self.true_lit] * width)
+                r_is_a = self.eq_bits(rb, ab)
+                zero_ok = self.gate_and(q_ones, r_is_a)
+                self.sat.add_clause([b_nonzero, zero_ok])
         return self._bits_cache[key_q if t.kind == T.BVUDIV else key_r]
 
     def blit(self, t: T.Term) -> int:
@@ -235,9 +283,9 @@ class BitBlaster:
             return cached
         k = t.kind
         if t is T.TRUE:
-            out = self.true_lit()
+            out = self.true_lit
         elif t is T.FALSE:
-            out = self.false_lit()
+            out = self.false_lit
         elif k == T.NOT:
             out = neg(self.blit(t.args[0]))
         elif k == T.AND:

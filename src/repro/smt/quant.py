@@ -238,11 +238,13 @@ class EMatcher:
         return self._complete(subs, bound) if subs else []
 
     def _complete(self, subs: list, bound: tuple) -> list[dict]:
-        bound_set = set(bound)
+        # _match/_match_args bind only members of self._bound, so a
+        # substitution is complete exactly when it binds all of them.
+        n = len(self._bound)
         complete = []
         seen_keys = set()
         for s in subs:
-            if set(s) >= bound_set:
+            if len(s) == n:
                 key = tuple(self.euf.find(s[v]) for v in bound)
                 if key not in seen_keys:
                     seen_keys.add(key)

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.smt import terms as T
-from repro.smt.bitvec import bv_check_sat, bv_model
+from repro.smt.bitvec import BitBlaster, bv_check_sat, bv_model
+from repro.smt.compute import evaluate
+from repro.smt.sat import neg
 from repro.smt.sorts import bv
 
 W = 8
@@ -121,3 +123,175 @@ def test_wide_word_mask_property():
     post = T.Eq(T.BvAnd(T.BvOr(a, T.BVVal(1 << i, W64)), T.BVVal(mask, W64)),
                 T.BVVal(0, W64))
     assert bv_check_sat(T.Not(T.Implies(pre, post))) is False
+
+
+# -- gate layer: folding and structural hashing ---------------------------------
+
+
+def _two_inputs():
+    bb = BitBlaster()
+    a, b = bb.bits(T.Var("a", bv(2)))
+    return bb, a, b
+
+
+def test_and_folds_constant_equal_and_complementary_inputs():
+    bb, a, _ = _two_inputs()
+    n = bb.sat.num_vars
+    assert bb.gate_and(a, bb.true_lit) == a
+    assert bb.gate_and(bb.false_lit, a) == bb.false_lit
+    assert bb.gate_and(a, a) == a
+    assert bb.gate_and(a, neg(a)) == bb.false_lit
+    assert bb.sat.num_vars == n
+
+
+def test_x_and_not_x_blasts_to_true_without_gates():
+    bb = BitBlaster()
+    z = T.Var("z", B)
+    claim = T.Eq(T.BvAnd(z, T.BvNot(z)), T.BVVal(0, W))
+    assert bb.blit(claim) == bb.true_lit
+    assert bb.sat.num_vars == 1 + W  # the true literal and z's bits
+
+
+def test_xor_strips_input_polarity_into_output():
+    bb, a, b = _two_inputs()
+    n = bb.sat.num_vars
+    o = bb.gate_xor(a, b)
+    assert bb.sat.num_vars == n + 1
+    assert bb.gate_xor(b, a) == o
+    assert bb.gate_xor(neg(a), b) == neg(o)
+    assert bb.gate_xor(a, neg(b)) == neg(o)
+    assert bb.gate_xor(neg(a), neg(b)) == o
+    assert bb.gate_iff(a, b) == neg(o)
+    assert bb.sat.num_vars == n + 1
+
+
+def test_xor_folds_constant_and_equal_inputs():
+    bb, a, _ = _two_inputs()
+    n = bb.sat.num_vars
+    assert bb.gate_xor(a, bb.false_lit) == a
+    assert bb.gate_xor(bb.true_lit, a) == neg(a)
+    assert bb.gate_xor(a, a) == bb.false_lit
+    assert bb.gate_xor(a, neg(a)) == bb.true_lit
+    assert bb.sat.num_vars == n
+
+
+def test_ite_folds_constant_condition_and_branches():
+    bb, c, t = _two_inputs()
+    e = bb.gate_and(c, t)
+    n = bb.sat.num_vars
+    assert bb.gate_ite(bb.true_lit, t, e) == t
+    assert bb.gate_ite(bb.false_lit, t, e) == e
+    assert bb.gate_ite(c, t, t) == t
+    assert bb.gate_ite(c, bb.true_lit, bb.false_lit) == c
+    assert bb.gate_ite(c, bb.false_lit, bb.true_lit) == neg(c)
+    assert bb.sat.num_vars == n
+
+
+def test_ite_with_a_constant_branch_is_an_and_gate():
+    bb, c, t = _two_inputs()
+    assert bb.gate_ite(c, t, bb.false_lit) == bb.gate_and(c, t)
+    assert bb.gate_ite(c, bb.false_lit, t) == bb.gate_and(neg(c), t)
+    assert bb.gate_ite(c, bb.true_lit, t) == bb.gate_or(c, t)
+    assert bb.gate_ite(c, t, bb.true_lit) == bb.gate_or(neg(c), t)
+    assert bb.gate_ite(c, t, neg(c)) == bb.gate_or(neg(c), t)
+
+
+def test_gates_are_built_once_per_normalised_inputs():
+    bb, a, b = _two_inputs()
+    n = bb.sat.num_vars
+    o = bb.gate_and(a, b)
+    assert bb.gate_and(b, a) == o
+    m = bb.gate_ite(a, b, neg(b))
+    assert bb.gate_ite(neg(a), neg(b), b) == m
+    assert bb.gate_ite(a, neg(b), b) == neg(m)
+    assert bb.sat.num_vars == n + 2
+
+
+# -- CNF size guard ---------------------------------------------------------------
+
+
+def _blast(formula):
+    bb = BitBlaster()
+    root = bb.blit(formula)
+    return bb, root
+
+
+def test_mask_mod_identity_64_bit_stays_small():
+    # The README example at full width.  Without folding the blaster
+    # made 108,542 variables for it.
+    w = 64
+    v = T.Var("v", bv(w))
+    claim = T.Eq(T.BvURem(v, T.BVVal(512, w)), T.BvAnd(v, T.BVVal(511, w)))
+    bb, root = _blast(T.Not(claim))
+    assert bb.sat.num_vars < 2000
+    bb.sat.add_clause([root])
+    assert bb.sat.solve() is False
+
+
+def test_mul_by_power_of_two_folds_to_root_conflict():
+    # x * 4096 == x << 12 folds to true: its negation is the false
+    # literal, with no gate built (27,416 variables without folding).
+    w = 64
+    v = T.Var("v", bv(w))
+    claim = T.Eq(T.BvMul(v, T.BVVal(4096, w)), T.BvShl(v, T.BVVal(12, w)))
+    bb, root = _blast(T.Not(claim))
+    assert root == bb.false_lit
+    assert bb.sat.num_vars == 1 + w
+    assert bv_check_sat(T.Not(claim)) is False
+
+
+# -- differential check against brute force -----------------------------------------
+
+DW = 4
+DX = T.Var("dx", bv(DW))
+DY = T.Var("dy", bv(DW))
+_BINOPS = (T.BvAnd, T.BvOr, T.BvXor, T.BvAdd, T.BvSub, T.BvMul, T.BvUDiv,
+           T.BvURem, T.BvShl, T.BvLshr)
+_CMPS = (T.BvULe, T.BvULt, T.Eq)
+
+
+def _random_term(rng, pool, depth):
+    """A random width-4 term over DX, DY and constants.  Picks from
+    ``pool`` (terms built so far) often, so subterms are shared."""
+    if depth == 0 or rng.random() < 0.2:
+        r = rng.random()
+        if pool and r < 0.4:
+            return rng.choice(pool)
+        if r < 0.7:
+            return rng.choice((DX, DY))
+        # 0, all-ones and shift amounts >= width are the edge cases.
+        return T.BVVal(rng.choice((0, 1, 4, 5, 15, rng.randrange(16))), DW)
+    r = rng.random()
+    if r < 0.1:
+        t = T.BvNot(_random_term(rng, pool, depth - 1))
+    elif r < 0.25:
+        cond = rng.choice(_CMPS)(_random_term(rng, pool, depth - 1),
+                                 _random_term(rng, pool, depth - 1))
+        t = T.Ite(cond, _random_term(rng, pool, depth - 1),
+                  _random_term(rng, pool, depth - 1))
+    else:
+        t = rng.choice(_BINOPS)(_random_term(rng, pool, depth - 1),
+                                _random_term(rng, pool, depth - 1))
+    pool.append(t)
+    return t
+
+
+def _holds(formula, xv, yv):
+    ground = T.substitute(formula, {DX: T.BVVal(xv, DW), DY: T.BVVal(yv, DW)})
+    return evaluate(ground) is T.TRUE
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_blaster_matches_brute_force_on_symbolic_terms(seed):
+    rng = random.Random(seed)
+    pool: list = []
+    for _ in range(25):
+        t = _random_term(rng, pool, 3)
+        formula = T.Eq(t, T.BVVal(rng.randrange(16), DW))
+        expect = any(_holds(formula, a, b)
+                     for a in range(16) for b in range(16))
+        assert bv_check_sat(formula) is expect, formula
+        if expect:
+            m = bv_model(formula)
+            assert m is not None
+            assert _holds(formula, m.get(DX, 0), m.get(DY, 0)), formula
