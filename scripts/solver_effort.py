@@ -9,8 +9,12 @@ the verdict, the obligation statuses, the solvers built, the query
 bytes, every non-timing ``Stats`` counter (SAT conflicts, rounds, theory
 lemmas, instantiations, E-matching counters, ...) and the CNF size of
 its ``by(bit_vector)`` queries (``bv_vars`` / ``bv_clauses``: variables
-and attached problem clauses, summed over every ``BitBlaster`` built),
-and prints the snapshot as sorted JSON.  The pagetable entry module
+and attached problem clauses, summed over every ``BitBlaster`` built).
+It also records the CDCL search itself (``sat_decisions`` /
+``sat_conflicts`` / ``sat_propagations``, summed over every
+``SatSolver`` built, the bit-blaster's included), which the ``Stats``
+counters cannot see: their ``conflicts`` are SMT theory conflicts.  It
+prints the snapshot as sorted JSON.  The pagetable entry module
 keeps the divmod level that seed ``SEED`` selects, as ``cold_idiom``
 does.
 
@@ -27,7 +31,9 @@ set of terms iterates in an order that follows memory addresses.
 to every N-th new term, so terms land at other addresses than in a plain
 run.  A ``--check`` that still passes under ballast shows that no set
 iteration order reaches the search.  ``--module NAME`` (repeatable)
-restricts the run, and ``--check``, to the named modules.
+restricts the run, and ``--check``, to the named modules; each module
+starts from the same fresh-name counter, so its snapshot is the same
+whichever modules run before it.
 
 Run:  PYTHONPATH=src python scripts/solver_effort.py [--check | --write]
           [--ballast N] [--module NAME ...]
@@ -68,18 +74,17 @@ def install_ballast(every: int) -> None:
     T.Term.__new__ = staticmethod(new)
 
 
-def track_blasters() -> list:
-    """Wrap ``BitBlaster.__init__`` so every blaster built from now on
-    is appended to the returned list (the caller reads and clears it)."""
-    from repro.smt.bitvec import BitBlaster
+def track(cls) -> list:
+    """Wrap ``cls.__init__`` so every instance built from now on is
+    appended to the returned list (the caller reads and clears it)."""
     built: list = []
-    init = BitBlaster.__init__
+    init = cls.__init__
 
     def tracked(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    BitBlaster.__init__ = tracked
+    cls.__init__ = tracked
     return built
 
 
@@ -87,13 +92,22 @@ def snapshot(names=None) -> dict:
     sys.path.insert(0, ROOT)
     from perfbench import workloads as W
     from repro.api import Session, VerifyConfig
+    from repro.smt import terms as T
+    from repro.smt.bitvec import BitBlaster
+    from repro.smt.sat import SatSolver
     from repro.smt.solver import solver_constructions
     config = VerifyConfig(analyze=True)
-    blasters = track_blasters()
+    blasters = track(BitBlaster)
+    sats = track(SatSolver)
     out = {}
     for spec in W.COLD_SMT + W.COLD_IDIOM:
         if names and spec.name not in names:
             continue
+        # Fresh names (skolems, lift variables) come from one process-wide
+        # counter and feed the structural hashes that break ordering ties,
+        # so restart it: a module's snapshot must not depend on which
+        # modules ran before it in this process.
+        T._fresh_counter[0] = 0
         mod = W.build_idiom_module(spec, SEED)
         built0 = solver_constructions()
         with Session(config) as session:
@@ -110,11 +124,15 @@ def snapshot(names=None) -> dict:
             "query_bytes": res.query_bytes,
             "bv_vars": sum(b.sat.num_vars for b in blasters),
             "bv_clauses": sum(len(b.sat._clauses) for b in blasters),
+            "sat_decisions": sum(s.num_decisions for s in sats),
+            "sat_conflicts": sum(s.num_conflicts for s in sats),
+            "sat_propagations": sum(s.num_propagations for s in sats),
             # Every Stats counter except the wall-clock ones.
             "stats": {k: v for k, v in (res.stats or {}).items()
                       if not k.endswith("seconds")},
         }
         blasters.clear()
+        sats.clear()
     return out
 
 

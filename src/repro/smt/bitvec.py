@@ -140,9 +140,15 @@ class BitBlaster:
 
     def add_bits(self, xs: list[int], ys: list[int],
                  carry_in: Optional[int] = None) -> list[int]:
-        carry = carry_in if carry_in is not None else self.false_lit
+        false = self.false_lit
+        carry = carry_in if carry_in is not None else false
         out = []
         for a, b in zip(xs, ys):
+            if carry == false and (a == false or b == false):
+                # The full adder would fold to the other bit and a false
+                # carry, building no gate.
+                out.append(b if a == false else a)
+                continue
             s, carry = self._full_adder(a, b, carry)
             out.append(s)
         return out
@@ -151,9 +157,12 @@ class BitBlaster:
         width = len(xs)
         acc = [self.false_lit] * width
         for i, y in enumerate(ys):
-            partial = ([self.false_lit] * i +
-                       [self.gate_and(x, y) for x in xs[: width - i]])
-            acc = self.add_bits(acc, partial)
+            if y == self.false_lit:
+                continue  # an all-false row adds nothing
+            # Row i is xs shifted left by i: its low i bits are false and
+            # would leave acc[:i] alone, so it is added into acc[i:] only.
+            partial = [self.gate_and(x, y) for x in xs[: width - i]]
+            acc[i:] = self.add_bits(acc[i:], partial)
         return acc
 
     def ule_bits(self, xs: list[int], ys: list[int]) -> int:

@@ -2,8 +2,8 @@
 
 Implements the standard modern architecture: two-watched-literal propagation,
 first-UIP conflict analysis with clause learning, VSIDS-style activity
-decision heuristic with phase saving, Luby restarts, and learned-clause
-garbage collection.
+decision heuristic (an activity heap, lowest index on ties) with phase
+saving, Luby restarts, and learned-clause garbage collection.
 
 Literal encoding: variable ``v`` (0-based int) has positive literal ``2*v``
 and negative literal ``2*v + 1``; ``lit ^ 1`` negates.
@@ -12,6 +12,7 @@ and negative literal ``2*v + 1``; ``lit ^ 1`` negates.
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 
@@ -65,6 +66,14 @@ class SatSolver:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._activity: list[float] = []
+        # Decision order, MiniSat-style but lazy: a heapq of
+        # (-activity, var), so the top is the highest activity and the
+        # lowest index on a tie.  Every unassigned variable has an entry
+        # whose key is its current activity (``_in_order[v]``); entries of
+        # assigned variables and entries left stale by a bump are dropped
+        # when they reach the top.
+        self._order: list[tuple[float, int]] = []
+        self._in_order: list[bool] = []
         self._phase: list[bool] = []
         self._var_inc = 1.0
         self._cla_inc = 1.0
@@ -84,6 +93,8 @@ class SatSolver:
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
+        self._in_order.append(True)
+        heappush(self._order, (-0.0, v))
         self._phase.append(False)
         self._watches.append([])
         self._watches.append([])
@@ -158,9 +169,20 @@ class SatSolver:
         if self._decision_level() <= level:
             return
         limit = self._trail_lim[level]
+        assign = self._assign
+        reason = self._reason
+        in_order = self._in_order
+        order = self._order
+        activity = self._activity
         for l in reversed(self._trail[limit:]):
-            self._assign[l >> 1] = -1
-            self._reason[l >> 1] = None
+            v = l >> 1
+            assign[v] = -1
+            reason[v] = None
+            if not in_order[v]:
+                in_order[v] = True
+                heappush(order, (-activity[v], v))
+        if len(order) > 2 * len(assign):
+            self._rebuild_order()  # too many stale entries
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -216,11 +238,24 @@ class SatSolver:
     # -- conflict analysis -----------------------------------------------------
 
     def _bump_var(self, v: int) -> None:
+        # v is assigned (it sits in a conflict or reason clause), so its
+        # order entry, if any, goes stale; _backtrack re-inserts it.
         self._activity[v] += self._var_inc
+        self._in_order[v] = False
         if self._activity[v] > 1e100:
             for i in range(len(self._activity)):
                 self._activity[i] *= 1e-100
             self._var_inc *= 1e-100
+            # Underflow can turn distinct activities into ties.
+            self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        assign = self._assign
+        activity = self._activity
+        self._in_order = [a < 0 for a in assign]
+        self._order = [(-activity[v], v) for v in range(len(assign))
+                       if assign[v] < 0]
+        heapify(self._order)
 
     def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
         learnt: list[int] = [0]  # reserve slot for the asserting literal
@@ -278,15 +313,18 @@ class SatSolver:
     # -- decisions ----------------------------------------------------------------
 
     def _pick_branch(self) -> Optional[int]:
-        best_v = -1
-        best_a = -1.0
-        for v in range(self.num_vars):
-            if self._assign[v] < 0 and self._activity[v] > best_a:
-                best_a = self._activity[v]
-                best_v = v
-        if best_v < 0:
-            return None
-        return lit(best_v, self._phase[best_v])
+        """The unassigned variable with the highest activity (lowest index
+        on a tie), in its saved phase; None when every variable is set."""
+        order = self._order
+        activity = self._activity
+        while order:
+            key, v = heappop(order)
+            if key != -activity[v]:
+                continue  # stale: v was bumped after this entry was pushed
+            self._in_order[v] = False
+            if self._assign[v] < 0:
+                return lit(v, self._phase[v])
+        return None
 
     def _reduce_learned(self) -> None:
         self._learned.sort(key=lambda c: c.activity)

@@ -240,6 +240,104 @@ def test_mul_by_power_of_two_folds_to_root_conflict():
     assert bv_check_sat(T.Not(claim)) is False
 
 
+# -- adder skips: the same CNF as the plain ripple-carry circuits -------------------
+
+
+def _ref_add_bits(bb, xs, ys, carry_in=None):
+    """add_bits before it skipped folded bits: one full adder per bit."""
+    carry = carry_in if carry_in is not None else bb.false_lit
+    out = []
+    for a, b in zip(xs, ys):
+        s, carry = bb._full_adder(a, b, carry)
+        out.append(s)
+    return out
+
+
+def _ref_mul_bits(bb, xs, ys):
+    """mul_bits before it skipped rows: every row added over the full width."""
+    width = len(xs)
+    acc = [bb.false_lit] * width
+    for i, y in enumerate(ys):
+        partial = ([bb.false_lit] * i +
+                   [bb.gate_and(x, y) for x in xs[: width - i]])
+        acc = _ref_add_bits(bb, acc, partial)
+    return acc
+
+
+def _operand(bb, rng, width, p_const):
+    """Bits that mix the constant literals with fresh symbolic ones."""
+    out = []
+    for _ in range(width):
+        r = rng.random()
+        if r < p_const / 2:
+            out.append(bb.false_lit)
+        elif r < p_const:
+            out.append(bb.true_lit)
+        else:
+            l = bb._new_lit()
+            out.append(neg(l) if rng.random() < .3 else l)
+    return out
+
+
+def _cnf(bb):
+    return (bb.sat.num_vars, [c.lits for c in bb.sat._clauses],
+            list(bb.sat._trail))
+
+
+def _same_circuit(build_ref, build_new, seed, width, p_const):
+    results = []
+    for build in (build_ref, build_new):
+        # Identical operand draws give identical literals in both blasters.
+        rng = random.Random(seed)
+        bb = BitBlaster()
+        xs = _operand(bb, rng, width, p_const)
+        ys = _operand(bb, rng, width, p_const)
+        results.append((build(bb, rng, xs, ys), _cnf(bb)))
+    assert results[0] == results[1]
+
+
+def _carry(bb, kind):
+    if kind == "symbolic":
+        return bb._new_lit()
+    return {None: None, "false": bb.false_lit, "true": bb.true_lit}[kind]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+@pytest.mark.parametrize("p_const", [0.0, 0.5, 0.9, 1.0])
+def test_adder_skips_build_the_same_cnf(width, p_const):
+    for kind in (None, "false", "true", "symbolic"):
+        for seed in range(3):
+            _same_circuit(
+                lambda bb, rng, xs, ys: _ref_add_bits(bb, xs, ys,
+                                                      _carry(bb, kind)),
+                lambda bb, rng, xs, ys: bb.add_bits(xs, ys, _carry(bb, kind)),
+                seed, width, p_const)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+@pytest.mark.parametrize("p_const", [0.0, 0.5, 0.9, 1.0])
+def test_multiplier_row_skips_build_the_same_cnf(width, p_const):
+    def zero_rows(bb, rng, ys):
+        # A multiplier with some rows forced to zero, as a constant or
+        # zero-extended operand has.
+        return [bb.false_lit if rng.random() < .5 else y for y in ys]
+    for seed in range(1 if width == 64 else 4):
+        _same_circuit(lambda bb, rng, xs, ys: _ref_mul_bits(bb, xs, ys),
+                      lambda bb, rng, xs, ys: bb.mul_bits(xs, ys),
+                      seed, width, p_const)
+        _same_circuit(
+            lambda bb, rng, xs, ys: _ref_mul_bits(bb, xs, zero_rows(bb, rng, ys)),
+            lambda bb, rng, xs, ys: bb.mul_bits(xs, zero_rows(bb, rng, ys)),
+            seed, width, p_const)
+        # Zero-extended operands, as _divrem widens to 2w.
+        _same_circuit(
+            lambda bb, rng, xs, ys: _ref_mul_bits(
+                bb, xs + [bb.false_lit] * width, ys + [bb.false_lit] * width),
+            lambda bb, rng, xs, ys: bb.mul_bits(
+                xs + [bb.false_lit] * width, ys + [bb.false_lit] * width),
+            seed, width, p_const)
+
+
 # -- differential check against brute force -----------------------------------------
 
 DW = 4
