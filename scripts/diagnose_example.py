@@ -155,11 +155,11 @@ def run(cache_dir: str) -> int:
     # Machine-readable rendering round-trips through json and carries
     # the documented schema version.
     payload = serial.to_json()
-    if payload.get("schema_version") != 2:
+    if payload.get("schema_version") != 3:
         print("FATAL: unexpected report schema_version", file=sys.stderr)
         return 1
     print("\nJSON rendering ok "
-          f"({len(json.dumps(payload))} bytes, schema_version 2)")
+          f"({len(json.dumps(payload))} bytes, schema_version 3)")
     return 0
 
 

@@ -15,9 +15,10 @@ on so both replay channels are in play:
 3. the target config again over that directory.
 
 The third run's per-obligation statuses and module query bytes must
-equal the cold run's.  The second run must also exercise its layer (a
-ladder rescue, a race win, a static proof), or the scenario tested
-nothing.  Exits 1 on any failure.
+equal the cold run's, and no obligation of it may be answered by the
+layer its config lacks (``Obligation.answered_by``).  The second run
+must also exercise its layer (a ladder rescue, a race win, a static
+proof), or the scenario tested nothing.  Exits 1 on any failure.
 
 Run:  PYTHONPATH=src python scripts/replay_isolation.py
 """
@@ -29,16 +30,17 @@ import tempfile
 from repro.api import Session, VerifyConfig
 
 # name -> (builder, target config, other config, stat the other config
-# must raise above zero).
+# must raise above zero, the answered_by value of the layer).
 SCENARIOS = {
     "ladder": ("repro.millibench.lists.build_doubly_linked_module",
                {"max_steps": 20, "triage": "off", "retries": 0},
                {"max_steps": 20, "triage": "off", "retries": 2},
-               "retry_recoveries"),
+               "retry_recoveries", "ladder"),
     "race": ("repro.profiles.corpus.build_stubborn_pair_module",
-             {"portfolio": 0}, {"portfolio": 2}, "portfolio_wins"),
+             {"portfolio": 0}, {"portfolio": 2}, "portfolio_wins", "race"),
     "triage": ("repro.systems.ironkv.delegation_map.build_default_module",
-               {"triage": "off"}, {"triage": "on"}, "static_proved"),
+               {"triage": "off"}, {"triage": "on"}, "static_proved",
+               "static"),
 }
 
 
@@ -56,7 +58,7 @@ def _statuses(result) -> list:
 
 
 def check(name: str) -> bool:
-    dotted, target, other, stat = SCENARIOS[name]
+    dotted, target, other, stat, layer_answer = SCENARIOS[name]
     cold = _verify(dotted, **target)
     with tempfile.TemporaryDirectory(prefix="replay_iso.") as cache_dir:
         layer = _verify(dotted, cache_dir, **other)
@@ -71,6 +73,13 @@ def check(name: str) -> bool:
                  if c != a]
         print(f"FAIL {name}: {target} after {other} differs from cold: "
               f"{diffs[:3]}")
+        ok = False
+    leaked = [o.label for f in again.functions for o in f.obligations
+              if o.answered_by == layer_answer]
+    if leaked:
+        print(f"FAIL {name}: {target} after {other} reports "
+              f"{len(leaked)} obligation(s) answered by {layer_answer!r}: "
+              f"{leaked[:3]}")
         ok = False
     if again.query_bytes != cold.query_bytes:
         print(f"FAIL {name}: query bytes {again.query_bytes} after "

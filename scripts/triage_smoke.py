@@ -13,9 +13,10 @@ the five case-study systems:
 3. **verdict identity** — the per-obligation verdict signatures
    ``(fn, label, kind, status)`` of the triage-on run must be
    byte-identical to triage-off, serial and cache-warm alike;
-4. **cache replay** — with a shared cache directory, a second
-   triage-on run must replay the static verdicts (entry kind
-   ``static-proved``) and build zero solvers.
+4. **cache-warm run** — with a shared cache directory, a second
+   triage-on run must build zero solvers: the tier claims the same
+   obligations again (static verdicts are never stored) and the cache
+   replays the solver's verdicts for the rest.
 
 Any violated expectation exits 1 so CI fails.
 
@@ -96,7 +97,7 @@ def main() -> int:
         gate("verdict signatures identical (shadow vs off)",
              shadow_sigs == off_sigs)
 
-    # ---- 4. static verdicts replay from the cache ---------------------
+    # ---- 4. a cache-warm run: triage again, the cache for the rest -----
     with tempfile.TemporaryDirectory() as tmp:
         cold_sigs, cold_built, cold_static, _ = _run_all("on", cache_dir=tmp)
         warm_sigs, warm_built, warm_static, _ = _run_all("on", cache_dir=tmp)
@@ -104,7 +105,7 @@ def main() -> int:
              warm_built == 0, f"built {warm_built}")
         gate("cache-warm verdicts identical to cold",
              warm_sigs == cold_sigs)
-        gate("static verdicts replay from cache",
+        gate("cache-warm run makes the same static claims",
              warm_static == cold_static,
              f"cold {cold_static}, warm {warm_static}")
 

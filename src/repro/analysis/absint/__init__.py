@@ -3,10 +3,10 @@
 A sound abstract interpreter over the verifier's own representations
 that sits *between* the static-analysis gate and the obligation
 scheduler.  Obligations whose goals follow from their path assumptions
-under an interval × constant × congruence product are discharged as
-``STATIC_PROVED`` — no SMT solver is ever constructed for them — and
-the residue flows to the scheduler completely unchanged (same digests,
-same cache keys).
+under an interval × constant × congruence product report PROVED with
+``answered_by == "static"`` — no SMT solver is ever constructed for
+them and nothing is stored in the proof cache — and the residue flows
+to the scheduler completely unchanged (same digests, same cache keys).
 
 Layout:
 
@@ -40,7 +40,7 @@ class TriageDisagreement(Exception):
 
     def __init__(self, fn_name: str, label: str):
         super().__init__(
-            f"triage soundness violation: absint claimed STATIC_PROVED on "
+            f"triage soundness violation: absint statically proved "
             f"{fn_name}: {label!r} but the solver refuted it "
             f"(REPRO_TRIAGE=shadow)")
         self.fn_name = fn_name

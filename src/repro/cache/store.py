@@ -15,8 +15,7 @@ entries are detected at lookup, dropped, and rewritten after re-solving.
 The directory is the one store for every replay channel.  Each entry
 says which kind it is:
 
-* **verdict** entries (no ``kind``, or ``static-proved`` for absint
-  triage verdicts) answer :meth:`ProofCache.lookup`;
+* **verdict** entries (no ``kind``) answer :meth:`ProofCache.lookup`;
 * **function** entries are the delta engine's per-function records
   (:class:`repro.vc.delta.DeltaCache`).
 
@@ -41,7 +40,7 @@ from typing import Callable, Iterator, Optional
 
 from ..api import CACHE_DIR_ENV  # noqa: F401  (re-exported for callers)
 from ..resilience import faults as _faults
-from ..vc.errors import FAILED, PROVED, STATIC_PROVED, TIMEOUT
+from ..vc.errors import FAILED, PROVED, TIMEOUT
 
 DEFAULT_DIRNAME = ".pv_cache"
 
@@ -52,21 +51,17 @@ _VALID_STATUS = (PROVED, FAILED, TIMEOUT)
 #: Entry kinds (see the module docstring).
 VERDICT = "verdict"
 FUNCTION = "function"
-# The ``kind`` values a verdict entry may carry.
-_VERDICT_KINDS = (None, STATIC_PROVED)
 
 
 def _entry_kind(entry: dict) -> str:
-    """The kind of a stored entry: :data:`VERDICT` for an unkinded or
-    static-proved verdict, else the entry's own ``kind``."""
-    kind = entry.get("kind")
-    return VERDICT if kind in _VERDICT_KINDS else kind
+    """The kind of a stored entry: :data:`VERDICT` for an unkinded
+    verdict, else the entry's own ``kind``."""
+    return entry.get("kind") or VERDICT
 
 
 def make_entry(digest: str, status: str, stats: Optional[dict] = None,
                query_bytes: int = 0, label: str = "",
-               diag: Optional[dict] = None,
-               kind: Optional[str] = None) -> Optional[dict]:
+               diag: Optional[dict] = None) -> Optional[dict]:
     """The canonical entry dict, or None for an uncacheable status."""
     if status not in _VALID_STATUS:
         return None
@@ -75,18 +70,16 @@ def make_entry(digest: str, status: str, stats: Optional[dict] = None,
              "stats": stats or {}, "label": label}
     if diag is not None:
         entry["diag"] = diag
-    if kind is not None:
-        entry["kind"] = kind
     return entry
 
 
 def validate_entry(entry, digest: str) -> bool:
     """The structural check every tier boundary applies before trusting
-    an entry: a verdict kind, right shape, right identity, replayable
+    an entry: no ``kind``, right shape, right identity, replayable
     status."""
     return (isinstance(entry, dict)
             and entry.get("digest") == digest
-            and entry.get("kind") in _VERDICT_KINDS
+            and entry.get("kind") is None
             and entry.get("status") in _VALID_STATUS
             and isinstance(entry.get("query_bytes", 0), int)
             and isinstance(entry.get("stats", {}), dict)
@@ -168,19 +161,14 @@ class ProofCache:
 
     def store(self, digest: str, status: str, stats: Optional[dict] = None,
               query_bytes: int = 0, label: str = "",
-              diag: Optional[dict] = None,
-              kind: Optional[str] = None) -> None:
+              diag: Optional[dict] = None) -> None:
         """Persist a verdict (atomic; best-effort on filesystem errors).
 
         ``diag`` is the serialized diagnostic payload for non-PROVED
         verdicts, so cache-warm failures replay the same counterexample
-        /split/profile report without re-solving.  ``kind`` marks
-        non-solver provenance (``STATIC_PROVED`` for verdicts from the
-        abstract-interpretation triage tier); the scheduler gates replay
-        of kinded entries on the tier being enabled.
+        /split/profile report without re-solving.
         """
-        entry = make_entry(digest, status, stats, query_bytes, label,
-                           diag, kind)
+        entry = make_entry(digest, status, stats, query_bytes, label, diag)
         if entry is None:
             return
         self.store_entry(entry)

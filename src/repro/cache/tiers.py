@@ -131,11 +131,9 @@ class TieredProofCache:
 
     def store(self, digest: str, status: str, stats: Optional[dict] = None,
               query_bytes: int = 0, label: str = "",
-              diag: Optional[dict] = None,
-              kind: Optional[str] = None) -> None:
+              diag: Optional[dict] = None) -> None:
         """Write through both tiers."""
-        entry = make_entry(digest, status, stats, query_bytes, label,
-                           diag, kind)
+        entry = make_entry(digest, status, stats, query_bytes, label, diag)
         if entry is None:
             return
         if self.disk.store_entry(entry):

@@ -8,7 +8,7 @@ CI/demo scripts and error-feedback benchmarks consume.
 
 from __future__ import annotations
 
-from ..vc.errors import PROVED, STATIC_PROVED
+from ..vc.errors import PROVED
 from .profile import profile_table
 from .taxonomy import Diagnostic
 
@@ -53,10 +53,9 @@ def obligation_to_json(o) -> dict:
         # was never raced).
         "profile": o.stats.get("profile"),
         "portfolio": o.stats.get("portfolio"),
-        # Schema v2 (additive): True when the static proving tier
-        # (repro.analysis.absint) discharged this obligation with no
-        # solver constructed; absent/False for solver verdicts.
-        "static": o.stats.get("tier") == STATIC_PROVED,
+        # Schema v3: the layer whose verdict this run adopted (see
+        # Obligation.answered_by); replaces v2's "static" flag.
+        "answered_by": o.answered_by,
         "diag": o.diag.to_dict() if o.diag is not None else None,
     }
 
@@ -102,8 +101,9 @@ def analysis_to_json(report) -> dict:
 # change to the key layout; consumers should reject versions they do not
 # know.  The schema is documented in README.md ("Machine-readable
 # reports").  v2 added the per-obligation "profile" and "portfolio"
-# fields (additive: every v1 key is unchanged).
-SCHEMA_VERSION = 2
+# fields (additive: every v1 key is unchanged); v3 replaced the
+# per-obligation "static" flag with "answered_by".
+SCHEMA_VERSION = 3
 
 
 def module_to_json(result) -> dict:

@@ -28,7 +28,7 @@ from ..cache.store import FUNCTION, ProofCache
 from ..smt.fingerprint import function_fingerprint, solver_config_key
 from . import ast as A
 from . import types as VT
-from .errors import PROVED, STATIC_PROVED, FunctionResult, Obligation
+from .errors import PROVED, FunctionResult, Obligation
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +259,6 @@ class DeltaCache:
             "obligations": [
                 {"label": o.label, "kind": o.kind, "seq": o.seq,
                  "span": o.span.to_dict() if o.span is not None else None,
-                 # Static-tier provenance survives the delta skip so a
-                 # replayed report is byte-identical to the cold one.
-                 "static": o.stats.get("tier") == STATIC_PROVED,
                  "record": {k: o.stats[k] for k in REPLAYED_STATS
                             if k in o.stats}}
                 for o in result.obligations
@@ -272,10 +269,11 @@ class DeltaCache:
 
 
 def replay_function(entry: dict) -> FunctionResult:
-    """Rebuild a FunctionResult from a delta-cache hit (all PROVED),
-    static-tier provenance and escalation records included: the digest
-    keys whether the tier answers and which attempts escalation runs, so
-    an entry only replays into a run that produces the same ones."""
+    """Rebuild a FunctionResult from a delta-cache hit (all PROVED,
+    answered by ``delta``), escalation records included: the digest
+    keys whether the static tier answers and which attempts escalation
+    runs, so an entry only replays into a run that produces the same
+    verdicts."""
     result = FunctionResult(entry["function"])
     result.query_bytes = int(entry.get("query_bytes", 0))
     result.seconds = 0.0
@@ -283,10 +281,8 @@ def replay_function(entry: dict) -> FunctionResult:
         ob = Obligation(rec["label"], rec["kind"])
         ob.status = PROVED
         ob.seq = int(rec.get("seq", 0))
-        ob.stats = {"delta_skipped": True}
-        if rec.get("static"):
-            ob.stats["tier"] = STATIC_PROVED
-        ob.stats.update(rec.get("record") or {})
+        ob.answered_by = "delta"
+        ob.stats = dict(rec.get("record") or {})
         span = rec.get("span")
         if span:
             ob.span = A.Span.from_dict(span)

@@ -20,12 +20,6 @@ TIMEOUT = "unknown"
 # machine-independent and from FAILED because no countermodel exists.
 # Never cached — a retry may well succeed.
 RESOURCE_OUT = "resource-out"
-# Marker for obligations discharged by the abstract-interpretation triage
-# tier (repro.analysis.absint) with no solver constructed.  Never a
-# visible ``Obligation.status`` — triaged obligations report PROVED so
-# verdict signatures stay byte-identical with triage-off runs; the marker
-# appears as ``ob.stats["tier"]`` and as the proof-cache entry ``kind``.
-STATIC_PROVED = "static-proved"
 
 
 def status_from_solver(verdict: str, solver) -> str:
@@ -51,6 +45,13 @@ class Obligation:
     not of which worker finished first.  ``span`` is the build-site
     provenance captured by the lang helpers; ``diag`` carries the
     :class:`repro.diag.taxonomy.Diagnostic` when diagnostics ran.
+
+    ``answered_by`` names the layer whose verdict this run adopted:
+    ``static`` (absint triage, no solver built), ``idiom`` (a §3.3
+    engine decided it during planning), ``solver``, ``cache`` (any
+    verdict replayed from the proof cache), ``race`` (a portfolio
+    candidate won), ``ladder`` (a retry rung's verdict) or ``delta``
+    (the whole function replayed from the delta cache).
     """
 
     def __init__(self, label: str, kind: str):
@@ -62,6 +63,7 @@ class Obligation:
         self.seq: int = 0           # emission order within the function
         self.span = None            # Optional[repro.vc.ast.Span]
         self.diag = None            # Optional[repro.diag.taxonomy.Diagnostic]
+        self.answered_by: Optional[str] = None
 
     @property
     def ok(self) -> bool:

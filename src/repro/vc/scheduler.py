@@ -15,12 +15,14 @@ never need re-solving.  This layer supplies both halves:
   under the same soft per-obligation deadline, with an in-process
   fallback when a worker dies.
 
-* Before any solving, each job is looked up in the content-addressed
-  proof cache (:mod:`repro.cache`) keyed on the canonical SMT-LIB2
-  query text plus solver knobs, so cache-warm re-verification skips the
-  solver entirely.  Stores are atomic per entry, so a killed run
-  re-run over the same cache directory replays every goal it finished
-  and re-solves only the rest.
+* Before any solving, each job the static tier (absint triage) does
+  not claim is looked up in the content-addressed proof cache
+  (:mod:`repro.cache`) keyed on the canonical SMT-LIB2 query text plus
+  solver knobs, so cache-warm re-verification skips the solver
+  entirely.  The cache holds solver verdicts only: a static claim is
+  made again on every run, never stored.  Stores are atomic per entry,
+  so a killed run re-run over the same cache directory replays every
+  goal it finished and re-solves only the rest.
 
 One further strategy stacks on top (off by default):
 
@@ -78,8 +80,7 @@ from ..smt.fingerprint import (deserialize_terms, obligation_digest,
                                serialize_terms, solver_config_key)
 from ..smt.solver import SolverConfig, Stats
 from .discharge import build_solver, solve
-from .errors import (FAILED, PROVED, RESOURCE_OUT, STATIC_PROVED, TIMEOUT,
-                     ModuleResult)
+from .errors import FAILED, PROVED, RESOURCE_OUT, TIMEOUT, ModuleResult
 
 __all__ = ["Scheduler", "ObligationJob", "default_jobs",
            "run_builder_job", "run_builder_jobs",
@@ -178,7 +179,8 @@ class _Task:
     assertion list and its digest."""
 
     __slots__ = ("item", "plan", "gen", "_assertions", "configs", "digest",
-                 "done", "qbytes", "crash", "pruned", "static_claim")
+                 "entry_stats", "done", "qbytes", "crash", "pruned",
+                 "static_claim")
 
     def __init__(self, item, plan, gen, configs: list):
         self.item = item
@@ -187,6 +189,9 @@ class _Task:
         self._assertions: Optional[list] = None
         self.configs = configs
         self.digest: Optional[str] = None
+        # The adopted verdict's stats as stored under ``digest``: a
+        # diagnosis upgrades that entry with these and nothing run-local.
+        self.entry_stats: dict = {}
         self.done = False
         self.qbytes = 0
         # Per-obligation context pruning (vc/prune.py): how many spec
@@ -482,6 +487,7 @@ class Scheduler:
                 # Idiom engines (§3.3) decided eagerly during planning.
                 ob.status = PROVED if item.direct_result else FAILED
                 ob.seconds = 0.0
+                ob.answered_by = "idiom"
                 if not ob.ok and self.diagnostics:
                     from ..diag import diagnose_obligation
                     ob.diag = diagnose_obligation(ob, None, [], [])
@@ -502,6 +508,26 @@ class Scheduler:
             from ..analysis.absint import Triage
             triage = Triage(self.triage_mode)
         for task in tasks:
+            if triage is not None:
+                t0 = time.perf_counter()
+                claimed, passes = triage.check(task.item)
+                if claimed and triage.mode == "on":
+                    # Statically discharged: no query is built, no solver
+                    # constructed, nothing stored (a warm run triages
+                    # again).  _apply merges the stats dict into
+                    # self.stats, the only place these counters move.
+                    stats = {"static_proved": 1,
+                             "absint_fixpoint_iters": passes,
+                             "solver_constructions_avoided": 1}
+                    self._apply(task, PROVED, stats, 0,
+                                time.perf_counter() - t0, "static")
+                    continue
+                if claimed:
+                    # Shadow: remember the claim, still solve (or replay
+                    # the solver's cached verdict) and compare.
+                    task.static_claim = True
+                    self.stats.static_proved += 1
+                    self.stats.absint_fixpoint_iters += passes
             if self.cache is not None:
                 task.digest = obligation_digest(
                     task.assertions, _configs_key(task.configs), strategy)
@@ -515,29 +541,8 @@ class Scheduler:
                             Diagnostic.from_dict(entry["diag"])
                     self._apply(task, entry["status"],
                                 dict(entry.get("stats") or {}),
-                                entry.get("query_bytes", 0), 0.0,
-                                replayed=True)
+                                entry.get("query_bytes", 0), 0.0, "cache")
                     continue
-            if triage is not None:
-                t0 = time.perf_counter()
-                claimed, passes = triage.check(task.item)
-                if claimed and triage.mode == "on":
-                    # Statically discharged: no solver is constructed.
-                    # _apply merges the stats dict into self.stats, which
-                    # is the only place these counters are incremented.
-                    stats = {"static_proved": 1,
-                             "absint_fixpoint_iters": passes,
-                             "solver_constructions_avoided": 1,
-                             "tier": STATIC_PROVED}
-                    seconds = time.perf_counter() - t0
-                    self._apply(task, PROVED, stats, 0, seconds)
-                    self._store(task, PROVED, stats, 0, kind=STATIC_PROVED)
-                    continue
-                if claimed:
-                    # Shadow: remember the claim, still run the solver.
-                    task.static_claim = True
-                    self.stats.static_proved += 1
-                    self.stats.absint_fixpoint_iters += passes
             unsolved.append(task)
         if len(unsolved) > 1 and self.jobs > 1:
             unsolved = self._run_parallel(unsolved)
@@ -728,8 +733,8 @@ class Scheduler:
             else:
                 self.stats.retry_recoveries += 1
         if adopted is not None:
-            if adopted.replayed:
-                stats["cache_hit"] = True
+            ob.answered_by = ("cache" if adopted.replayed
+                              else "race" if adopted.race else "ladder")
             # The diagnostic follows the verdict: the adopted attempt's
             # stored one, or a fresh diagnosis afterwards.
             ob.diag = None
@@ -739,6 +744,7 @@ class Scheduler:
             ob.status = adopted.status
             task.qbytes = adopted.qbytes
             task.digest = adopted.digest
+            task.entry_stats = adopted.stats
             if adopted.status == RESOURCE_OUT:
                 self.stats.resource_outs += 1
         if task.crash is not None:
@@ -797,13 +803,18 @@ class Scheduler:
         Runs in the parent process after all verdicts are in, re-solving
         each failure from its planned VC — so serial, parallel, and
         cache-warm runs produce identical diagnostics.  Deadline
-        verdicts are not re-solved: the re-solve has no deadline.
+        verdicts are not re-solved: the re-solve has no deadline.  This
+        run's resilience notes go on every diagnostic, replayed or not,
+        and never into the cache.
         """
         from ..diag import diagnose_obligation
         cfg = None
         for task in tasks:
             ob = task.item.obligation
-            if ob.ok or ob.diag is not None:
+            if ob.ok:
+                continue
+            if ob.diag is not None:
+                self._resilience_notes(ob)
                 continue
             if ob.stats.get("deadline_exceeded") or ob.status == RESOURCE_OUT:
                 from ..diag import Diagnostic, VerusErrorType
@@ -830,15 +841,13 @@ class Scheduler:
                 cfg = self._solver_config(gen)
             ob.diag = diagnose_obligation(
                 ob, task.item.goal, list(task.item.assumptions), ctx, cfg)
-            self._resilience_notes(ob)
             if self.cache is not None and task.digest is not None:
                 # Upgrade the cache entry so warm runs replay the full
                 # report without re-solving.
-                self.cache.store(task.digest, ob.status,
-                                 {k: v for k, v in ob.stats.items()
-                                  if k != "cache_hit"},
+                self.cache.store(task.digest, ob.status, task.entry_stats,
                                  task.qbytes, label=ob.label,
                                  diag=ob.diag.to_dict())
+            self._resilience_notes(ob)
 
     @staticmethod
     def _resilience_notes(ob) -> None:
@@ -859,46 +868,35 @@ class Scheduler:
 
     # -------------------------------------------------------- bookkeeping
 
-    def _admissible(self, entry: dict, reported: bool) -> bool:
-        """Whether a stored verdict may replay in this run.
-
-        A static-tier verdict replays only while the tier is on (off,
-        or shadow — which must actually solve to compare — re-solve and
-        overwrite it).  A failure reported under diagnostics must carry
-        its diag payload: the verdict alone is not what was asked for.
-        """
-        if entry.get("kind") == STATIC_PROVED and self.triage_mode != "on":
-            return False
-        return not (reported and self.diagnostics
-                    and entry["status"] != PROVED
-                    and entry.get("diag") is None)
-
     def _lookup(self, digest: str, reported: bool = True):
-        """The admissible cached verdict for ``digest``, or None.  The
-        cache applies :meth:`_admissible` as it looks up, so its hit
-        counters (tiers included) count only replayed entries.
-        ``reported`` is False where a replayed failure need not carry
-        its diagnostic: escalation attempts (a diagnosis missing from
-        the adopted verdict is made afterwards) and a main pass that a
-        ladder follows (its failures are never the reported verdict)."""
+        """The cached verdict for ``digest`` that may replay in this run,
+        or None.  A failure reported under diagnostics replays only with
+        its diag payload (the verdict alone is not what was asked for);
+        the cache applies that rule as it looks up, so its hit counters
+        (tiers included) count only replayed entries.  ``reported`` is
+        False where a replayed failure need not carry its diagnostic:
+        escalation attempts (a diagnosis missing from the adopted
+        verdict is made afterwards) and a main pass that a ladder
+        follows (its failures are never the reported verdict)."""
         if self.cache is None:
             return None
-        return self.cache.lookup(
-            digest, admit=lambda entry: self._admissible(entry, reported))
+        need_diag = reported and self.diagnostics
+        return self.cache.lookup(digest, admit=lambda entry: not (
+            need_diag and entry["status"] != PROVED
+            and entry.get("diag") is None))
 
     def _apply(self, task: _Task, status: str, stats: dict, qbytes: int,
-               seconds: float, replayed: bool = False) -> None:
+               seconds: float, answered_by: str = "solver") -> None:
         ob = task.item.obligation
         ob.status = status
         ob.seconds = seconds
+        ob.answered_by = answered_by
+        task.entry_stats = stats
         if task.pruned and not stats.get("pruned_axioms"):
             # Pruning happens when the task's assertion list is planned,
             # so solver stats never see it; fold the task's counts in.
             stats = {**stats, **task.pruned}
         self.stats.merge(stats)
-        if replayed:
-            stats = dict(stats)
-            stats["cache_hit"] = True
         if task.crash is not None and "pool_failure" not in stats:
             stats = dict(stats)
             stats["pool_failure"] = task.crash
@@ -912,7 +910,6 @@ class Scheduler:
         task.qbytes = qbytes
 
     def _store(self, task: _Task, status: str, stats: dict, qbytes: int,
-               kind: Optional[str] = None,
                digest: Optional[str] = None) -> None:
         """Store a verdict under ``digest`` (default: the task's) in the
         proof cache, unless it is a wall-clock artefact.  The cache drops
@@ -922,7 +919,7 @@ class Scheduler:
                 or stats.get("deadline_exceeded")):
             return
         self.cache.store(digest, status, stats, qbytes,
-                         label=task.item.obligation.label, kind=kind)
+                         label=task.item.obligation.label)
 
 
 # ---------------------------------------------------------------------------

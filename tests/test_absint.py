@@ -15,10 +15,11 @@ Three layers, mirroring the tier's soundness argument:
    (:func:`repro.smt.compute.evaluate`) under any substitution drawn
    inside the assumed bounds;
 3. **scheduler integration** — verdict signatures are byte-identical
-   with triage on vs off, serial vs jobs=2, cold vs cache-warm; static
-   cache entries replay only in ``on`` mode; shadow mode actually runs
-   the solver and raises ``TriageDisagreement`` when a (fault-injected)
-   tier claim meets a solver refutation.
+   with triage on vs off, serial vs jobs=2, cold vs cache-warm; no
+   static claim replays into a triage-off run; shadow mode actually runs
+   the solver (or replays its cached verdict) and raises
+   ``TriageDisagreement`` when a (fault-injected) tier claim meets a
+   solver refutation.
 """
 
 import random
@@ -38,7 +39,7 @@ from repro.smt.compute import evaluate
 from repro.smt.solver import (SAT, UNSAT, SmtSolver,
                               total_solver_constructions)
 from repro.smt.sorts import INT as SINT
-from repro.vc.errors import PROVED, STATIC_PROVED
+from repro.vc.errors import PROVED
 
 # ---------------------------------------------------------------------------
 # 1. domain lattices
@@ -347,9 +348,9 @@ def test_triage_discharges_and_matches_off():
     assert on.stats.get("static_proved", 0) >= 1
     assert (on.stats.get("solver_constructions_avoided", 0)
             == on.stats.get("static_proved", 0))
-    # Static verdicts surface as PROVED with the tier marker in stats.
+    # Static verdicts surface as PROVED, answered by the static tier.
     marked = [o for f in on.functions for o in f.obligations
-              if o.stats.get("tier") == STATIC_PROVED]
+              if o.answered_by == "static"]
     assert len(marked) == on.stats["static_proved"]
     assert all(o.status == PROVED for o in marked)
 
@@ -378,15 +379,16 @@ def test_static_cache_entry_is_miss_when_triage_off(tmp_path):
     cold = _verify(_case_module, triage="on", cache_dir=cache)
     n_static = cold.stats["static_proved"]
     assert n_static >= 1
-    # Triage off must NOT replay static-provenance entries: the solver
-    # re-proves them (constructions observable), verdicts unchanged.
+    # Triage off must NOT replay a static claim (none is stored): the
+    # solver proves those obligations (constructions observable), with
+    # verdicts unchanged.
     before = total_solver_constructions()
     off = _verify(_case_module, triage="off", cache_dir=cache)
     assert total_solver_constructions() - before >= n_static
     assert _signature(off) == _signature(cold)
     assert off.stats.get("static_proved", 0) == 0
-    # The solver verdict overwrote the entry: a second off-run is now a
-    # pure cache replay again.
+    # The solver verdicts were stored: a second off-run is a pure cache
+    # replay.
     before = total_solver_constructions()
     off2 = _verify(_case_module, triage="off", cache_dir=cache)
     assert total_solver_constructions() == before
@@ -407,28 +409,29 @@ def test_delta_replay_drops_static_provenance_when_triage_off(tmp_path):
     assert again.stats.get("delta_skips", 0) >= 1
     for run in (off, again):
         assert run.ok
-        assert not any(o.stats.get("tier") == STATIC_PROVED
+        assert not any(o.answered_by == "static"
                        for f in run.functions for o in f.obligations)
-    # An on-mode warm run keeps the provenance byte-identical to cold.
+    assert {o.answered_by for f in again.functions
+            for o in f.obligations} == {"delta"}
+    # An on-mode warm run replays the functions the on-mode run stored.
     on = _verify(_case_module, triage="on", cache_dir=cache, delta=True)
     assert on.stats.get("delta_skips", 0) >= 1
-    assert any(o.stats.get("tier") == STATIC_PROVED
-               for f in on.functions for o in f.obligations)
+    assert _signature(on) == _signature(cold)
 
 
 def test_race_does_not_replay_static_entries_when_triage_off(tmp_path):
     cache = str(tmp_path / "pv_cache")
-    # A triage-on aggressive run stores static-tier entries under the
-    # digests the default profile's race candidate ("aggressive") uses.
+    # A triage-on aggressive run claims obligations whose digests the
+    # default profile's race candidate ("aggressive") uses.
     cold = _verify(_case_module, profile="aggressive", triage="on",
                    cache_dir=cache)
     assert cold.stats["static_proved"] >= 1
     # max_steps=1 leaves the primary discharges stubborn, so they race;
-    # with triage off the race must re-solve, never adopt a static entry.
+    # with triage off the race must solve, never adopt a static claim.
     off = _verify(_case_module, triage="off", max_steps=1, portfolio=1,
                   cache_dir=cache)
     assert off.stats.get("portfolio_races", 0) >= 1
-    assert not any(o.stats.get("tier") == STATIC_PROVED
+    assert not any(o.answered_by == "static"
                    for f in off.functions for o in f.obligations)
 
 
@@ -462,6 +465,26 @@ def test_shadow_mode_raises_on_forced_disagreement(monkeypatch):
     assert "bad" in str(exc.value)
 
 
+def test_shadow_mode_checks_cache_warm_runs(monkeypatch, tmp_path):
+    # Triage runs before the cache lookup, so a warm shadow run compares
+    # each claim with the replayed solver verdict too.
+    import repro.analysis.absint as absint
+    mod = Module("absint_warm_lie")
+    x = var("x", INT)
+    exec_fn(mod, "bad", [("x", INT)], ret=("r", INT),
+            ensures=[var("r", INT).eq(x + 1)],
+            body=[ret(x)])
+    cache = str(tmp_path / "pv_cache")
+    cold = _verify(lambda: mod, triage="off", cache_dir=cache)
+    assert not cold.ok
+    monkeypatch.setattr(absint.Triage, "check",
+                        lambda self, item: (True, 1))
+    before = total_solver_constructions()
+    with pytest.raises(TriageDisagreement):
+        _verify(lambda: mod, triage="shadow", cache_dir=cache)
+    assert total_solver_constructions() == before
+
+
 def test_triage_preview_counts():
     preview = triage_preview(_case_module())
     assert preview["module"] == "absint_sched"
@@ -483,8 +506,8 @@ def test_render_marks_static_obligations():
     from repro.diag.render import module_to_json
     on = _verify(_case_module, triage="on")
     payload = module_to_json(on)
-    assert payload["schema_version"] == 2
-    flags = [o["static"] for f in payload["functions"]
+    assert payload["schema_version"] == 3
+    flags = [o["answered_by"] == "static" for f in payload["functions"]
              for o in f["obligations"]]
     assert any(flags)
     assert sum(flags) == on.stats["static_proved"]

@@ -71,7 +71,9 @@ def _quantified_module():
 
 
 def _normalize(payload: dict) -> dict:
-    """Strip timing fields and aggregate effort counters from to_json().
+    """Strip timing fields, aggregate effort counters and each
+    obligation's ``answered_by`` (the layer that answered in *this* run:
+    a warm run replays what a cold run solved) from to_json().
 
     Everything else — statuses, labels, seqs, spans, error types, diag
     payloads, query_bytes — must match byte-for-byte.
@@ -84,8 +86,10 @@ def _normalize(payload: dict) -> dict:
         f["seconds"] = 0
         for o in f["obligations"]:
             o["seconds"] = 0
+            o.pop("answered_by", None)
     for o in payload.get("failures", []):
         o["seconds"] = 0
+        o.pop("answered_by", None)
     return payload
 
 
@@ -341,7 +345,7 @@ class TestDelta:
         assert _normalize(r1.to_json()) == _normalize(r2.to_json())
         for fn in r2.functions:
             for ob in fn.obligations:
-                assert ob.stats.get("delta_skipped") is True
+                assert ob.answered_by == "delta"
 
     def test_changed_function_reverified(self, tmp_path):
         cfg = VerifyConfig(cache_dir=str(tmp_path), delta=True)
@@ -552,9 +556,10 @@ class TestApi:
     def test_schema_version_present(self):
         payload = Session(VerifyConfig()).verify_module(
             _verified_module()).to_json()
-        assert payload["schema_version"] == 2
-        # v2's additive per-obligation fields are present (and None on
-        # an un-raced default run).
+        assert payload["schema_version"] == 3
+        # v2's per-obligation fields are present (and None on an
+        # un-raced default run); v3's answered_by replaced "static".
         ob = payload["functions"][0]["obligations"][0]
         assert "profile" in ob and "portfolio" in ob
         assert ob["profile"] is None and ob["portfolio"] is None
+        assert ob["answered_by"] is not None and "static" not in ob

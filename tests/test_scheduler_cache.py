@@ -358,8 +358,9 @@ class TestEntryKinds:
         assert not os.path.exists(path)
 
     def test_tier_hits_count_only_admitted_entries(self, tmp_path):
-        """A triage-off run over a triage-on cache rejects the static
-        entries; no tier may count them as hits."""
+        """A triage-off run over a triage-on cache misses on every
+        obligation the tier claimed (static verdicts are never stored);
+        no tier may count a hit it did not replay."""
         from repro.systems.ironkv.delegation_map import build_default_module
         cfg = VerifyConfig(cache_dir=str(tmp_path / "pc"),
                            cache_tiers="mem,disk", triage="on")

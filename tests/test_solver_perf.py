@@ -67,7 +67,8 @@ def _naive_vc_config():
 
 
 def _signature(result):
-    """Verdict + diagnostics signature, stripped of timing and effort."""
+    """Verdict + diagnostics signature, stripped of timing, effort and
+    provenance (a cache-warm run answers from the cache)."""
     payload = json.loads(json.dumps(result.to_json()))
     payload["seconds"] = 0
     payload.pop("stats", None)
@@ -76,8 +77,10 @@ def _signature(result):
         f["seconds"] = 0
         for o in f["obligations"]:
             o["seconds"] = 0
+            o.pop("answered_by", None)
     for o in payload.get("failures", []):
         o["seconds"] = 0
+        o.pop("answered_by", None)
     return payload
 
 
