@@ -31,9 +31,9 @@ set of terms iterates in an order that follows memory addresses.
 to every N-th new term, so terms land at other addresses than in a plain
 run.  A ``--check`` that still passes under ballast shows that no set
 iteration order reaches the search.  ``--module NAME`` (repeatable)
-restricts the run, and ``--check``, to the named modules; each module
-starts from the same fresh-name counter, so its snapshot is the same
-whichever modules run before it.
+restricts the run, and ``--check``, to the named modules.  Each solver
+numbers the names it makes (skolems, lift variables) itself, so a
+module's snapshot is the same whichever modules run before it.
 
 Run:  PYTHONPATH=src python scripts/solver_effort.py [--check | --write]
           [--ballast N] [--module NAME ...]
@@ -92,7 +92,6 @@ def snapshot(names=None) -> dict:
     sys.path.insert(0, ROOT)
     from perfbench import workloads as W
     from repro.api import Session, VerifyConfig
-    from repro.smt import terms as T
     from repro.smt.bitvec import BitBlaster
     from repro.smt.sat import SatSolver
     from repro.smt.solver import solver_constructions
@@ -103,11 +102,6 @@ def snapshot(names=None) -> dict:
     for spec in W.COLD_SMT + W.COLD_IDIOM:
         if names and spec.name not in names:
             continue
-        # Fresh names (skolems, lift variables) come from one process-wide
-        # counter and feed the structural hashes that break ordering ties,
-        # so restart it: a module's snapshot must not depend on which
-        # modules ran before it in this process.
-        T._fresh_counter[0] = 0
         mod = W.build_idiom_module(spec, SEED)
         built0 = solver_constructions()
         with Session(config) as session:

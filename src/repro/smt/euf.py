@@ -377,12 +377,13 @@ class EufSolver:
         """A readable canonical member of t's congruence class.
 
         Model export for diagnostics: prefer a constant if the class has
-        one, otherwise the smallest member (ties broken by hash so the
-        choice is deterministic across runs and processes).
+        one, otherwise the smallest member with no solver-made name (ties
+        broken by hash: the choice is the same across runs and processes).
         """
         if t not in self._repr:
             return t
         val = self.value_of(t)
         if val is not None:
             return val
-        return min(self.class_of(t), key=lambda m: (m.size(), m._hash))
+        return min(self.class_of(t), key=lambda m: (
+            T.SOLVER_MARK in repr(m), m.size(), m._hash))

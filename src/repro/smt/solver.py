@@ -235,6 +235,7 @@ class SmtSolver:
         self._lemmas_seen: set = set()
         self._divmod_done: set = set()
         self._ite_cache: dict[T.Term, T.Term] = {}
+        self._names_drawn = 0    # see _fresh
         # Int term -> its linear form (see _TheoryModel._linearize).
         self._linear: dict[T.Term, LinExpr] = {}
         self._last_model: Optional[_TheoryModel] = None
@@ -375,6 +376,11 @@ class SmtSolver:
 
     # -------------------------------------------------------- preprocessing
 
+    def _fresh(self, prefix: str) -> str:
+        """A name no query holds, numbered per solver."""
+        self._names_drawn += 1
+        return f"{prefix}{T.SOLVER_MARK}{self._names_drawn}"
+
     def _preprocess(self, formula: T.Term) -> int:
         """NNF + skolemize + lift + CNF; returns the root SAT literal."""
         # The ITE-lift cache is scoped to one assertion batch: sharing a
@@ -426,12 +432,12 @@ class SmtSolver:
             # Existential: skolemize.
             mapping = {}
             for v in t.bound_vars:
+                name = self._fresh(f"sk_{v.payload}")
                 if univ_scope:
-                    decl = T.FuncDecl(T.fresh_name(f"sk_{v.payload}"),
-                                      [u.sort for u in univ_scope], v.sort)
-                    mapping[v] = decl(*univ_scope)
+                    mapping[v] = T.FuncDecl(name, [u.sort for u in univ_scope],
+                                            v.sort, reserved=True)(*univ_scope)
                 else:
-                    mapping[v] = T.Var(T.fresh_name(f"sk_{v.payload}"), v.sort)
+                    mapping[v] = T.Var(name, v.sort, reserved=True)
             body = T.substitute(t.body, mapping)
             return self._nnf(body, positive, univ_scope)
         # Atom (or boolean leaf).
@@ -459,7 +465,7 @@ class SmtSolver:
                     c = lift(t.args[0])
                     a = lift(t.args[1])
                     b = lift(t.args[2])
-                    out = T.Var(T.fresh_name("ite"), t.sort)
+                    out = T.Var(self._fresh("ite"), t.sort, reserved=True)
                     self._ite_cache[t] = out
                     self._sat.add_clause([self._tseitin(
                         T.And(T.Implies(c, T.Eq(out, a)),
@@ -1099,7 +1105,8 @@ class SmtSolver:
             for v in quant.bound_vars:
                 dom = universe.get(v.sort)
                 if not dom:
-                    witness = T.Var(T.fresh_name(f"w_{v.sort.name}"), v.sort)
+                    witness = T.Var(self._fresh(f"w_{v.sort.name}"),
+                                    v.sort, reserved=True)
                     dom = {witness: None}
                     universe[v.sort] = dom
                 dom = sorted(dom, key=lambda t: t._hash)

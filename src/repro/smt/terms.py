@@ -23,7 +23,7 @@ boolean skeleton handed to the SAT solver stays small.
 
 from __future__ import annotations
 
-import zlib
+from itertools import count
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .sorts import BOOL, INT, BitVecSort, Sort, _dhash
@@ -120,7 +120,10 @@ class FuncDecl:
     __slots__ = ("name", "arg_sorts", "ret_sort", "_hash")
     _interned: dict[tuple, "FuncDecl"] = {}
 
-    def __new__(cls, name: str, arg_sorts: Sequence[Sort], ret_sort: Sort):
+    def __new__(cls, name: str, arg_sorts: Sequence[Sort], ret_sort: Sort,
+                reserved: bool = False):
+        if (SOLVER_MARK in name) != reserved:
+            raise ValueError(f"{name!r}: only reserved names hold the mark")
         key = (name, tuple(arg_sorts), ret_sort)
         existing = cls._interned.get(key)
         if existing is not None:
@@ -164,7 +167,7 @@ class Term:
     """
 
     __slots__ = ("kind", "sort", "args", "payload", "_hash", "_free",
-                 "_size", "_quant")
+                 "_size")
     _interned: dict[tuple, "Term"] = {}
 
     def __new__(cls, kind: str, sort: Sort, args: tuple = (), payload=None):
@@ -182,7 +185,6 @@ class Term:
                              _payload_hash(payload))
         obj._free = None
         obj._size = None
-        obj._quant = None
         # Atomic under the GIL; losers of a racy double-construct are dropped.
         return cls._interned.setdefault(key, obj)
 
@@ -234,13 +236,15 @@ class Term:
         return self.args[0]
 
     def free_vars(self) -> frozenset:
-        """The set of free VAR terms, computed lazily and cached."""
+        """Free VAR terms, a quantifier's triggers included; cached."""
         if self._free is not None:
             return self._free
         if self.kind == VAR:
             result = frozenset((self,))
         elif self.is_quant():
-            result = self.args[0].free_vars() - frozenset(self.payload[0])
+            result = self.args[0].free_vars().union(
+                *(p.free_vars() for grp in self.payload[1] for p in grp)
+            ) - frozenset(self.payload[0])
         else:
             result = frozenset()
             for a in self.args:
@@ -259,13 +263,6 @@ class Term:
             seen.add(t)
             yield t
             stack.extend(t.args)
-
-    def has_quant(self) -> bool:
-        """Does any subterm (self included) bind variables?  Cached."""
-        if self._quant is None:
-            self._quant = self.is_quant() or any(a.has_quant()
-                                                 for a in self.args)
-        return self._quant
 
     def size(self) -> int:
         """Number of distinct subterms (DAG size), computed once and cached.
@@ -306,7 +303,13 @@ def BVVal(value: int, width: int) -> Term:
     return Term(BV_CONST, BitVecSort(width), (), value & mask)
 
 
-def Var(name: str, sort: Sort) -> Term:
+# Held by the names a solver makes (made with reserved=True), and no other.
+SOLVER_MARK = "'"
+
+
+def Var(name: str, sort: Sort, reserved: bool = False) -> Term:
+    if (SOLVER_MARK in name) != reserved:
+        raise ValueError(f"{name!r}: only reserved names hold the mark")
     return Term(VAR, sort, (), name)
 
 
@@ -623,15 +626,6 @@ def _quant(kind: str, bound, body: Term, triggers) -> Term:
 # Substitution
 # ---------------------------------------------------------------------------
 
-_fresh_counter = [0]
-
-
-def fresh_name(prefix: str = "k") -> str:
-    """Return a globally fresh identifier (used for skolemization etc.)."""
-    _fresh_counter[0] += 1
-    return f"{prefix}!{_fresh_counter[0]}"
-
-
 def _scope_key(live: dict) -> tuple:
     return tuple(sorted(live.items(), key=lambda kv: kv[0]._hash))
 
@@ -639,46 +633,44 @@ def _scope_key(live: dict) -> tuple:
 def substitute(term: Term, mapping: dict) -> Term:
     """Capture-avoiding simultaneous substitution of free variables.
 
-    ``mapping`` maps VAR terms to replacement terms of the same sort.
+    ``mapping`` maps VAR terms to replacement terms of the same sort.  A
+    binder that would capture a free variable of a replacement becomes
+    the least ``name!k`` no free variable of the input holds, so the
+    result depends only on the input.
     """
     if not mapping:
         return term
     cache: dict[tuple, Term] = {}
 
     def walk(t: Term, live: dict, live_key: tuple) -> Term:
-        if not live:
-            return t
         # A subterm none of whose free variables is substituted comes back
-        # unchanged -- unless it holds a quantifier: binder renames draw
-        # global fresh names, so those are always walked.
-        if t.free_vars().isdisjoint(live) and not t.has_quant():
+        # unchanged.
+        if not live or t.free_vars().isdisjoint(live):
             return t
         key = (t, live_key)
         hit = cache.get(key)
         if hit is not None:
             return hit
         if t.kind == VAR:
-            result = live.get(t, t)
+            result = live[t]
         elif t.is_quant():
-            inner = {v: r for v, r in live.items() if v not in t.payload[0]}
-            # Rename binders that would capture free vars of replacements.
-            replaced_frees = frozenset().union(
-                *(r.free_vars() for r in inner.values())) if inner else frozenset()
-            bound = list(t.payload[0])
-            renames = {}
-            for i, bv_ in enumerate(bound):
-                if bv_ in replaced_frees:
-                    nv = Var(fresh_name(bv_.payload), bv_.sort)
-                    renames[bv_] = nv
-                    bound[i] = nv
-            renames_key, inner_key = _scope_key(renames), _scope_key(inner)
-            body2 = walk(walk(t.args[0], renames, renames_key),
-                         inner, inner_key)
-            trig2 = tuple(
-                tuple(walk(walk(p, renames, renames_key), inner, inner_key)
-                      for p in grp)
-                for grp in t.payload[1])
-            result = _quant(t.kind, tuple(bound), body2, trig2)
+            bound, pats = t.payload
+            scope = {v: r for v, r in live.items() if v in t.free_vars()}
+            frees = frozenset().union(*(r.free_vars() for r in scope.values()))
+            if not frees.isdisjoint(bound):
+                taken = {v.payload for v in frees.union(t.free_vars(), bound)}
+                for v in bound:
+                    if v in frees:
+                        name = next(n for n in (f"{v.payload}!{k}"
+                                                for k in count(1))
+                                    if n not in taken)
+                        taken.add(name)
+                        scope[v] = Var(name, v.sort)
+            skey = _scope_key(scope)
+            result = _quant(t.kind, [scope.get(v, v) for v in bound],
+                            walk(t.args[0], scope, skey),
+                            [[walk(p, scope, skey) for p in grp]
+                             for grp in pats])
         else:
             new_args = tuple(walk(a, live, live_key) for a in t.args)
             if new_args == t.args:

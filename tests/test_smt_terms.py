@@ -118,6 +118,18 @@ def test_free_vars():
     assert q.free_vars() == frozenset({y})
 
 
+def test_trigger_variables_are_free_and_substituted():
+    f = T.FuncDecl("trig_f", [INT, INT], INT)
+    q = T.ForAll([x], T.Lt(x, I(0)), triggers=[[f(x, y)]])
+    assert q.free_vars() == frozenset({y})
+    assert T.substitute(q, {y: z}).triggers == ((f(x, z),),)
+    # A binder that would capture the replacement's x is renamed in the
+    # triggers too.
+    out = T.substitute(q, {y: x})
+    x1 = T.Var("x!1", INT)
+    assert out is T.ForAll([x1], T.Lt(x1, I(0)), triggers=[[f(x1, x)]])
+
+
 def test_substitute_basic():
     t = T.Add(x, y)
     out = T.substitute(t, {x: I(3), y: I(4)})
@@ -215,12 +227,20 @@ def _ref_substitute(term, mapping):
         if t.kind == T.VAR:
             result = live.get(t, t)
         elif t.is_quant():
-            inner = {v: r for v, r in live.items() if v not in t.payload[0]}
+            inner = {v: r for v, r in live.items() if v in t.free_vars()}
             frees = frozenset().union(*(r.free_vars() for r in inner.values()))
             bound, renames = list(t.payload[0]), {}
+            # The naming rule: the least name!k that no free variable of
+            # the replacements or the quantifier, and no binder, holds.
+            taken = {v.payload for v in frees | t.free_vars()}
+            taken |= {v.payload for v in bound}
             for i, bv_ in enumerate(bound):
                 if bv_ in frees:
-                    renames[bv_] = bound[i] = T.Var(T.fresh_name(bv_.payload),
+                    k = 1
+                    while f"{bv_.payload}!{k}" in taken:
+                        k += 1
+                    taken.add(f"{bv_.payload}!{k}")
+                    renames[bv_] = bound[i] = T.Var(f"{bv_.payload}!{k}",
                                                     bv_.sort)
             body = walk(walk(t.args[0], renames), inner)
             trig = tuple(tuple(walk(walk(p, renames), inner) for p in grp)
@@ -236,16 +256,11 @@ def _ref_substitute(term, mapping):
 
 
 def _same_substitution(term, mapping):
-    """Run the reference and the real substitute from one fresh-name
-    counter value; both must return the same interned term and draw the
-    same number of fresh names."""
-    start = T._fresh_counter[0]
+    """The reference and the real substitute must return the same
+    interned term."""
     expected = _ref_substitute(term, mapping)
-    drawn = T._fresh_counter[0] - start
-    T._fresh_counter[0] = start
     got = T.substitute(term, mapping)
     assert got is expected
-    assert T._fresh_counter[0] - start == drawn
     return got
 
 
@@ -269,12 +284,17 @@ def test_pruned_substitute_matches_tree_walk(steps, i, j):
         _same_substitution(t, mapping)
 
 
-def test_substitute_renames_binders_under_unsubstituted_terms():
-    # The Or mentions no substituted variable, but its quantifier's binder
-    # would capture the replacement's x: it is still walked and renamed.
+def test_substitute_renames_only_capturing_binders():
+    # The Or mentions no substituted variable, so its quantifier comes
+    # back as it was; only a binder that would capture the replacement's
+    # x is renamed, to the least x!k that no variable of the input holds.
     q = T.ForAll([x], T.Lt(x, I(1)))
-    t = T.And(T.Lt(y, z), T.Or(T.Lt(z, I(0)), q))
+    x1 = T.Var("x!1", INT)
+    p = T.ForAll([x], T.Lt(T.Add(x, x1), y))
+    t = T.And(T.Lt(y, z), T.Or(T.Lt(z, I(0)), q), p)
     out = _same_substitution(t, {y: x})
-    renamed = [s for s in out.subterms() if s.is_quant()]
-    assert len(renamed) == 1 and renamed[0] is not q
-    assert renamed[0].bound_vars[0] is not x
+    x2 = T.Var("x!2", INT)
+    assert out is T.And(T.Lt(x, z), T.Or(T.Lt(z, I(0)), q),
+                        T.ForAll([x2], T.Lt(T.Add(x2, x1), x)))
+    # The result depends only on the input: the same call gives it again.
+    assert T.substitute(t, {y: x}) is out

@@ -278,7 +278,7 @@ def _ref_lift(solver, t):
         if cached is not None:
             return cached
         c, a, b = (_ref_lift(solver, arg) for arg in t.args)
-        v = T.Var(T.fresh_name("ite"), t.sort)
+        v = T.Var(solver._fresh("ite"), t.sort, reserved=True)
         solver._ite_cache[t] = v
         solver._sat.add_clause([solver._tseitin(
             T.And(T.Implies(c, T.Eq(v, a)), T.Implies(T.Not(c), T.Eq(v, b))))])
@@ -313,10 +313,9 @@ def _ref_linearize(t):
     return LinExpr.var(t)
 
 
-def _lift_trace(lift, formula, start):
-    """Lift ``formula`` on a fresh solver from fresh-name counter
-    ``start``: the result, every SAT clause added, the atoms registered
-    and how many fresh names were drawn."""
+def _lift_trace(lift, formula):
+    """Lift ``formula`` on a fresh solver: the result, every SAT clause
+    added, the atoms registered and how many names the solver made."""
     solver = SmtSolver()
     clauses = []
     add_clause = solver._sat.add_clause
@@ -326,10 +325,8 @@ def _lift_trace(lift, formula, start):
         return add_clause(lits, *args, **kwargs)
 
     solver._sat.add_clause = recording
-    T._fresh_counter[0] = start
     out = lift(solver, formula)
-    return (out, clauses, dict(solver._atom_var),
-            T._fresh_counter[0] - start)
+    return out, clauses, dict(solver._atom_var), solver._names_drawn
 
 
 def _lin_key(e):
@@ -344,9 +341,8 @@ class TestMemoizedTraversals:
         # Shared ITE / div / mod nodes appear under several atoms.
         formula = T.And(*bools[-3:], T.Le(ints[-1], ints[-2]),
                         T.Eq(ints[-1], T.Add(ints[-2], ints[-3])))
-        start = T._fresh_counter[0]
-        expected = _lift_trace(_ref_lift, formula, start)
-        got = _lift_trace(lambda s, f: s._lift_ground(f), formula, start)
+        expected = _lift_trace(_ref_lift, formula)
+        got = _lift_trace(lambda s, f: s._lift_ground(f), formula)
         assert got[0] is expected[0]
         assert got[1] == expected[1]
         assert got[2] == expected[2]
