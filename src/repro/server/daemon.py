@@ -49,6 +49,7 @@ from .quota import QuotaExceeded, QuotaLedger, steps_spent
 PATH_COLD = "cold"
 PATH_CACHE = "cache"
 PATH_DELTA = "delta"
+PATH_STATIC = "static"
 
 
 class _Pending:
@@ -99,8 +100,8 @@ class VerifyServer:
         self._started = time.monotonic()
         self._stats_lock = threading.Lock()
         self._requests: dict[str, int] = {}        # verb -> count
-        self._paths: dict[str, int] = {p: 0 for p in
-                                       (PATH_COLD, PATH_CACHE, PATH_DELTA)}
+        self._paths: dict[str, int] = {
+            p: 0 for p in (PATH_COLD, PATH_CACHE, PATH_DELTA, PATH_STATIC)}
         self._busy = 0
         self._errors = 0
         # Every verify/diagnose request's run stats, merged: proof-cache
@@ -338,7 +339,7 @@ class VerifyServer:
         stats = result.stats or {}
         spent = steps_spent(stats)
         self.ledger.charge(request["client"], spent)
-        path = self._classify(stats, built)
+        path = self._classify(result, built)
         with self._stats_lock:
             self._paths[path] += 1
             self._totals.merge(stats)
@@ -359,13 +360,20 @@ class VerifyServer:
                                  server=server)
 
     @staticmethod
-    def _classify(stats: dict, solvers_built: int) -> str:
+    def _classify(result, solvers_built: int) -> str:
         """Which fast path (if any) served the request — delta beats
-        cache beats cold, matching how much work each skips."""
+        cache beats static beats cold, matching how much work each skips.
+        ``static``: the static tier answered every obligation, so no
+        solver was built and the cache was never asked."""
+        stats = result.stats or {}
         if stats.get("delta_skips"):
             return PATH_DELTA
         if stats.get("cache_hits") and solvers_built == 0:
             return PATH_CACHE
+        obligations = [o for f in result.functions for o in f.obligations]
+        if (solvers_built == 0 and obligations
+                and all(o.answered_by == "static" for o in obligations)):
+            return PATH_STATIC
         return PATH_COLD
 
     # -------------------------------------------------------------- status

@@ -40,7 +40,7 @@ class EufSolver:
 
     __slots__ = ("_repr", "_rank", "_members", "_use", "_sigs",
                  "_proof_edge", "_diseqs", "_pending", "num_merges",
-                 "_frames", "_apps_by_decl")
+                 "_diseqs_clean_at", "_frames", "_apps_by_decl")
 
     def __init__(self):
         self._repr: dict[T.Term, T.Term] = {}          # union-find parent
@@ -54,6 +54,10 @@ class EufSolver:
         self._diseqs: list[tuple[T.Term, T.Term, Hashable]] = []
         self._pending: list[tuple] = []
         self.num_merges = 0
+        # num_merges when a walk of _diseqs last found none violated
+        # (-1: walk again).  Only a merge can violate a disequality that
+        # held; assert_neq checks each new one itself.
+        self._diseqs_clean_at = -1
         # Undo log: one op list per open push(); ops are replayed in reverse
         # by pop().  The SMT core opens no scopes (every obligation gets a
         # fresh solver), so it stays empty and no logging overhead is paid;
@@ -85,6 +89,8 @@ class EufSolver:
                 self._undo(op)
         # Anything still queued was discovered under the popped frames.
         self._pending.clear()
+        # An undone merge lowers num_merges back to a value already seen.
+        self._diseqs_clean_at = -1
 
     def commit(self) -> None:
         """Close the innermost scope, keeping its changes.
@@ -219,6 +225,9 @@ class EufSolver:
         if self._frames:
             self._frames[-1].append(("diseq",))
         if self.find(a) is self.find(b):
+            # The violated disequality stays listed: the next walk must
+            # report it again.
+            self._diseqs_clean_at = -1
             raise EufConflict(frozenset([reason]) | self.explain(a, b))
 
     def _process_pending(self) -> None:
@@ -279,9 +288,12 @@ class EufSolver:
             raise EufConflict(frozenset(reasons))
 
     def _check_diseqs(self) -> None:
+        if self.num_merges == self._diseqs_clean_at:
+            return
         for a, b, reason in self._diseqs:
             if self.find(a) is self.find(b):
                 raise EufConflict(frozenset([reason]) | self.explain(a, b))
+        self._diseqs_clean_at = self.num_merges
 
     # -- proof forest ---------------------------------------------------------------
 

@@ -128,7 +128,7 @@ class Simplex:
 
     __slots__ = ("_rows", "_basic", "_nonbasic", "_lower", "_upper",
                  "_value", "_slack_of_form", "_slack_counter", "_order",
-                 "num_pivots", "_snapshots")
+                 "num_pivots", "_snapshots", "_dirty")
 
     def __init__(self):
         # Tableau: basic var -> {nonbasic var: coeff}. Invariant: basic ==
@@ -144,6 +144,12 @@ class Simplex:
         self._order: dict[Hashable, int] = {}
         self.num_pivots = 0
         self._snapshots: list[tuple[dict, dict]] = []
+        # Variables whose value or bound changed since check() last saw
+        # them within bounds.  Every violated basic variable is in it:
+        # values and bounds change only where it is updated, and pop()
+        # only loosens bounds.  Its iteration order never matters: check()
+        # takes the least order key.
+        self._dirty: set = set()
 
     # -- snapshots ----------------------------------------------------------
 
@@ -212,6 +218,7 @@ class Simplex:
                     row.pop(v, None)
         self._rows[s] = row
         self._basic.add(s)
+        self._dirty.add(s)
         value = self._value
         value[s] = _q(sum((value[v] * c for v, c in row.items()), ZERO))
         self._slack_of_form[items] = s
@@ -230,6 +237,7 @@ class Simplex:
         if low is not None and low.value > bound:
             raise LiaConflict(frozenset([reason, low.reason]))
         self._upper[s] = _Bound(bound, reason)
+        self._dirty.add(s)
         if s in self._nonbasic and self._value[s] > bound:
             self._update_nonbasic(s, bound)
 
@@ -244,6 +252,7 @@ class Simplex:
         if up is not None and up.value < bound:
             raise LiaConflict(frozenset([reason, up.reason]))
         self._lower[s] = _Bound(bound, reason)
+        self._dirty.add(s)
         if s in self._nonbasic and self._value[s] < bound:
             self._update_nonbasic(s, bound)
 
@@ -251,10 +260,12 @@ class Simplex:
         value = self._value
         delta = _q(new_val - value[v])
         value[v] = new_val
+        dirty = self._dirty
         for b, row in self._rows.items():
             c = row.get(v)
             if c:
                 value[b] = _q(value[b] + c * delta)
+                dirty.add(b)
 
     # -- pivoting check --------------------------------------------------------
 
@@ -264,15 +275,22 @@ class Simplex:
         Raises LiaConflict if infeasible, LiaUnknown on pivot budget blowout.
         """
         pivots = 0
-        order, value = self._order, self._value
+        order, value, rows = self._order, self._value, self._rows
         lower, upper = self._lower, self._upper
+        dirty = self._dirty
         while True:
             # Bland's rule: repair the violated basic variable with the
-            # least order key, found in one scan (no sort of the basis).
+            # least order key, found in one scan of the dirty set (a
+            # superset of the violated basic variables).  Nonbasic and
+            # satisfied variables leave the set.
             violated = None
             direction = 0
             least = len(order)
-            for b in self._basic:
+            clean = []
+            for b in dirty:
+                if b not in rows:
+                    clean.append(b)
+                    continue
                 val = value[b]
                 lo = lower.get(b)
                 if lo is not None and val < lo.value:
@@ -280,11 +298,13 @@ class Simplex:
                 else:
                     up = upper.get(b)
                     if up is None or val <= up.value:
+                        clean.append(b)
                         continue
                     d = -1
                 k = order[b]
                 if k < least:
                     violated, direction, least = b, d, k
+            dirty.difference_update(clean)
             if violated is None:
                 return dict(self._value)
             pivots += 1
@@ -374,10 +394,12 @@ class Simplex:
         if not delta:
             return
         value[now_nonbasic] = target
+        dirty = self._dirty
         for b, row in self._rows.items():
             c = row.get(now_nonbasic)
             if c:
                 value[b] = _q(value[b] + c * delta)
+                dirty.add(b)
 
 
 class LiaSolver:

@@ -233,7 +233,7 @@ class EMatcher:
         self._bound = frozenset(bound)
         subs: list[dict] = []
         candidates = self._apps_by_decl.get(pattern.payload, ())
-        for candidate in candidates[watermark:]:
+        for candidate in self._per_class(candidates[watermark:]):
             subs.extend(self._match(pattern, candidate, {}))
         return self._complete(subs, bound) if subs else []
 
@@ -251,9 +251,25 @@ class EMatcher:
                     complete.append(s)
         return complete
 
+    def _per_class(self, candidates) -> Iterable[T.Term]:
+        """The first candidate of each congruence class, in order.
+
+        A pattern root is an application, so :meth:`_match` reads only
+        the candidate's class: a later candidate of the same class would
+        repeat its substitutions, which :meth:`_complete` drops.
+        """
+        find = self.euf.find
+        visited = set()
+        for candidate in candidates:
+            root = find(candidate)
+            if root not in visited:
+                visited.add(root)
+                yield candidate
+
     def _match_pattern(self, pattern: T.Term, sub: dict) -> list[dict]:
         out = []
-        for candidate in self._apps_by_decl.get(pattern.payload, ()):
+        for candidate in self._per_class(
+                self._apps_by_decl.get(pattern.payload, ())):
             # _match/_match_args copy-on-bind, so sharing `sub` is safe —
             # no defensive copy on branches that add no binding.
             out.extend(self._match(pattern, candidate, sub))

@@ -232,6 +232,9 @@ class SmtSolver:
         self._fired: dict = {}
         self._fired_key: Optional[tuple] = None   # transient probe state
         self._fired_fps: Optional[tuple] = None
+        # Quantifier -> its compiled instance template (see
+        # _instance_template), built on first instantiation.
+        self._templates: dict[T.Term, tuple] = {}
         self._lemmas_seen: set = set()
         self._divmod_done: set = set()
         self._ite_cache: dict[T.Term, T.Term] = {}
@@ -828,7 +831,10 @@ class SmtSolver:
         self._inst_subs.setdefault(quant, []).append(key[1])
         self.stats.instantiations += 1
         self._record_instantiation(quant, trigger_label)
-        body = T.substitute(quant.body, sub)
+        template = self._templates.get(quant)
+        if template is None:
+            template = self._templates[quant] = _instance_template(quant)
+        body = _build_instance(quant.body, template, sub)
         clausal = self._nnf(body, True, ())
         clausal = self._lift_ground(clausal)
         inst_lit = self._tseitin(clausal)
@@ -1133,6 +1139,62 @@ def _roots(euf: EufSolver, terms: tuple) -> tuple:
     tuples are identical."""
     r = euf._repr
     return tuple(euf.find(t) if t in r else t for t in terms)
+
+
+# Instance template step kinds.
+_STEP_VAR, _STEP_QUANT, _STEP_NODE = 0, 1, 2
+
+
+def _instance_template(quant: T.Term) -> tuple:
+    """Compile ``quant.body`` for :func:`_build_instance`.
+
+    The template is the post-order list of the body's distinct subterms
+    that mention a bound variable, each as ``(subterm, step kind)``.
+    Subterms that mention none come back unchanged from ``T.substitute``,
+    so they are left out.  A nested quantifier is one step: it is not
+    entered, because its binders may capture a replacement.
+    """
+    bound = frozenset(quant.bound_vars)
+    steps: list[tuple] = []
+    visited: set = set()
+
+    def visit(t: T.Term) -> None:
+        if t in visited:
+            return
+        visited.add(t)
+        if t.free_vars().isdisjoint(bound):
+            return
+        if t.kind == T.VAR:
+            steps.append((t, _STEP_VAR))
+        elif t.is_quant():
+            steps.append((t, _STEP_QUANT))
+        else:
+            for a in t.args:
+                visit(a)
+            steps.append((t, _STEP_NODE))
+
+    visit(quant.body)
+    return tuple(steps)
+
+
+def _build_instance(body: T.Term, template: tuple, sub: dict) -> T.Term:
+    """``T.substitute(body, sub)`` for a ``sub`` that binds exactly the
+    bound variables ``template`` was compiled for: the same interned
+    term, built bottom-up without ``free_vars`` tests."""
+    if not template:
+        return body
+    built: dict = {}
+    for t, step in template:
+        if step == _STEP_NODE:
+            args = t.args
+            new_args = tuple([built.get(a, a) for a in args])
+            built[t] = t if new_args == args else T._rebuild(t, new_args)
+        elif step == _STEP_VAR:
+            built[t] = sub[t]
+        else:
+            # Capture-avoiding renaming is substitute's job.
+            built[t] = T.substitute(t, sub)
+    return built[body]
 
 
 def _product(domains: list) -> Iterable[tuple]:

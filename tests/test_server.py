@@ -25,7 +25,7 @@ import pytest
 from repro.api import Session, VerifyConfig
 from repro.server import ServerClient, ServerConfig, VerifyServer
 from repro.server import protocol
-from repro.server.daemon import PATH_COLD, PATH_DELTA
+from repro.server.daemon import PATH_COLD, PATH_DELTA, PATH_STATIC
 from repro.server.queue import FairQueue, FairQueueCore, QueueFull
 from repro.server.quota import QuotaExceeded, QuotaLedger, steps_spent
 
@@ -393,6 +393,27 @@ class TestDaemon:
         assert status["paths"]["delta"] >= 10
         assert sum(status["paths"].values()) == 40
 
+    def test_all_static_request_reads_static(self):
+        """A request the static tier answers in full builds no solver and
+        asks no cache: it reads ``static``, every time, while a request
+        that needs the solver reads ``cold``."""
+        cfg = VerifyConfig(triage="on")
+        with _Daemon(verify_cfg=cfg) as d, d.client("static") as c:
+            for _ in range(2):
+                reply = c.verify(builder="tests.test_absint:_case_module")
+                assert reply["result"]["ok"]
+                assert reply["server"]["path"] == PATH_STATIC
+                assert reply["server"]["solvers_built"] == 0
+                assert reply["server"]["static_proved"] == 5
+                assert {o["answered_by"]
+                        for f in reply["result"]["functions"]
+                        for o in f["obligations"]} == {"static"}
+            broken = c.verify(source=BROKEN_SRC, builder="build")
+            assert broken["server"]["solvers_built"] > 0
+            assert broken["server"]["path"] == PATH_COLD
+            paths = c.status()["result"]["paths"]
+            assert paths[PATH_STATIC] == 2 and paths[PATH_COLD] == 1
+
     def test_per_request_overrides_and_rejection(self, tmp_path):
         with _Daemon() as d, d.client() as c:
             plain = c.verify(source=BROKEN_SRC, builder="build")
@@ -483,7 +504,9 @@ class TestDaemon:
             assert replies["second"]["status"] == "ok"
 
     def test_journal_resume_across_daemon_restarts(self, tmp_path):
-        cfg = VerifyConfig(cache_dir=str(tmp_path / "cache"))
+        # Triage off: with it on, the static tier answers every obligation
+        # of MODULE_V1 and the first request reads "static".
+        cfg = VerifyConfig(cache_dir=str(tmp_path / "cache"), triage="off")
         with _Daemon(verify_cfg=cfg) as d, d.client() as c:
             first = c.verify(source=MODULE_V1, builder="build")
             assert first["result"]["ok"]

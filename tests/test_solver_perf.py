@@ -29,6 +29,7 @@ Four guarantees, each with its own section:
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -42,9 +43,11 @@ from repro.millibench.lists import (build_doubly_linked_module,
 from repro.smt import terms as T
 from repro.smt.euf import EufSolver
 from repro.smt.quant import EMatcher
-from repro.smt.lia import LinExpr
-from repro.smt.solver import SmtSolver, SolverConfig, _roots, _TheoryModel
-from repro.smt.sorts import uninterpreted
+from repro.smt.lia import LiaConflict, LiaUnknown, LinExpr, Simplex
+from repro.smt.solver import (_STEP_QUANT, SmtSolver, SolverConfig,
+                              _build_instance, _instance_template, _roots,
+                              _TheoryModel)
+from repro.smt.sorts import BOOL as BOOL_SORT, uninterpreted
 from repro.systems.ironkv.delegation_map import build_default_module
 from repro.systems.ironkv.marshal_verified import build_u64_roundtrip_module
 from repro.systems.mimalloc.verified import build_bit_tricks_module
@@ -415,3 +418,193 @@ class TestIdentityHashing:
                                     and euf.are_equal(q, s))
                         same = _roots(euf, (p, q)) == _roots(euf, (r, s))
                         assert pairwise == same, (p, q, r, s)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the hot-path shortcuts: each output is compared with a
+# reference that does the work the long way, kept here.
+# ---------------------------------------------------------------------------
+
+class _PerCandidateMatcher(EMatcher):
+    """Reference matcher: every candidate is matched, even when an earlier
+    candidate of the same congruence class was."""
+
+    __slots__ = ()
+    delta_calls = 0
+
+    def _per_class(self, candidates):
+        return candidates
+
+    def _match_delta(self, group, bound, watermark):
+        type(self).delta_calls += 1
+        return super()._match_delta(group, bound, watermark)
+
+
+class _FullBasisSimplex(Simplex):
+    """Reference simplex: Bland's rule over the whole basis."""
+
+    __slots__ = ()
+
+    def check(self, max_pivots=20000):
+        pivots = 0
+        while True:
+            violated, direction, least = None, 0, len(self._order)
+            for b in self._basic:
+                val = self._value[b]
+                lo, up = self._lower.get(b), self._upper.get(b)
+                if lo is not None and val < lo.value:
+                    d = +1
+                elif up is not None and val > up.value:
+                    d = -1
+                else:
+                    continue
+                if self._order[b] < least:
+                    violated, direction, least = b, d, self._order[b]
+            if violated is None:
+                return dict(self._value)
+            pivots += 1
+            self.num_pivots += 1
+            if pivots > max_pivots:
+                raise LiaUnknown("pivot budget exceeded")
+            self._repair(violated, direction)
+
+
+class TestHotPathExactness:
+    S = uninterpreted("S")
+
+    def _random_egraph(self, rng):
+        S = self.S
+        f = T.FuncDecl("f", [S], S)
+        g = T.FuncDecl("g", [S, S], S)
+        atoms = [T.Var(f"c{i}", S) for i in range(5)]
+        terms = list(atoms)
+        euf = EufSolver()
+        for _ in range(rng.randrange(6, 30)):
+            if rng.random() < 0.5:
+                t = f(rng.choice(terms))
+            else:
+                t = g(rng.choice(terms), rng.choice(terms))
+            terms.append(t)
+            euf.add_term(t)
+        for t in atoms:
+            euf.add_term(t)
+        for _ in range(rng.randrange(0, 8)):
+            euf.assert_eq(rng.choice(terms), rng.choice(terms), "m")
+        return euf, f, g, terms
+
+    def test_per_class_matching_equals_per_candidate(self):
+        S = self.S
+        x, y, z = (T.Var(n, S) for n in ("x", "y", "z"))
+        rng = random.Random(7)
+        checked = 0
+        _PerCandidateMatcher.delta_calls = 0
+        for _ in range(150):
+            euf, f, g, terms = self._random_egraph(rng)
+            groups = [((f(x),), (x,)),
+                      ((g(x, y),), (x, y)),
+                      ((g(x, x),), (x,)),
+                      ((g(f(x), y),), (x, y)),
+                      ((f(f(x)),), (x,)),
+                      ((f(x), g(y, z)), (x, y, z)),
+                      ((g(x, y), f(y)), (x, y))]
+            for incremental in (False, True):
+                fast = EMatcher(euf, incremental=incremental)
+                ref = _PerCandidateMatcher(euf, incremental=incremental)
+                for group, bound in groups:
+                    got = fast.match_group(group, bound)
+                    assert got == ref.match_group(group, bound)
+                    checked += len(got)
+                if not incremental:
+                    continue
+                # New terms and no merge: single-pattern groups take the
+                # delta path past their watermark.
+                for _ in range(rng.randrange(1, 6)):
+                    euf.add_term(f(rng.choice(terms)))
+                    euf.add_term(g(rng.choice(terms), rng.choice(terms)))
+                euf.flush()
+                for group, bound in groups:
+                    got = fast.match_group(group, bound)
+                    assert got == ref.match_group(group, bound)
+                    checked += len(got)
+        assert checked > 1000
+        assert _PerCandidateMatcher.delta_calls > 100
+
+    def test_templates_build_the_substituted_body(self, monkeypatch):
+        from repro.millibench.lists import build_memory_reasoning_module
+        from repro.smt import solver as solver_mod
+        from repro.systems.nr.model import build_nr_core_module
+        built = [0]
+        mismatches = []
+        real = solver_mod._build_instance
+
+        def checked(body, template, sub):
+            out = real(body, template, sub)
+            built[0] += 1
+            if out is not T.substitute(body, sub):
+                mismatches.append((body, sub))
+            return out
+
+        monkeypatch.setattr(solver_mod, "_build_instance", checked)
+        for mod in (build_doubly_linked_module(), build_nr_core_module(),
+                    build_memory_reasoning_module(3)):
+            with Session(VerifyConfig(jobs=1)) as session:
+                assert session.verify_module(mod).ok
+        assert built[0] > 100
+        assert not mismatches, mismatches[:3]
+
+    def test_template_keeps_nested_binders_capture_free(self):
+        S = self.S
+        p = T.FuncDecl("p", [S, S], BOOL_SORT)
+        h = T.FuncDecl("h", [S], S)
+        x, y = T.Var("x", S), T.Var("y", S)
+        inner = T.ForAll([y], p(x, y), [[p(x, y)]])
+        quant = T.ForAll([x], T.And(p(h(x), x), inner))
+        # The replacement mentions a free `y`, which the inner binder
+        # would capture unless substitute renames it.
+        sub = {x: h(y)}
+        template = _instance_template(quant)
+        assert [step for _, step in template].count(_STEP_QUANT) == 1
+        body = _build_instance(quant.body, template, sub)
+        assert body is T.substitute(quant.body, sub)
+        renamed = body.args[1]
+        assert renamed.bound_vars[0].payload == "y!1"
+        assert y in body.free_vars()
+
+    def test_dirty_set_simplex_equals_full_basis_scan(self):
+        rng = random.Random(11)
+        atoms = [f"v{i}" for i in range(6)]
+        outcomes = 0
+        for _ in range(200):
+            fast, ref = Simplex(), _FullBasisSimplex()
+            for _ in range(rng.randrange(3, 14)):
+                expr = LinExpr({v: rng.choice((-3, -2, -1, 1, 2, 3))
+                                for v in rng.sample(atoms,
+                                                    rng.randrange(1, 4))},
+                               rng.randrange(-9, 10))
+                kind = rng.choice(("upper", "lower", "upper", "lower",
+                                   "probe"))
+                reason = rng.randrange(1000)
+                results = []
+                for simplex in (fast, ref):
+                    try:
+                        if kind == "probe":
+                            simplex.push()
+                            try:
+                                simplex.assert_upper(expr, reason)
+                                results.append(("model", simplex.check()))
+                            finally:
+                                simplex.pop()
+                        else:
+                            getattr(simplex, "assert_" + kind)(expr, reason)
+                            results.append(
+                                ("model", simplex.check(max_pivots=50)))
+                    except LiaConflict as exc:
+                        results.append(("conflict", exc.reasons))
+                    except LiaUnknown:
+                        results.append(("unknown", None))
+                    results.append(simplex.num_pivots)
+                assert results[:2] == results[2:]
+                outcomes += 1
+                if results[0][0] == "conflict" and kind != "probe":
+                    break
+        assert outcomes > 1000
